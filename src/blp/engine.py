@@ -13,6 +13,11 @@ extreme oscillation pair under the truth ordering.
 The four extremal fixpoints determine each other through the bilattice
 operations; semantics() recomputes those identities after every run and
 refuses to return a result that violates them.
+
+Valuations are (belief, doubt) bit masks over the base.  The rule bodies
+of a ground program are compiled once, on its first evaluation, into a
+flat list of n-ary nodes (valuation.CompiledBodies) that is cached on
+the program; one application of the operator runs that list once.
 """
 
 from __future__ import annotations
@@ -20,9 +25,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Tuple
 
-from .bilattice import F, I, T, TruthValue, U, leq_t
+from .bilattice import F, I, T, TruthValue, U
 from .grounder import GroundProgram
-from .valuation import BaseMismatchError, Valuation, const_valuation, contrajoin_eval
+from .valuation import (
+    BaseMismatchError,
+    CompiledBodies,
+    Valuation,
+    const_valuation,
+    value_masks,
+)
 
 Alpha = TruthValue
 
@@ -35,6 +46,16 @@ class InternalInvariantError(RuntimeError):
     """
 
 
+def _compiled(gp: GroundProgram) -> CompiledBodies:
+    """The program's rule bodies, compiled on first use."""
+    if gp.compiled is None:
+        index = gp.base.index
+        gp.compiled = CompiledBodies(
+            gp.base, [(1 << index(head), body) for head, body in gp.rules.items()]
+        )
+    return gp.compiled
+
+
 def immediate_consequence(
     gp: GroundProgram, alpha: Alpha, v: Valuation, w: Valuation
 ) -> Valuation:
@@ -42,12 +63,10 @@ def immediate_consequence(
     base = gp.base
     if v.base != base or w.base != base:
         raise BaseMismatchError("valuations do not match the program's base")
-    rules = gp.rules
-    values = []
-    for atom in base.atoms:
-        body = rules.get(atom)
-        values.append(alpha if body is None else contrajoin_eval(v, w, body))
-    return Valuation(base, values)
+    compiled = _compiled(gp)
+    belief, doubt = compiled.evaluate(v, w)
+    rest_belief, rest_doubt = value_masks(alpha, compiled.rest)
+    return Valuation.from_masks(base, belief | rest_belief, doubt | rest_doubt)
 
 
 def _iterate(step, start: Valuation, max_apps: int, label: str):
@@ -209,13 +228,15 @@ def is_alpha_fixed_model(gp: GroundProgram, alpha: Alpha, v: Valuation) -> bool:
 def is_model(gp: GroundProgram, v: Valuation, reverse: bool = False) -> bool:
     """Rule-wise truth bound: by default checks head <=t body for every
     rule; reverse=True checks body <=t head instead."""
-    for atom, body in gp.rules.items():
-        head_val = v[atom]
-        body_val = contrajoin_eval(v, v, body)
-        ok = leq_t(body_val, head_val) if reverse else leq_t(head_val, body_val)
-        if not ok:
-            return False
-    return True
+    if v.base != gp.base:
+        raise BaseMismatchError("valuation does not match the program's base")
+    compiled = _compiled(gp)
+    belief, doubt = compiled.evaluate(v, v)
+    heads = compiled.out_mask
+    head_belief, head_doubt = v.belief & heads, v.doubt & heads
+    if reverse:
+        return belief & ~head_belief == 0 and head_doubt & ~doubt == 0
+    return head_belief & ~belief == 0 and doubt & ~head_doubt == 0
 
 
 @dataclass(frozen=True)
@@ -232,8 +253,10 @@ class ConsensusResult:
 def consensus_semantics(gp: GroundProgram) -> ConsensusResult:
     """Pointwise consensus of the pessimistic- and optimistic-default
     knowledge-least fixpoints."""
-    pess = fix_u(gp, F)
-    opt = fix_u(gp, T)
+    return _consensus(gp, fix_u(gp, F), fix_u(gp, T))
+
+
+def _consensus(gp: GroundProgram, pess: Valuation, opt: Valuation) -> ConsensusResult:
     val = pess.meet_k(opt)
     return ConsensusResult(
         valuation=val,
@@ -258,7 +281,7 @@ _COMPARE_NAMES = ("F", "T", "U", "I", "consensus")
 
 def compare_semantics(gp: GroundProgram) -> ComparisonReport:
     vals = {str(alpha): fix_u(gp, alpha) for alpha in (F, T, U, I)}
-    cons = consensus_semantics(gp)
+    cons = _consensus(gp, vals["F"], vals["T"])
     vals["consensus"] = cons.valuation
     relations = []
     for n1 in _COMPARE_NAMES:

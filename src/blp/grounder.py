@@ -36,6 +36,7 @@ from .syntax import (
     TruthConst,
     Var,
     render_program,
+    walk,
 )
 
 
@@ -102,12 +103,17 @@ class Base:
 
 
 class GroundProgram:
-    """A ground program: one merged rule body per head, over a fixed base."""
+    """A ground program: one merged rule body per head, over a fixed base.
 
-    __slots__ = ("base", "rules", "not_heads")
+    compiled is None until the engine first evaluates the program; it
+    then holds the rule bodies compiled against the base.
+    """
+
+    __slots__ = ("base", "rules", "not_heads", "compiled")
 
     def __init__(self, base: Base, rules: dict, not_heads) -> None:
         self.base = base
+        self.compiled = None
         self.rules = {a: rules[a] for a in base.atoms if a in rules}
         self.not_heads = frozenset(not_heads)
         if len(self.rules) != len(rules):
@@ -140,19 +146,10 @@ def _signatures(program: Program) -> dict:
     sigs = {}
     for clause in program.clauses:
         sigs[clause.head.pred] = len(clause.head.args)
-        for node in _formula_nodes(clause.body):
+        for node in walk(clause.body):
             if isinstance(node, (Atom, NegAtom)):
                 sigs[node.pred] = len(node.args)
     return sigs
-
-
-def _formula_nodes(f: Formula) -> Iterator[Formula]:
-    yield f
-    if isinstance(f, Binary):
-        yield from _formula_nodes(f.left)
-        yield from _formula_nodes(f.right)
-    elif isinstance(f, Quantified):
-        yield from _formula_nodes(f.body)
 
 
 def herbrand_base(program: Program, extra_constants: Iterable[str] = ()) -> frozenset:
@@ -207,7 +204,7 @@ def ground(
 
 def body_atoms(f: Formula) -> Iterator[GroundAtom]:
     """Ground atoms mentioned in a ground formula."""
-    for node in _formula_nodes(f):
+    for node in walk(f):
         if isinstance(node, (Atom, NegAtom)):
             yield GroundAtom(node.pred, tuple(t.name for t in node.args))
 

@@ -154,13 +154,15 @@ class Program:
 
 
 def walk(formula: Formula) -> Iterator[Formula]:
-    """Yield every node of a formula, preorder."""
-    yield formula
-    if isinstance(formula, Binary):
-        yield from walk(formula.left)
-        yield from walk(formula.right)
-    elif isinstance(formula, Quantified):
-        yield from walk(formula.body)
+    """Yield every node of a formula, preorder, at any nesting depth."""
+    todo = [formula]
+    while todo:
+        node = todo.pop()
+        yield node
+        if isinstance(node, Binary):
+            todo += (node.right, node.left)
+        elif isinstance(node, Quantified):
+            todo.append(node.body)
 
 
 _KEYWORDS = ("exists", "forall")

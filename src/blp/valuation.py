@@ -1,32 +1,26 @@
 """Valuations: total maps from ground atoms to FOUR.
 
-Valuations carry the two pointwise orderings and are the carrier of all
-fixpoint computation.  Formula evaluation comes in two independently
-coded flavors: contrajoin_eval reads a formula against a pair of
-valuations (positive atoms from the first, negated atoms from the
-second), while pseudo_eval reads it against set-pair encodings using
-(in-true-set, in-false-set) bit logic.  The two must agree everywhere;
-the test suite holds them against each other.
+A valuation is stored as two bit masks over the base, one bit per atom
+in base order: the belief mask holds the atoms valued T or I, the doubt
+mask the atoms valued F or I.  This is the (belief, doubt) encoding of
+FOUR in `bilattice`, so every pointwise operation is two bitwise
+operations on the masks, the orderings are subset tests, and equality
+is an integer compare.
+
+Formula evaluation comes in two independently coded flavors.
+CompiledBodies turns ground formulas into a flat list of n-ary nodes
+and evaluates them against a pair of valuations (positive atoms from
+the first, negated atoms from the second); contrajoin_eval and the
+engine use it.  pseudo_eval reads a formula against set-pair encodings
+using (in-true-set, in-false-set) bit logic.  The two must agree
+everywhere; the test suite holds them against each other.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Tuple
 
-from .bilattice import (
-    F,
-    I,
-    T,
-    TruthValue,
-    U,
-    know_join,
-    know_meet,
-    leq_k,
-    leq_t,
-    negation,
-    truth_join,
-    truth_meet,
-)
+from .bilattice import F, I, T, TruthValue, U
 from .grounder import Base, GroundAtom
 from .syntax import (
     Atom,
@@ -39,6 +33,7 @@ from .syntax import (
     NotEqual,
     Quantified,
     TruthConst,
+    Var,
 )
 
 
@@ -46,22 +41,54 @@ class BaseMismatchError(ValueError):
     """Valuations (or a valuation and a formula) disagree on the atom universe."""
 
 
-class Valuation:
-    """Immutable total map Base -> FOUR, stored as a dense value tuple."""
+# A value as the two characters "<belief bit><doubt bit>".
+_OF_BIT_CHARS = {"00": U, "10": T, "01": F, "11": I}
 
-    __slots__ = ("base", "values")
+
+def value_masks(value: TruthValue, mask: int):
+    """The (belief, doubt) masks that give value to every atom in mask."""
+    if value is T:
+        return mask, 0
+    if value is F:
+        return 0, mask
+    if value is U:
+        return 0, 0
+    if value is I:
+        return mask, mask
+    raise TypeError(f"expected a truth value, got {value!r}")
+
+
+class Valuation:
+    """Immutable total map Base -> FOUR, stored as (belief, doubt) masks."""
+
+    __slots__ = ("base", "belief", "doubt")
 
     def __init__(self, base: Base, values: Iterable[TruthValue]) -> None:
+        values = tuple(values)
+        if len(values) != len(base):
+            raise ValueError(f"expected {len(base)} values, got {len(values)}")
+        belief = doubt = 0
+        for i, value in enumerate(values):
+            b, d = value_masks(value, 1 << i)
+            belief |= b
+            doubt |= d
         self.base = base
-        self.values = tuple(values)
-        if len(self.values) != len(base):
-            raise ValueError(
-                f"expected {len(base)} values, got {len(self.values)}"
-            )
+        self.belief = belief
+        self.doubt = doubt
+
+    @classmethod
+    def from_masks(cls, base: Base, belief: int, doubt: int) -> "Valuation":
+        """The valuation with these masks; bit i stands for base.atoms[i]
+        and no bit may lie outside the base."""
+        v = object.__new__(cls)
+        v.base = base
+        v.belief = belief
+        v.doubt = doubt
+        return v
 
     @classmethod
     def constant(cls, base: Base, alpha: TruthValue) -> "Valuation":
-        return cls(base, (alpha,) * len(base))
+        return cls.from_masks(base, *value_masks(alpha, (1 << len(base)) - 1))
 
     @classmethod
     def from_mapping(cls, base: Base, mapping: Mapping) -> "Valuation":
@@ -75,11 +102,20 @@ class Valuation:
             values.append(mapping[atom])
         return cls(base, values)
 
+    @property
+    def values(self) -> tuple:
+        """The values in base order."""
+        n = len(self.base)
+        beliefs = format(self.belief, f"0{n}b")[::-1][:n]
+        doubts = format(self.doubt, f"0{n}b")[::-1][:n]
+        return tuple(_OF_BIT_CHARS[b + d] for b, d in zip(beliefs, doubts))
+
     def __getitem__(self, atom: GroundAtom) -> TruthValue:
         try:
-            return self.values[self.base.index(atom)]
+            i = self.base.index(atom)
         except KeyError:
             raise BaseMismatchError(f"atom {atom} is outside the base") from None
+        return _OF_KCODE[(self.belief >> i & 1) | (self.doubt >> i & 1) << 1]
 
     def _check(self, other: "Valuation") -> None:
         if self.base != other.base:
@@ -87,30 +123,38 @@ class Valuation:
 
     def leq_t(self, other: "Valuation") -> bool:
         self._check(other)
-        return all(leq_t(a, b) for a, b in zip(self.values, other.values))
+        return (self.belief & ~other.belief) == 0 and (other.doubt & ~self.doubt) == 0
 
     def leq_k(self, other: "Valuation") -> bool:
         self._check(other)
-        return all(leq_k(a, b) for a, b in zip(self.values, other.values))
-
-    def _pointwise(self, other, op) -> "Valuation":
-        self._check(other)
-        return Valuation(self.base, tuple(map(op, self.values, other.values)))
+        return (self.belief & ~other.belief) == 0 and (self.doubt & ~other.doubt) == 0
 
     def meet_t(self, other: "Valuation") -> "Valuation":
-        return self._pointwise(other, truth_meet)
+        self._check(other)
+        return Valuation.from_masks(
+            self.base, self.belief & other.belief, self.doubt | other.doubt
+        )
 
     def join_t(self, other: "Valuation") -> "Valuation":
-        return self._pointwise(other, truth_join)
+        self._check(other)
+        return Valuation.from_masks(
+            self.base, self.belief | other.belief, self.doubt & other.doubt
+        )
 
     def meet_k(self, other: "Valuation") -> "Valuation":
-        return self._pointwise(other, know_meet)
+        self._check(other)
+        return Valuation.from_masks(
+            self.base, self.belief & other.belief, self.doubt & other.doubt
+        )
 
     def join_k(self, other: "Valuation") -> "Valuation":
-        return self._pointwise(other, know_join)
+        self._check(other)
+        return Valuation.from_masks(
+            self.base, self.belief | other.belief, self.doubt | other.doubt
+        )
 
     def negate(self) -> "Valuation":
-        return Valuation(self.base, tuple(negation(v) for v in self.values))
+        return Valuation.from_masks(self.base, self.doubt, self.belief)
 
     def __eq__(self, other) -> bool:
         if self is other:
@@ -118,11 +162,12 @@ class Valuation:
         return (
             isinstance(other, Valuation)
             and self.base == other.base
-            and self.values == other.values
+            and self.belief == other.belief
+            and self.doubt == other.doubt
         )
 
     def __hash__(self) -> int:
-        return hash((self.base, self.values))
+        return hash((self.base, self.belief, self.doubt))
 
     def items(self):
         return zip(self.base.atoms, self.values)
@@ -201,14 +246,6 @@ def from_interpretation(i: Interpretation) -> Valuation:
     return Valuation(i.base, values)
 
 
-_BINOP_FN = {
-    BinOp.AND: truth_meet,
-    BinOp.OR: truth_join,
-    BinOp.CONSENSUS: know_meet,
-    BinOp.GULLIBILITY: know_join,
-}
-
-
 def _node_atom(node) -> GroundAtom:
     for t in node.args:
         if not isinstance(t, Const):
@@ -216,21 +253,153 @@ def _node_atom(node) -> GroundAtom:
     return GroundAtom(node.pred, tuple(t.name for t in node.args))
 
 
-def contrajoin_eval(v: Valuation, w: Valuation, body: Formula) -> TruthValue:
-    """Evaluate a ground formula reading positive atoms from v and
-    negated atoms, negated, from w; truth constants are themselves."""
-    if v.base != w.base:
-        raise BaseMismatchError("contrajoin requires both valuations over one base")
-    return _cj(v, w, body)
+# Compiled bodies.  A node holds one maximal chain of a single connective,
+# flattened to n operands, and computes its value as a two-bit code.  It
+# folds in one of two codes: the knowledge code, belief | doubt << 1, in
+# which consensus is bitwise and and gullibility bitwise or; or the truth
+# code, the knowledge code xor 2 (belief | (not doubt) << 1), in which
+# conjunction is bitwise and and disjunction bitwise or.
+_AND, _OR, _CONS, _GULL = range(4)
+_KIND = {BinOp.AND: _AND, BinOp.OR: _OR, BinOp.CONSENSUS: _CONS, BinOp.GULLIBILITY: _GULL}
+_FLIP = (2, 2, 0, 0)  # xor that turns a knowledge code into the kind's own code
+_MEET = (True, False, True, False)  # folds with bitwise and, else or
+_KCODE = {U: 0, T: 1, F: 2, I: 3}
+_OF_KCODE = (U, T, F, I)
+_IDENTITY = (T, F, I, U)
 
 
-def _cj(v, w, f) -> TruthValue:
-    if isinstance(f, Atom):
-        return v[_node_atom(f)]
-    if isinstance(f, NegAtom):
-        return negation(w[_node_atom(f)])
-    if isinstance(f, Binary):
-        return _BINOP_FN[f.op](_cj(v, w, f.left), _cj(v, w, f.right))
+class CompiledBodies:
+    """Ground formulas compiled against one base, evaluated without recursion.
+
+    Literals are bits of a mask of width 2n over a base of n atoms: bit
+    i is atom i read positively, bit n + i atom i read negated.  Each
+    node is a tuple (kind, literal mask, slot, parent slot, parent folds
+    with and, flip), in post-order, so a node runs after all of its
+    children.  Truth constants among a node's operands are folded into
+    the starting value of its slot, and a node left with no operand but
+    constants into its parent's.  A node writes its value into its
+    parent's slot, xor flip to convert the code.  A root writes into the
+    output slot of its body, which folds like a gullibility node: in
+    the knowledge code, with bitwise or, from U.  The body paired with
+    bit yields that bit of the result masks; out_mask has every such
+    bit and rest every other bit of the base.
+    """
+
+    __slots__ = ("width", "lits", "outputs", "out_mask", "rest", "init", "nodes")
+
+    def __init__(self, base: Base, bodies: Iterable[Tuple[int, Formula]]) -> None:
+        n = len(base)
+        bodies = tuple(bodies)
+        self.width = n
+        self.lits = (1 << 2 * n) - 1
+        self.outputs = tuple(bit for bit, _ in bodies)
+        self.out_mask = 0
+        for bit in self.outputs:
+            self.out_mask |= bit
+        self.rest = ((1 << n) - 1) & ~self.out_mask
+        init = [0] * len(bodies)
+        nodes = []
+        by_key = {(a.pred, a.args): i for i, a in enumerate(base.atoms)}
+
+        def index(node) -> int:
+            i = by_key.get((node.pred, tuple([t.name for t in node.args])))
+            if i is None or Var in map(type, node.args):
+                return _atom_index(base, node)  # raises the error that applies
+            return i
+
+        for out, (_, body) in enumerate(bodies):
+            todo = [(body, out, _GULL)]
+            while todo:
+                f, parent, pkind = todo.pop()
+                if f is None:  # every child of this node has been emitted
+                    nodes.append(parent)
+                    continue
+                op = f.op if isinstance(f, Binary) else BinOp.OR
+                kind = _KIND[op]
+                meet, flip = _MEET[kind], _FLIP[kind]
+                acc = _KCODE[_IDENTITY[kind]] ^ flip
+                mask = 0
+                children = []
+                operands = [f]
+                while operands:
+                    g = operands.pop()
+                    if isinstance(g, Binary):
+                        if g.op is op:
+                            operands += (g.right, g.left)
+                        else:
+                            children.append(g)
+                    elif isinstance(g, Atom):
+                        mask |= 1 << index(g)
+                    elif isinstance(g, NegAtom):
+                        mask |= 1 << (n + index(g))
+                    else:
+                        code = _KCODE[_constant(g)] ^ flip
+                        acc = acc & code if meet else acc | code
+                pmeet, pflip = _MEET[pkind], flip ^ _FLIP[pkind]
+                if not mask and not children:
+                    code = acc ^ pflip
+                    init[parent] = init[parent] & code if pmeet else init[parent] | code
+                    continue
+                slot = len(init)
+                init.append(acc)
+                todo.append((None, (kind, mask, slot, parent, pmeet, pflip), None))
+                todo += ((g, slot, kind) for g in children)
+        self.init = init
+        self.nodes = tuple(nodes)
+
+    def evaluate(self, v: Valuation, w: Valuation):
+        """The (belief, doubt) masks of every body's value, reading
+        positive atoms from v and negated atoms, negated, from w."""
+        n = self.width
+        lb = v.belief | w.doubt << n  # literals believed
+        ld = v.doubt | w.belief << n  # literals doubted
+        lnd = self.lits ^ ld  # literals not doubted
+        acc = self.init[:]
+        for kind, m, s, p, pmeet, flip in self.nodes:
+            r = acc[s]
+            if kind == _AND:
+                if lb & m != m:
+                    r &= 2
+                if lnd & m != m:
+                    r &= 1
+            elif kind == _OR:
+                if lb & m:
+                    r |= 1
+                if lnd & m:
+                    r |= 2
+            elif kind == _CONS:
+                if lb & m != m:
+                    r &= 2
+                if ld & m != m:
+                    r &= 1
+            else:
+                if lb & m:
+                    r |= 1
+                if ld & m:
+                    r |= 2
+            if pmeet:
+                acc[p] &= r ^ flip
+            else:
+                acc[p] |= r ^ flip
+        belief = doubt = 0
+        for bit, code in zip(self.outputs, acc):
+            if code & 1:
+                belief |= bit
+            if code & 2:
+                doubt |= bit
+        return belief, doubt
+
+
+def _atom_index(base: Base, node) -> int:
+    atom = _node_atom(node)
+    try:
+        return base.index(atom)
+    except KeyError:
+        raise BaseMismatchError(f"atom {atom} is outside the base") from None
+
+
+def _constant(f) -> TruthValue:
+    """The value of a leaf that reads no atom."""
     if isinstance(f, TruthConst):
         return f.value
     if isinstance(f, Equal):
@@ -242,6 +411,15 @@ def _cj(v, w, f) -> TruthValue:
     raise TypeError(f"cannot evaluate {type(f).__name__} node")
 
 
+def contrajoin_eval(v: Valuation, w: Valuation, body: Formula) -> TruthValue:
+    """Evaluate a ground formula reading positive atoms from v and
+    negated atoms, negated, from w; truth constants are themselves."""
+    if v.base != w.base:
+        raise BaseMismatchError("contrajoin requires both valuations over one base")
+    belief, doubt = CompiledBodies(v.base, [(1, body)]).evaluate(v, w)
+    return _OF_KCODE[belief | doubt << 1]
+
+
 def _const_name(t) -> str:
     if not isinstance(t, Const):
         raise ValueError(f"unresolved variable {t.name} in equality")
@@ -249,7 +427,8 @@ def _const_name(t) -> str:
 
 
 # pseudo_eval works on (in-true-set, in-false-set) bit pairs end to end and
-# converts to a TruthValue only at the top; it shares no tables with _cj.
+# converts to a TruthValue only at the top; it shares no tables with
+# CompiledBodies.
 _CONST_BITS = {T: (True, False), F: (False, True), U: (False, False), I: (True, True)}
 
 

@@ -286,3 +286,42 @@ def test_internal_invariant_failure_exits_two(capsys, monkeypatch):
         capsys, "eval", "--alpha", "F", "--semantics", "fixU", str(DATA / "suspect.blp")
     )
     assert code == 2 and "synthetic failure" in err
+
+
+def _tsv_value(out, atom):
+    return dict(line.split("\t", 1) for line in out.splitlines())[atom]
+
+
+def _deep_inputs(tmp_path):
+    # each merges into one body thousands of nodes deep
+    many_rules = tmp_path / "many_rules.blp"
+    many_rules.write_text("".join(f"p <- q{i}.\n" for i in range(3000)))
+    wide_exists = tmp_path / "wide_exists.blp"
+    wide_exists.write_text(
+        "".join(f"e(c{i}).\n" for i in range(1500)) + "p <- exists X: e(X).\n"
+    )
+    return many_rules, wide_exists
+
+
+def test_deep_merged_bodies_evaluate_without_recursion(capsys, tmp_path):
+    many_rules, wide_exists = _deep_inputs(tmp_path)
+    # p is the disjunction of 3000 atoms heading no rule, so it takes alpha
+    code, out, err = run(capsys, "eval", "--alpha", "F", "--semantics", "fixU",
+                         "--format", "tsv", str(many_rules))
+    assert code == 0 and err == ""
+    assert len(out.splitlines()) == 3001 and _tsv_value(out, "p") == "F"
+    code, out, err = run(capsys, "eval", "--semantics", "consensus",
+                         "--format", "tsv", str(many_rules))
+    assert code == 0 and _tsv_value(out, "p") == "U" and _tsv_value(out, "q7") == "U"
+    code, out, err = run(capsys, "compare", "--format", "tsv", str(many_rules))
+    assert code == 0 and _tsv_value(out, "p") == "F\tT\tU\tI\tU"
+    # p is the disjunction of 1500 facts
+    code, out, err = run(capsys, "eval", "--alpha", "F", "--semantics", "fixU",
+                         "--format", "tsv", str(wide_exists))
+    assert code == 0 and err == ""
+    assert len(out.splitlines()) == 1501 and set(out.split()[1::2]) == {"T"}
+    code, out, err = run(capsys, "eval", "--semantics", "consensus",
+                         "--format", "tsv", str(wide_exists))
+    assert code == 0 and _tsv_value(out, "p") == "T"
+    code, out, err = run(capsys, "compare", "--format", "tsv", str(wide_exists))
+    assert code == 0 and _tsv_value(out, "p") == "T\tT\tT\tT\tT"

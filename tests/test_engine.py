@@ -205,3 +205,19 @@ def test_base_mismatch_rejected(suspect_gp, excluded_middle_gp):
     v = const_valuation(excluded_middle_gp.base, U)
     with pytest.raises(BaseMismatchError):
         engine.stability(suspect_gp, F, v)
+
+
+def test_self_check_fires_when_the_oscillation_pair_is_off(suspect_gp, monkeypatch):
+    real = engine._oscillation_pair
+
+    def moved(gp, alpha):
+        low, high, counts_low, counts_high = real(gp, alpha)
+        atom = gp.base.atoms[0]
+        value = {a: low[a] for a in gp.base}
+        value[atom] = U if low[atom] is not U else T
+        return Valuation.from_mapping(gp.base, value), high, counts_low, counts_high
+
+    monkeypatch.setattr(engine, "_oscillation_pair", moved)
+    with pytest.raises(engine.InternalInvariantError, match="decomposition"):
+        engine.semantics(suspect_gp, F)
+    assert engine.semantics(suspect_gp, F, self_check=False).fix_f != real(suspect_gp, F)[0]
