@@ -2,10 +2,10 @@
 """How often is the consensus of the pessimistic and optimistic
 semantics itself a fixed model?
 
-Samples seeded random ground programs and tallies how often the
-consensus valuation is a fixpoint under either default and how often it
-satisfies the rule truth bound, split by whether the program uses
-negation.  The combination is always knowledge-above the skeptical
+Samples the seeded random ground programs of tests/proggen.py, the
+generator of the test corpora, and tallies how often the consensus
+valuation is a fixpoint under either default and how often it satisfies
+the rule truth bound, split by whether the program uses negation.  The combination is always knowledge-above the skeptical
 semantics; whether it is a model is program-dependent, which is what
 this sweep measures.
 
@@ -15,50 +15,18 @@ Usage: python3 scripts/consensus_survey.py [count] [seed-offset]
 import pathlib
 import sys
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-import random  # noqa: E402
-
-from blp import consensus_semantics, fix_u, ground  # noqa: E402
-from blp.bilattice import TruthValue, U  # noqa: E402
-from blp.syntax import (  # noqa: E402
-    Atom,
-    Binary,
-    BinOp,
-    Clause,
-    NegAtom,
-    Program,
-    TruthConst,
-    walk,
-)
-
-OPS = tuple(BinOp)
-CONSTS = tuple(TruthValue)
+from blp import consensus_semantics, fix_u  # noqa: E402
+from blp.bilattice import U  # noqa: E402
+from blp.syntax import NegAtom, walk  # noqa: E402
+from proggen import random_ground_program  # noqa: E402
 
 
-def random_program(seed: int):
-    rng = random.Random(seed)
-    preds = [f"p{i}" for i in range(rng.randint(1, 6))]
-
-    def body(depth):
-        if depth == 0 or rng.random() < 0.45:
-            roll = rng.random()
-            if roll < 0.55:
-                return Atom(rng.choice(preds))
-            if roll < 0.85:
-                return NegAtom(rng.choice(preds))
-            return TruthConst(rng.choice(CONSTS))
-        return Binary(rng.choice(OPS), body(depth - 1), body(depth - 1))
-
-    heads = [p for p in preds if rng.random() < 0.7] or [preds[0]]
-    return Program.from_clauses(Clause(Atom(h), body(2)) for h in heads)
-
-
-def uses_negation(program) -> bool:
+def uses_negation(gp) -> bool:
     return any(
-        isinstance(node, NegAtom)
-        for clause in program.clauses
-        for node in walk(clause.body)
+        isinstance(node, NegAtom) for body in gp.rules.values() for node in walk(body)
     )
 
 
@@ -67,10 +35,9 @@ def main() -> int:
     offset = int(sys.argv[2]) if len(sys.argv) > 2 else 0
     tallies = {True: [0, 0, 0, 0], False: [0, 0, 0, 0]}
     for seed in range(offset, offset + count):
-        program = random_program(seed)
-        gp = ground(program)
+        gp = random_ground_program(seed)
         cons = consensus_semantics(gp)
-        negated = uses_negation(program)
+        negated = uses_negation(gp)
         tallies[negated][0] += 1
         tallies[negated][1] += cons.fixed_under_pessimistic
         tallies[negated][2] += cons.fixed_under_optimistic

@@ -14,6 +14,7 @@ input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -49,6 +50,7 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(f"{self.prog}: {message}")
 
 
+@functools.cache  # built on first use, then shared by every call of main
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="blp", description="Four-valued logic program semantics")
     sub = parser.add_subparsers(dest="command", required=True)

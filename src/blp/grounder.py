@@ -11,13 +11,14 @@ replaced by truth constants, so no equality survives grounding.
 
 The atom universe defaults to the atoms that occur in the instantiated
 rules; the full predicate-by-constant Herbrand base is available via
-base_mode="full".
+base_mode="full".  Base.locate is the one map from a ground literal
+node to its atom's index; every evaluator reads atoms through it.
 """
 
 from __future__ import annotations
 
 from itertools import product
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .bilattice import F, T
 from .syntax import (
@@ -69,20 +70,47 @@ class GroundAtom:
         return str(self)
 
 
+class BaseMismatchError(ValueError):
+    """Valuations (or a valuation and a formula) disagree on the atom universe."""
+
+
 class Base:
-    """Immutable, lexicographically ordered universe of ground atoms."""
+    """Immutable, lexicographically ordered universe of ground atoms.
+
+    Atom i is atoms[i].  The index is keyed by (predicate, constant
+    names) pairs, so locate finds the atom of a ground literal node
+    without building a GroundAtom.
+    """
 
     __slots__ = ("atoms", "_index")
 
     def __init__(self, atoms: Iterable[GroundAtom]) -> None:
         self.atoms = tuple(sorted(set(atoms), key=str))
-        self._index = {a: i for i, a in enumerate(self.atoms)}
+        self._index = {(a.pred, a.args): i for i, a in enumerate(self.atoms)}
 
     def index(self, atom: GroundAtom) -> int:
-        return self._index[atom]
+        """The position of atom; KeyError when it is not in the base."""
+        if not isinstance(atom, GroundAtom):
+            raise KeyError(atom)
+        return self._index[atom.pred, atom.args]
+
+    def locate(self, leaf) -> int:
+        """The position of the atom a ground Atom or NegAtom node reads.
+
+        Raises ValueError when an argument is a variable and
+        BaseMismatchError when the atom is not in the base.
+        """
+        key = (leaf.pred, tuple([t.name for t in leaf.args]))
+        i = self._index.get(key)
+        if i is None or Var in map(type, leaf.args):
+            for t in leaf.args:
+                if isinstance(t, Var):
+                    raise ValueError(f"non-ground atom {leaf.pred}: variable {t.name}")
+            raise BaseMismatchError(f"atom {GroundAtom(*key)} is outside the base")
+        return i
 
     def __contains__(self, atom) -> bool:
-        return atom in self._index
+        return isinstance(atom, GroundAtom) and (atom.pred, atom.args) in self._index
 
     def __len__(self) -> int:
         return len(self.atoms)
@@ -173,6 +201,7 @@ def ground(
     constants = tuple(sorted(set(program.constants) | set(extra_constants)))
 
     merged: dict = {}
+    occurring: set = set()  # (pred, names) of every instantiated literal
     for clause in program.clauses:
         head_vars = list(
             dict.fromkeys(t.name for t in clause.head.args if isinstance(t, Var))
@@ -186,27 +215,19 @@ def ground(
                     for t in clause.head.args
                 ),
             )
-            body = _instantiate(clause.body, subst, constants)
+            body = _instantiate(clause.body, subst, constants, occurring)
             if head in merged:
                 merged[head] = Binary(BinOp.OR, merged[head], body)
             else:
                 merged[head] = body
 
     atoms = set(merged)
-    for body in merged.values():
-        atoms.update(body_atoms(body))
+    atoms.update(GroundAtom(pred, names) for pred, names in occurring)
     if base_mode == "full":
         atoms |= herbrand_base(program, extra_constants)
     base = Base(atoms)
     not_heads = frozenset(a for a in base.atoms if a not in merged)
     return GroundProgram(base, merged, not_heads)
-
-
-def body_atoms(f: Formula) -> Iterator[GroundAtom]:
-    """Ground atoms mentioned in a ground formula."""
-    for node in walk(f):
-        if isinstance(node, (Atom, NegAtom)):
-            yield GroundAtom(node.pred, tuple(t.name for t in node.args))
 
 
 def _resolve_term(t, subst) -> str:
@@ -218,11 +239,13 @@ def _resolve_term(t, subst) -> str:
         raise ValueError(f"unbound variable {t.name} during grounding") from None
 
 
-def _instantiate(f: Formula, subst: dict, constants: tuple) -> Formula:
-    if isinstance(f, Atom):
-        return Atom(f.pred, tuple(Const(_resolve_term(t, subst)) for t in f.args))
-    if isinstance(f, NegAtom):
-        return NegAtom(f.pred, tuple(Const(_resolve_term(t, subst)) for t in f.args))
+def _instantiate(f: Formula, subst: dict, constants: tuple, occurring: set) -> Formula:
+    """f with subst applied and quantifiers expanded; adds the
+    (pred, names) pair of every literal to occurring."""
+    if isinstance(f, (Atom, NegAtom)):
+        names = tuple([_resolve_term(t, subst) for t in f.args])
+        occurring.add((f.pred, names))
+        return type(f)(f.pred, tuple(map(Const, names)))
     if isinstance(f, TruthConst):
         return f
     if isinstance(f, Equal):
@@ -234,14 +257,14 @@ def _instantiate(f: Formula, subst: dict, constants: tuple) -> Formula:
     if isinstance(f, Binary):
         return Binary(
             f.op,
-            _instantiate(f.left, subst, constants),
-            _instantiate(f.right, subst, constants),
+            _instantiate(f.left, subst, constants, occurring),
+            _instantiate(f.right, subst, constants, occurring),
         )
     if isinstance(f, Quantified):
         op = BinOp.OR if f.kind == Quant.EXISTS else BinOp.AND
         folded = None
         for c in constants:
-            piece = _instantiate(f.body, {**subst, f.var: c}, constants)
+            piece = _instantiate(f.body, {**subst, f.var: c}, constants, occurring)
             folded = piece if folded is None else Binary(op, folded, piece)
         if folded is None:
             return TruthConst(F if f.kind == Quant.EXISTS else T)

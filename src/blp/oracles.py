@@ -6,7 +6,9 @@ the Kripke-Kleene semantics.  These are cross-validation oracles for
 the four-valued engine: they share the parser and grounder but none of
 the engine's evaluation code.  Truth values live here as the integers
 -1, 0, 1 with Kleene's strong tables (negation is arithmetic negation,
-conjunction min, disjunction max).
+conjunction min, disjunction max), and a valuation under construction
+is a list of them indexed by base position; rule bodies find their
+atoms' positions through Base.locate.
 """
 
 from __future__ import annotations
@@ -15,9 +17,9 @@ from itertools import product
 from typing import Iterable
 
 from .bilattice import F, T, TruthValue, U
-from .grounder import Base, GroundAtom, GroundProgram
-from .syntax import Atom, Binary, BinOp, Formula, NegAtom, TruthConst
-from .valuation import BaseMismatchError, Valuation
+from .grounder import Base, BaseMismatchError, GroundProgram
+from .syntax import Atom, Binary, BinOp, Formula, NegAtom, TruthConst, walk
+from .valuation import Valuation
 
 _F3, _U3, _T3 = -1, 0, 1
 _TO_TV = {_F3: F, _U3: U, _T3: T}
@@ -84,89 +86,69 @@ class ThreeValuation:
 
 def _require_conventional(gp: GroundProgram) -> None:
     for body in gp.rules.values():
-        _check_body(body)
+        for f in walk(body):
+            if isinstance(f, TruthConst):
+                if f.value not in (T, F):
+                    raise ConventionalityError(
+                        f"truth constant {f.value} is outside the conventional fragment"
+                    )
+            elif isinstance(f, Binary):
+                if f.op in (BinOp.CONSENSUS, BinOp.GULLIBILITY):
+                    raise ConventionalityError(
+                        f"connective {f.op.value!r} is outside the conventional fragment"
+                    )
+            elif not isinstance(f, (Atom, NegAtom)):
+                raise ConventionalityError(
+                    f"{type(f).__name__} node is outside the conventional fragment"
+                )
 
 
-def _check_body(f: Formula) -> None:
-    if isinstance(f, (Atom, NegAtom)):
-        return
-    if isinstance(f, TruthConst):
-        if f.value not in (T, F):
-            raise ConventionalityError(
-                f"truth constant {f.value} is outside the conventional fragment"
-            )
-        return
-    if isinstance(f, Binary):
-        if f.op in (BinOp.CONSENSUS, BinOp.GULLIBILITY):
-            raise ConventionalityError(
-                f"connective {f.op.value!r} is outside the conventional fragment"
-            )
-        _check_body(f.left)
-        _check_body(f.right)
-        return
-    raise ConventionalityError(
-        f"{type(f).__name__} node is outside the conventional fragment"
-    )
+def _kleene(body: Formula, locate, pos: list, neg) -> int:
+    """The Kleene value of a conventional ground body, reading positive
+    atoms from pos and negated atoms, negated, from neg (both indexed by
+    base position).  Evaluates with an explicit stack: operands are
+    pushed on vals, and a connective popped from todo combines the top two."""
+    todo = [body]
+    vals = []
+    while todo:
+        f = todo.pop()
+        if isinstance(f, Atom):
+            vals.append(pos[locate(f)])
+        elif isinstance(f, NegAtom):
+            vals.append(-neg[locate(f)])
+        elif isinstance(f, TruthConst):
+            vals.append(_OF_TV[f.value])
+        elif isinstance(f, Binary):
+            todo += (f.op, f.right, f.left)
+        else:  # the connective of a Binary whose operands are on vals
+            right = vals.pop()
+            left = vals.pop()
+            vals.append(min(left, right) if f is BinOp.AND else max(left, right))
+    return vals[0]
 
 
-def _freeze_negatives(f: Formula, v: ThreeValuation) -> Formula:
-    # Step one of the transform: negated atoms become constants, negated.
-    if isinstance(f, NegAtom):
-        val = v.ints[v.base.index(GroundAtom(f.pred, tuple(t.name for t in f.args)))]
-        return TruthConst(_TO_TV[-val])
-    if isinstance(f, Binary):
-        return Binary(f.op, _freeze_negatives(f.left, v), _freeze_negatives(f.right, v))
-    return f
-
-
-def _eval_positive(f: Formula, lookup) -> int:
-    if isinstance(f, Atom):
-        return lookup(f)
-    if isinstance(f, TruthConst):
-        return _OF_TV[f.value]
-    if isinstance(f, Binary):
-        left = _eval_positive(f.left, lookup)
-        right = _eval_positive(f.right, lookup)
-        return min(left, right) if f.op == BinOp.AND else max(left, right)
-    raise ConventionalityError(f"unexpected {type(f).__name__} in positive body")
-
-
-def _eval_kleene(f: Formula, get: dict) -> int:
-    if isinstance(f, Atom):
-        return get[f.pred, tuple(t.name for t in f.args)]
-    if isinstance(f, NegAtom):
-        return -get[f.pred, tuple(t.name for t in f.args)]
-    if isinstance(f, TruthConst):
-        return _OF_TV[f.value]
-    if isinstance(f, Binary):
-        left = _eval_kleene(f.left, get)
-        right = _eval_kleene(f.right, get)
-        return min(left, right) if f.op == BinOp.AND else max(left, right)
-    raise ConventionalityError(f"unexpected {type(f).__name__} in body")
+def _rules(gp: GroundProgram) -> list:
+    """(head index, body) for every rule."""
+    return [(gp.base.index(head), body) for head, body in gp.rules.items()]
 
 
 def gl_transform(gp: GroundProgram, v: ThreeValuation) -> ThreeValuation:
     """Extended Gelfond-Lifschitz transform: freeze negated atoms to their
     values under v, then take the truth-least fixpoint of the positive
-    consequence operator (non-heads pinned false)."""
+    consequence operator (non-heads pinned false).  Reading negated atoms
+    from v while iterating is the same as freezing them first."""
     _require_conventional(gp)
     if v.base != gp.base:
         raise BaseMismatchError("valuation does not match the program's base")
-    positive = {head: _freeze_negatives(body, v) for head, body in gp.rules.items()}
-
     base = gp.base
-    cur = {atom: _F3 for atom in base.atoms}
-
-    def lookup(node: Atom) -> int:
-        return cur[GroundAtom(node.pred, tuple(t.name for t in node.args))]
-
+    rules = _rules(gp)
+    cur = [_F3] * len(base)
     for _ in range(2 * len(base) + 1):
-        nxt = {
-            atom: _eval_positive(positive[atom], lookup) if atom in positive else _F3
-            for atom in base.atoms
-        }
+        nxt = [_F3] * len(base)
+        for i, body in rules:
+            nxt[i] = _kleene(body, base.locate, cur, v.ints)
         if nxt == cur:
-            return ThreeValuation(base, (cur[a] for a in base.atoms))
+            return ThreeValuation(base, cur)
         cur = nxt
     raise RuntimeError("positive consequence iteration failed to converge")
 
@@ -189,14 +171,14 @@ def kripke_kleene(gp: GroundProgram) -> ThreeValuation:
     operator: heads take their body's Kleene value, non-heads stay unknown."""
     _require_conventional(gp)
     base = gp.base
-    cur = {(a.pred, a.args): _U3 for a in base.atoms}
-    rules = [(atom, body) for atom, body in gp.rules.items()]
+    rules = _rules(gp)
+    cur = [_U3] * len(base)
     for _ in range(2 * len(base) + 1):
-        nxt = {(a.pred, a.args): _U3 for a in base.atoms}
-        for atom, body in rules:
-            nxt[atom.pred, atom.args] = _eval_kleene(body, cur)
+        nxt = [_U3] * len(base)
+        for i, body in rules:
+            nxt[i] = _kleene(body, base.locate, cur, cur)
         if nxt == cur:
-            return ThreeValuation(base, (cur[a.pred, a.args] for a in base.atoms))
+            return ThreeValuation(base, cur)
         cur = nxt
     raise RuntimeError("Kripke-Kleene iteration failed to converge")
 

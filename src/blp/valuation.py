@@ -13,7 +13,8 @@ and evaluates them against a pair of valuations (positive atoms from
 the first, negated atoms from the second); contrajoin_eval and the
 engine use it.  pseudo_eval reads a formula against set-pair encodings
 using (in-true-set, in-false-set) bit logic.  The two must agree
-everywhere; the test suite holds them against each other.
+everywhere; the test suite holds them against each other.  Both find
+the atom of a ground literal through Base.locate.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 from typing import Iterable, Mapping, Tuple
 
 from .bilattice import F, I, T, TruthValue, U
-from .grounder import Base, GroundAtom
+from .grounder import Base, BaseMismatchError, GroundAtom
 from .syntax import (
     Atom,
     Binary,
@@ -33,13 +34,7 @@ from .syntax import (
     NotEqual,
     Quantified,
     TruthConst,
-    Var,
 )
-
-
-class BaseMismatchError(ValueError):
-    """Valuations (or a valuation and a formula) disagree on the atom universe."""
-
 
 # A value as the two characters "<belief bit><doubt bit>".
 _OF_BIT_CHARS = {"00": U, "10": T, "01": F, "11": I}
@@ -246,13 +241,6 @@ def from_interpretation(i: Interpretation) -> Valuation:
     return Valuation(i.base, values)
 
 
-def _node_atom(node) -> GroundAtom:
-    for t in node.args:
-        if not isinstance(t, Const):
-            raise ValueError(f"non-ground atom {node.pred}: variable {t.name}")
-    return GroundAtom(node.pred, tuple(t.name for t in node.args))
-
-
 # Compiled bodies.  A node holds one maximal chain of a single connective,
 # flattened to n operands, and computes its value as a two-bit code.  It
 # folds in one of two codes: the knowledge code, belief | doubt << 1, in
@@ -299,14 +287,7 @@ class CompiledBodies:
         self.rest = ((1 << n) - 1) & ~self.out_mask
         init = [0] * len(bodies)
         nodes = []
-        by_key = {(a.pred, a.args): i for i, a in enumerate(base.atoms)}
-
-        def index(node) -> int:
-            i = by_key.get((node.pred, tuple([t.name for t in node.args])))
-            if i is None or Var in map(type, node.args):
-                return _atom_index(base, node)  # raises the error that applies
-            return i
-
+        locate = base.locate
         for out, (_, body) in enumerate(bodies):
             todo = [(body, out, _GULL)]
             while todo:
@@ -329,9 +310,9 @@ class CompiledBodies:
                         else:
                             children.append(g)
                     elif isinstance(g, Atom):
-                        mask |= 1 << index(g)
+                        mask |= 1 << locate(g)
                     elif isinstance(g, NegAtom):
-                        mask |= 1 << (n + index(g))
+                        mask |= 1 << (n + locate(g))
                     else:
                         code = _KCODE[_constant(g)] ^ flip
                         acc = acc & code if meet else acc | code
@@ -390,14 +371,6 @@ class CompiledBodies:
         return belief, doubt
 
 
-def _atom_index(base: Base, node) -> int:
-    atom = _node_atom(node)
-    try:
-        return base.index(atom)
-    except KeyError:
-        raise BaseMismatchError(f"atom {atom} is outside the base") from None
-
-
 def _constant(f) -> TruthValue:
     """The value of a leaf that reads no atom."""
     if isinstance(f, TruthConst):
@@ -441,9 +414,9 @@ def pseudo_eval(j: PseudoInterpretation, body: Formula) -> TruthValue:
 
 def _pe(j, f):
     if isinstance(f, Atom):
-        return _atom_bits(j.pos, _node_atom(f))
+        return _atom_bits(j.pos, f)
     if isinstance(f, NegAtom):
-        t, fl = _atom_bits(j.neg, _node_atom(f))
+        t, fl = _atom_bits(j.neg, f)
         return (fl, t)
     if isinstance(f, Binary):
         t1, f1 = _pe(j, f.left)
@@ -468,7 +441,6 @@ def _pe(j, f):
     raise TypeError(f"cannot evaluate {type(f).__name__} node")
 
 
-def _atom_bits(interp: Interpretation, atom: GroundAtom):
-    if atom not in interp.base:
-        raise BaseMismatchError(f"atom {atom} is outside the base")
+def _atom_bits(interp: Interpretation, leaf):
+    atom = interp.base.atoms[interp.base.locate(leaf)]
     return (atom in interp.true_set, atom in interp.false_set)

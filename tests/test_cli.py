@@ -315,6 +315,18 @@ def test_deep_merged_bodies_evaluate_without_recursion(capsys, tmp_path):
     assert code == 0 and _tsv_value(out, "p") == "U" and _tsv_value(out, "q7") == "U"
     code, out, err = run(capsys, "compare", "--format", "tsv", str(many_rules))
     assert code == 0 and _tsv_value(out, "p") == "F\tT\tU\tI\tU"
+    code, out, err = run(capsys, "eval", "--semantics", "wfs",
+                         "--format", "tsv", str(many_rules))
+    assert code == 0 and _tsv_value(out, "p") == "F"
+    code, out, err = run(capsys, "eval", "--semantics", "kk",
+                         "--format", "tsv", str(many_rules))
+    assert code == 0 and _tsv_value(out, "p") == "U"
+    all_false = tmp_path / "all_false.tsv"
+    all_false.write_text("p\tF\n" + "".join(f"q{i}\tF\n" for i in range(3000)))
+    code, out, err = run(capsys, "check", "--alpha", "F", "--model", str(all_false),
+                         "--format", "tsv", str(many_rules))
+    assert code == 0 and err == ""
+    assert out == "alpha-fixed-model\tyes\noperator-model\tyes\nthree-valued-stable\tyes\n"
     # p is the disjunction of 1500 facts
     code, out, err = run(capsys, "eval", "--alpha", "F", "--semantics", "fixU",
                          "--format", "tsv", str(wide_exists))
@@ -325,3 +337,7 @@ def test_deep_merged_bodies_evaluate_without_recursion(capsys, tmp_path):
     assert code == 0 and _tsv_value(out, "p") == "T"
     code, out, err = run(capsys, "compare", "--format", "tsv", str(wide_exists))
     assert code == 0 and _tsv_value(out, "p") == "T\tT\tT\tT\tT"
+    for name in ("wfs", "kk"):
+        code, out, err = run(capsys, "eval", "--semantics", name,
+                             "--format", "tsv", str(wide_exists))
+        assert code == 0 and _tsv_value(out, "p") == "T"

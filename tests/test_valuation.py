@@ -165,6 +165,30 @@ def test_contrajoin_rejects_quantifiers_and_unknown_atoms():
         contrajoin_eval(v, v, Atom("p", (Var("X"),)))
 
 
+def _contrajoin(v, body):
+    return contrajoin_eval(v, v, body)
+
+
+def _pseudo(v, body):
+    i = to_interpretation(v)
+    return pseudo_eval(PseudoInterpretation(i, i), body)
+
+
+@pytest.mark.parametrize("evaluate", [_contrajoin, _pseudo], ids=["contrajoin", "pseudo"])
+@pytest.mark.parametrize("leaf", [Atom, NegAtom], ids=["atom", "negated"])
+def test_literal_lookup_errors(evaluate, leaf):
+    v = const_valuation(BASE, U)
+    with pytest.raises(BaseMismatchError, match="zzz"):
+        evaluate(v, leaf("zzz"))
+    # a variable argument is a grounding fault, not a foreign base, even
+    # when its name spells an atom of the base
+    with_pa = const_valuation(Base(ATOMS + (GroundAtom("p", ("a",)),)), U)
+    for w, var in ((v, "X"), (with_pa, "a")):
+        with pytest.raises(ValueError, match=f"variable {var}") as info:
+            evaluate(w, leaf("p", (Var(var),)))
+        assert not isinstance(info.value, BaseMismatchError)
+
+
 def test_interpretation_round_trip():
     for v in all_valuations(Base(ATOMS[:2])):
         assert from_interpretation(to_interpretation(v)) == v
