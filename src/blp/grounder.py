@@ -134,14 +134,17 @@ class GroundProgram:
     """A ground program: one merged rule body per head, over a fixed base.
 
     compiled is None until the engine first evaluates the program; it
-    then holds the rule bodies compiled against the base.
+    then holds the rule bodies compiled against the base.  oracle_code
+    is None until an oracle first checks and compiles the program; it
+    then holds the rules in the oracles' own form.
     """
 
-    __slots__ = ("base", "rules", "not_heads", "compiled")
+    __slots__ = ("base", "rules", "not_heads", "compiled", "oracle_code")
 
     def __init__(self, base: Base, rules: dict, not_heads) -> None:
         self.base = base
         self.compiled = None
+        self.oracle_code = None
         self.rules = {a: rules[a] for a in base.atoms if a in rules}
         self.not_heads = frozenset(not_heads)
         if len(self.rules) != len(rules):

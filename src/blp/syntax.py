@@ -21,7 +21,8 @@ Identifiers starting lowercase are constants or predicate names, those
 starting uppercase are variables; "exists" and "forall" are reserved.
 Binary operators are left-associative and listed loosest first; a
 quantifier body extends as far right as possible.  Comments run from
-"%" to end of line.
+"%" to end of line.  A clause body nests at most 100 formulas deep: the
+body, and each parenthesis, negated guard and quantifier body in it.
 
 Negation applies to atoms and to guards: subformulas built purely from
 equalities and truth constants, which the grounder resolves away.  A
@@ -167,6 +168,8 @@ def walk(formula: Formula) -> Iterator[Formula]:
 
 _KEYWORDS = ("exists", "forall")
 
+_MAX_NESTING = 100  # formulas, each a parenthesis, guard or quantifier body
+
 _TRUTH_TOKENS = {
     "#t": TruthValue.TRUE,
     "#f": TruthValue.FALSE,
@@ -224,6 +227,7 @@ class _Parser:
     def __init__(self, tokens) -> None:
         self.tokens = tokens
         self.i = 0
+        self.depth = 0  # formulas open around the current token
         self.arities: dict = {}
 
     def peek(self, ahead: int = 0) -> _Token:
@@ -304,7 +308,19 @@ class _Parser:
         raise ParseError(f"expected a term, found {tok.text!r}", tok.line, tok.col)
 
     def formula(self, scope) -> Formula:
-        return self._binary(scope, 0)
+        # every nested formula recurses through here, so bounding the
+        # depth keeps the parser far from Python's recursion limit
+        if self.depth == _MAX_NESTING:
+            tok = self.tokens[self.i - 1]
+            raise ParseError(
+                f"formula nested more than {_MAX_NESTING} levels deep",
+                tok.line,
+                tok.col,
+            )
+        self.depth += 1
+        f = self._binary(scope, 0)
+        self.depth -= 1
+        return f
 
     _LEVELS = ("+", "*", "|", "&")
     _LEVEL_OPS = {
@@ -475,6 +491,7 @@ def _literal_conjunction(f: Formula) -> bool:
 
 _PREC = {BinOp.GULLIBILITY: 1, BinOp.CONSENSUS: 2, BinOp.OR: 3, BinOp.AND: 4}
 _TRUTH_OUT = {v: k for k, v in _TRUTH_TOKENS.items()}
+_OP_TEXT = {op: f" {op.value} " for op in BinOp}
 
 
 def render_term(t: Term) -> str:
@@ -488,6 +505,44 @@ def render_atom_text(pred: str, args) -> str:
 
 
 def render_formula(f: Formula, min_prec: int = 0) -> str:
+    """Concrete syntax for f, parenthesized where the precedence of its
+    context (min_prec) needs it.  Renders with an explicit stack of text
+    still to emit and (formula, min_prec) pairs still to expand; a
+    node's left operand is expanded at once."""
+    out = []
+    todo = [(f, min_prec)]
+    while todo:
+        item = todo.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        f, min_prec = item
+        while True:
+            if type(f) is Binary:
+                prec = _PREC[f.op]
+                if prec < min_prec:
+                    out.append("(")
+                    todo.append(")")
+                right = f.right
+                todo.append(
+                    (right, prec + 1)
+                    if type(right) in (Binary, Quantified)
+                    else _render_leaf(right)
+                )
+                todo.append(_OP_TEXT[f.op])
+                f, min_prec = f.left, prec
+            elif type(f) is Quantified:
+                wrap = min_prec > 0
+                out.append(f"{'(' * wrap}{f.kind.value} {f.var}: (")
+                todo.append(")" * (1 + wrap))
+                f, min_prec = f.body, 0
+            else:
+                out.append(_render_leaf(f))
+                break
+    return "".join(out)
+
+
+def _render_leaf(f: Formula) -> str:
     if isinstance(f, Atom):
         return render_atom_text(f.pred, f.args)
     if isinstance(f, NegAtom):
@@ -498,16 +553,6 @@ def render_formula(f: Formula, min_prec: int = 0) -> str:
         return f"{render_term(f.left)} = {render_term(f.right)}"
     if isinstance(f, NotEqual):
         return f"~({render_term(f.left)} = {render_term(f.right)})"
-    if isinstance(f, Binary):
-        prec = _PREC[f.op]
-        text = (
-            f"{render_formula(f.left, prec)} {f.op.value} "
-            f"{render_formula(f.right, prec + 1)}"
-        )
-        return f"({text})" if prec < min_prec else text
-    if isinstance(f, Quantified):
-        text = f"{f.kind.value} {f.var}: ({render_formula(f.body)})"
-        return f"({text})" if min_prec > 0 else text
     raise TypeError(f"cannot render {type(f).__name__} node")
 
 

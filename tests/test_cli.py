@@ -341,3 +341,26 @@ def test_deep_merged_bodies_evaluate_without_recursion(capsys, tmp_path):
         code, out, err = run(capsys, "eval", "--semantics", name,
                              "--format", "tsv", str(wide_exists))
         assert code == 0 and _tsv_value(out, "p") == "T"
+    code, out, err = run(capsys, "ground", str(many_rules))
+    assert code == 0 and err == ""
+    assert out == "p <- " + " | ".join(f"q{i}" for i in range(3000)) + ".\n"
+    code, out, err = run(capsys, "ground", str(wide_exists))
+    assert code == 0 and err == ""
+    facts = sorted(f"e(c{i})" for i in range(1500))
+    assert out == "".join(f"{a}.\n" for a in facts) + f"p <- {' | '.join(facts)}.\n"
+
+
+def test_deep_parentheses_are_a_located_parse_error(capsys, tmp_path):
+    deep = tmp_path / "deep.blp"
+    deep.write_text("p <- " + "(" * 2000 + "q" + ")" * 2000 + ".\n")
+    code, out, err = run(capsys, "eval", "--semantics", "wfs", str(deep))
+    assert code == 1 and out == ""
+    assert err == "parse error: line 1, column 105: formula nested more than 100 levels deep\n"
+    # just inside the limit, a right-nested body parses, grounds and renders
+    nested = tmp_path / "nested.blp"
+    body = "".join(f"(q{i} & " for i in range(99)) + "q" + ")" * 99
+    nested.write_text(f"p <- {body}.\n")
+    code, out, err = run(capsys, "ground", str(nested))
+    assert code == 0 and err == "" and out.startswith("p <- q0 & (q1 & (q2")
+    code, out, err = run(capsys, "eval", "--semantics", "wfs", "--format", "tsv", str(nested))
+    assert code == 0 and _tsv_value(out, "p") == "F"

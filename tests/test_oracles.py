@@ -1,5 +1,7 @@
 """Three-valued reference semantics against the four-valued engine."""
 
+from itertools import product
+
 import pytest
 
 from blp import engine, oracles
@@ -127,6 +129,51 @@ def test_stable_models_empty_program():
     assert models[0].ints == ()
 
 
+# shaped like the benchmark's stable programs: one atom true by a fact,
+# one its negation, the rest in cycles through negated atoms
+STABLE_SHAPED = (
+    "a0 <- ~a1 & ~a0. a1 <- ~a5 & ~a1. a2 <- ~a1 & ~a0. "
+    "a3 <- ~a4. a4 <- #t. a5 <- ~a0 & ~a5.",
+    "t <- #t. f <- ~t. a <- ~b & ~f. b <- ~a & ~f. c <- ~d & ~b. d <- ~c & ~a.",
+    "t <- #t. f <- ~t. a <- ~b & ~t. b <- ~c & ~f. c <- ~a & ~b.",
+    "t <- #t. f <- ~t. a <- ~a | f.",
+    "t <- #t. f <- ~t.",
+)
+
+
+def brute_force_stable_models(gp):
+    candidates = (
+        ThreeValuation(gp.base, combo)
+        for combo in product((-1, 0, 1), repeat=len(gp.base))
+    )
+    return [c for c in candidates if gl_transform(gp, c) == c]
+
+
+def test_restricted_search_matches_brute_force(conventional_corpus):
+    shaped = [ground(parse_program(text)) for text in STABLE_SHAPED]
+    for gp in list(conventional_corpus) + shaped:
+        assert enumerate_stable_models(gp) == brute_force_stable_models(gp)
+
+
+def test_search_transforms_only_open_candidates(monkeypatch):
+    gp = ground(parse_program(STABLE_SHAPED[0]))
+    calls = []
+    transform = oracles.gl_transform
+
+    def counting(gp, v):
+        calls.append(v)
+        return transform(gp, v)
+
+    monkeypatch.setattr(oracles, "gl_transform", counting)
+    wf = well_founded(gp)
+    wfs_steps = len(calls)
+    assert wf.ints.count(0) == 4 and wfs_steps == 3
+    del calls[:]
+    models = enumerate_stable_models(gp)
+    assert len(calls) == 3**4 + wfs_steps
+    assert models and all(m.ints[3:5] == wf.ints[3:5] == (-1, 1) for m in models)
+
+
 def test_enumeration_cap():
     clauses = " ".join(f"p{i}." for i in range(11))
     gp = ground(parse_program(clauses))
@@ -135,16 +182,30 @@ def test_enumeration_cap():
     assert len(enumerate_stable_models(gp, cap=11)) == 1
 
 
-def test_non_conventional_inputs_rejected(mixed_ops_gp):
-    v = ThreeValuation.all_unknown(mixed_ops_gp.base)
-    with pytest.raises(ConventionalityError):
-        gl_transform(mixed_ops_gp, v)
-    with pytest.raises(ConventionalityError):
-        well_founded(mixed_ops_gp)
-    with pytest.raises(ConventionalityError):
-        kripke_kleene(mixed_ops_gp)
-    with pytest.raises(ConventionalityError):
-        enumerate_stable_models(mixed_ops_gp)
+def test_non_conventional_inputs_rejected():
+    # mixed_ops.blp, ground afresh so that the first calls here are its first
+    gp = ground(parse_program("a <- b & c. d <- ~b + #t. e <- a * ~d. b <- #t."))
+    v = ThreeValuation.all_unknown(gp.base)
+    for _ in range(2):
+        with pytest.raises(ConventionalityError, match="'\\+'"):
+            gl_transform(gp, v)
+        with pytest.raises(ConventionalityError):
+            well_founded(gp)
+        with pytest.raises(ConventionalityError):
+            kripke_kleene(gp)
+        with pytest.raises(ConventionalityError):
+            enumerate_stable_models(gp)
+    assert gp.oracle_code is None
+    conventional = ground(parse_program("a <- ~b. b <- #f."))
+    well_founded(conventional)
+    assert conventional.oracle_code is not None
+
+
+def test_conventionality_checked_before_cap():
+    gp = ground(parse_program(" ".join(f"p{i}." for i in range(11)) + " q <- #u."))
+    for _ in range(2):
+        with pytest.raises(ConventionalityError, match="truth constant"):
+            enumerate_stable_models(gp)
 
 
 def test_three_valuation_embedding_rejects_inconsistency(excluded_middle_gp):
