@@ -1,0 +1,152 @@
+#!/usr/bin/env python3
+"""Dump a digest of everything blp prints, for checking that a change
+keeps every answer.
+
+Runs blp.cli.main in-process, with every subcommand, on the seeded
+programs of tests/proggen.py (the test corpora) and, when blpbench is
+importable, on the programs of seeds 0-3 of every benchmark workload.
+Writes one line per call: the argv (with program file names relative to
+a temporary directory), the exit code, and the SHA-256 of stdout and of
+stderr.  It also writes, per program, engine.semantics(...).iteration_counts
+at all four defaults, taken after compare_semantics has run on the same
+ground program.  Lines are sorted, so two dumps compare with diff.
+
+Usage: python3 scripts/dump_outputs.py OUT
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import pathlib
+import sys
+import tempfile
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT)]
+
+from blp import engine  # noqa: E402
+from blp.bilattice import F, I, T, U  # noqa: E402
+from blp.cli import main as blp_main  # noqa: E402
+from blp.grounder import ground  # noqa: E402
+from blp.syntax import parse_program  # noqa: E402
+from proggen import random_ground_program  # noqa: E402
+
+ALPHAS = "FTUI"
+FIXPOINTS = ("fixU", "fixI", "fixF", "fixT")
+FORMATS = ("table", "tsv", "json")
+WORKLOAD_SEEDS = range(4)
+
+# (kind, first seed, count, keyword arguments): the corpora of tests/conftest.py
+CORPORA = (
+    ("mixed", 0, 500, {}),
+    ("conventional", 1000, 200, {"conventional": True}),
+    ("positive", 2000, 100, {"negation_free": True}),
+    ("tiny", 3000, 60, {"max_atoms": 4}),
+)
+
+
+def programs():
+    """(name, program text, model text or None) for every dumped program."""
+    out = []
+    for kind, first, count, kwargs in CORPORA:
+        for seed in range(first, first + count):
+            text = random_ground_program(seed, **kwargs).render()
+            out.append((f"proggen-{kind}-{seed:04d}", text, None))
+    try:
+        from blpbench import workloads
+    except ImportError:
+        return out
+    for name in workloads.WORKLOADS:
+        for seed in WORKLOAD_SEEDS:
+            for prog in workloads.build(name, seed).programs.values():
+                out.append((f"{name}-{seed}-{prog.name}", prog.text, prog.model))
+    return out
+
+
+def _argvs(path, models):
+    """Every call made on one program file; models are model file paths."""
+    for sem in FIXPOINTS:
+        for alpha in ALPHAS:
+            yield ["eval", "--alpha", alpha, "--semantics", sem, "--format", "tsv", path]
+    for fmt in FORMATS:
+        yield ["eval", "--alpha", "F", "--semantics", "fixU", "--format", fmt, path]
+        yield ["eval", "--semantics", "stable-enum", "--format", fmt, path]
+        yield ["compare", "--format", fmt, path]
+    for sem in ("consensus", "wfs", "kk"):
+        yield ["eval", "--semantics", sem, "--format", "tsv", path]
+    yield ["ground", path]
+    for model in models:
+        for alpha in ALPHAS:
+            yield ["check", "--alpha", alpha, "--model", model, "--format", "tsv", path]
+        for fmt in ("table", "json"):
+            yield ["check", "--alpha", "F", "--model", model, "--format", fmt, path]
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = blp_main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _counts(text: str) -> str:
+    """iteration_counts at every default on one warm ground program."""
+    gp = ground(parse_program(text))
+    engine.compare_semantics(gp)
+    counts = {
+        str(alpha): sorted(engine.semantics(gp, alpha).iteration_counts.items())
+        for alpha in (F, T, U, I)
+    }
+    return json.dumps(counts, sort_keys=True)
+
+
+def records(progs, workdir: pathlib.Path):
+    """The dump lines for progs, unsorted; program files go to workdir."""
+    prefix = str(workdir) + "/"
+    lines = []
+    for name, text, model in progs:
+        path = workdir / f"{name}.blp"
+        path.write_text(text, encoding="utf-8")
+        models = []
+        code, out, _ = _run(["eval", "--alpha", "F", "--semantics", "fixU",
+                             "--format", "tsv", str(path)])
+        if code == 0:
+            models.append(workdir / f"{name}.fixU-F.tsv")
+            models[-1].write_text(out, encoding="utf-8")
+        if model is not None:
+            models.append(workdir / f"{name}.model.tsv")
+            models[-1].write_text(model, encoding="utf-8")
+        for argv in _argvs(str(path), [str(m) for m in models]):
+            code, out, err = _run(argv)
+            shown = json.dumps([a.replace(prefix, "") for a in argv])
+            lines.append(f"{shown}\t{code}\t{_sha(out)}\t{_sha(err)}")
+        lines.append(f'["counts", "{name}.blp"]\t{_counts(text)}')
+    return lines
+
+
+def write_dump(out_path, progs) -> int:
+    """Write the sorted dump of progs to out_path; returns the line count."""
+    with tempfile.TemporaryDirectory() as tmp:
+        lines = sorted(records(progs, pathlib.Path(tmp)))
+    pathlib.Path(out_path).write_text("".join(line + "\n" for line in lines),
+                                      encoding="utf-8")
+    return len(lines)
+
+
+def main(argv) -> int:
+    if len(argv) != 1:
+        print(__doc__.rstrip().rsplit("\n", 1)[-1], file=sys.stderr)
+        return 1
+    progs = programs()
+    lines = write_dump(argv[0], progs)
+    print(f"{lines} lines for {len(progs)} programs written to {argv[0]}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

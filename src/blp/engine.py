@@ -18,6 +18,14 @@ Valuations are (belief, doubt) bit masks over the base.  The rule bodies
 of a ground program are compiled once, on its first evaluation, into a
 flat list of n-ary nodes (valuation.CompiledBodies) that is cached on
 the program; one application of the operator runs that list once.
+
+Each stability closure is computed once per program.  A body reads the
+second argument only at the atoms it negates, so the closure depends on
+alpha and on the second argument restricted to those atoms; the
+compiled bodies keep a memo under exactly that key (see
+_stability_steps).  The memo holds closures of the operator, never
+fixpoints: fixU, fixI and the oscillation pair are each still iterated
+from their own start values.
 """
 
 from __future__ import annotations
@@ -69,16 +77,24 @@ def immediate_consequence(
     return Valuation.from_masks(base, belief | rest_belief, doubt | rest_doubt)
 
 
+_MOVING_SHOWN = 5  # atoms named when an iteration hits its bound
+
+
 def _iterate(step, start: Valuation, max_apps: int, label: str):
-    cur = start
+    prev = cur = start
     for n in range(max_apps):
         nxt = step(cur)
         if nxt == cur:
             return cur, n + 1
-        cur = nxt
+        prev, cur = cur, nxt
+    moving = (prev.belief ^ cur.belief) | (prev.doubt ^ cur.doubt)
+    names = [str(a) for i, a in enumerate(cur.base.atoms) if moving >> i & 1]
+    shown = ", ".join(names[:_MOVING_SHOWN])
+    if len(names) > _MOVING_SHOWN:
+        shown += f" and {len(names) - _MOVING_SHOWN} more"
     raise InternalInvariantError(
         f"{label} did not converge within {max_apps} applications "
-        "(non-monotone update?)"
+        f"(non-monotone update?); still moving: {shown}"
     )
 
 
@@ -88,12 +104,32 @@ def _bound(gp: GroundProgram) -> int:
 
 
 def _stability_steps(gp: GroundProgram, alpha: Alpha, w: Valuation):
-    return _iterate(
-        lambda x: immediate_consequence(gp, alpha, x, w),
-        const_valuation(gp.base, alpha),
-        _bound(gp),
-        "inner consequence iteration",
-    )
+    """The stability closure for w and the applications it took,
+    computed once per key (alpha, w.belief & neg, w.doubt & neg), where
+    neg has a bit for every atom some body reads under "~".
+
+    The key is exact.  Every application on the way from the all-alpha
+    start is immediate_consequence(gp, alpha, x, w), and the non-heads
+    get alpha, so w enters only through CompiledBodies.evaluate.  That
+    reads w through literal bits n + i, and only an atom i under a
+    NegAtom has such a bit in any node mask, so only the neg bits of w
+    reach any result.  Two w that agree there therefore produce the
+    same iterates, hence the same closure and the same count.
+    """
+    if w.base != gp.base:
+        raise BaseMismatchError("valuations do not match the program's base")
+    compiled = _compiled(gp)
+    neg = compiled.negated
+    key = (alpha, w.belief & neg, w.doubt & neg)
+    found = compiled.closures.get(key)
+    if found is None:
+        found = compiled.closures[key] = _iterate(
+            lambda x: immediate_consequence(gp, alpha, x, w),
+            const_valuation(gp.base, alpha),
+            _bound(gp),
+            "inner consequence iteration",
+        )
+    return found
 
 
 def stability(gp: GroundProgram, alpha: Alpha, w: Valuation) -> Valuation:

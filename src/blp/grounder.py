@@ -244,7 +244,13 @@ def _resolve_term(t, subst) -> str:
 
 def _instantiate(f: Formula, subst: dict, constants: tuple, occurring: set) -> Formula:
     """f with subst applied and quantifiers expanded; adds the
-    (pred, names) pair of every literal to occurring."""
+    (pred, names) pair of every literal to occurring.
+
+    A left-deep chain of one operator, as the parser builds for
+    "a & b & c", is walked in a loop, so the recursion only follows
+    changes of operator, parentheses and quantifier bodies, which the
+    parser's nesting limit bounds.
+    """
     if isinstance(f, (Atom, NegAtom)):
         names = tuple([_resolve_term(t, subst) for t in f.args])
         occurring.add((f.pred, names))
@@ -258,11 +264,15 @@ def _instantiate(f: Formula, subst: dict, constants: tuple, occurring: set) -> F
         same = _resolve_term(f.left, subst) == _resolve_term(f.right, subst)
         return TruthConst(F if same else T)
     if isinstance(f, Binary):
-        return Binary(
-            f.op,
-            _instantiate(f.left, subst, constants, occurring),
-            _instantiate(f.right, subst, constants, occurring),
-        )
+        op = f.op
+        rights = []
+        while isinstance(f, Binary) and f.op is op:
+            rights.append(f.right)
+            f = f.left
+        out = _instantiate(f, subst, constants, occurring)
+        for right in reversed(rights):
+            out = Binary(op, out, _instantiate(right, subst, constants, occurring))
+        return out
     if isinstance(f, Quantified):
         op = BinOp.OR if f.kind == Quant.EXISTS else BinOp.AND
         folded = None

@@ -430,7 +430,18 @@ class _Parser:
             )
 
 
+_NEGATED_OP = {
+    BinOp.AND: BinOp.OR,
+    BinOp.OR: BinOp.AND,
+    BinOp.CONSENSUS: BinOp.CONSENSUS,
+    BinOp.GULLIBILITY: BinOp.GULLIBILITY,
+}
+
+
 def _push_negation(f: Formula) -> Formula:
+    """The guard f negated, with the negation pushed to its leaves.  A
+    left-deep chain of one operator is walked in a loop, so recursion
+    only follows parentheses, which the nesting limit bounds."""
     if isinstance(f, TruthConst):
         return TruthConst(negation(f.value))
     if isinstance(f, Equal):
@@ -438,13 +449,15 @@ def _push_negation(f: Formula) -> Formula:
     if isinstance(f, NotEqual):
         return Equal(f.left, f.right)
     if isinstance(f, Binary):
-        flipped = {
-            BinOp.AND: BinOp.OR,
-            BinOp.OR: BinOp.AND,
-            BinOp.CONSENSUS: BinOp.CONSENSUS,
-            BinOp.GULLIBILITY: BinOp.GULLIBILITY,
-        }[f.op]
-        return Binary(flipped, _push_negation(f.left), _push_negation(f.right))
+        op = f.op
+        rights = []
+        while isinstance(f, Binary) and f.op is op:
+            rights.append(f.right)
+            f = f.left
+        out = _push_negation(f)
+        for right in reversed(rights):
+            out = Binary(_NEGATED_OP[op], out, _push_negation(right))
+        return out
     raise TypeError(f"cannot negate {type(f).__name__} node")
 
 
@@ -480,13 +493,16 @@ def is_conventional(program: Program, strict: bool = False) -> bool:
 
 
 def _literal_conjunction(f: Formula) -> bool:
-    if isinstance(f, (Atom, NegAtom)):
-        return True
-    if isinstance(f, TruthConst):
-        return f.value is T
-    if isinstance(f, Binary) and f.op == BinOp.AND:
-        return _literal_conjunction(f.left) and _literal_conjunction(f.right)
-    return False
+    todo = [f]
+    while todo:
+        f = todo.pop()
+        if isinstance(f, Binary) and f.op == BinOp.AND:
+            todo += (f.left, f.right)
+        elif not (
+            isinstance(f, (Atom, NegAtom)) or isinstance(f, TruthConst) and f.value is T
+        ):
+            return False
+    return True
 
 
 _PREC = {BinOp.GULLIBILITY: 1, BinOp.CONSENSUS: 2, BinOp.OR: 3, BinOp.AND: 4}

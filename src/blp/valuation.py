@@ -270,10 +270,15 @@ class CompiledBodies:
     output slot of its body, which folds like a gullibility node: in
     the knowledge code, with bitwise or, from U.  The body paired with
     bit yields that bit of the result masks; out_mask has every such
-    bit and rest every other bit of the base.
+    bit and rest every other bit of the base.  negated has bit i for
+    every atom i some body reads under "~".  closures is the engine's
+    memo of stability closures for these bodies; it starts empty.
     """
 
-    __slots__ = ("width", "lits", "outputs", "out_mask", "rest", "init", "nodes")
+    __slots__ = (
+        "width", "lits", "outputs", "out_mask", "rest", "init", "nodes", "negated",
+        "closures",
+    )
 
     def __init__(self, base: Base, bodies: Iterable[Tuple[int, Formula]]) -> None:
         n = len(base)
@@ -327,6 +332,11 @@ class CompiledBodies:
                 todo += ((g, slot, kind) for g in children)
         self.init = init
         self.nodes = tuple(nodes)
+        negated = 0
+        for node in nodes:
+            negated |= node[1] >> n
+        self.negated = negated
+        self.closures = {}
 
     def evaluate(self, v: Valuation, w: Valuation):
         """The (belief, doubt) masks of every body's value, reading

@@ -350,6 +350,27 @@ def test_deep_merged_bodies_evaluate_without_recursion(capsys, tmp_path):
     assert out == "".join(f"{a}.\n" for a in facts) + f"p <- {' | '.join(facts)}.\n"
 
 
+def test_long_flat_bodies_ground_and_evaluate_without_recursion(capsys, tmp_path):
+    flat = tmp_path / "flat.blp"
+    flat.write_text("p <- " + " & ".join(f"q{i}" for i in range(3000)) + ".\n")
+    guard = tmp_path / "guard.blp"
+    guard.write_text("p <- q & ~(" + " & ".join(["#t"] * 3000) + ").\n")
+    for strict in ((), ("--strict-conventional",)):
+        code, out, err = run(capsys, "ground", *strict, str(flat))
+        assert code == 0 and err == ""
+        assert out == "p <- " + " & ".join(f"q{i}" for i in range(3000)) + ".\n"
+    code, out, err = run(capsys, "ground", str(guard))
+    assert code == 0 and err == ""
+    assert out == "p <- q & (" + " | ".join(["#f"] * 3000) + ").\n"
+    for path, atoms in ((flat, 3001), (guard, 2)):
+        for argv in (("eval", "--semantics", "wfs"),
+                     ("eval", "--alpha", "F", "--semantics", "fixU")):
+            code, out, err = run(capsys, *argv, "--format", "tsv", str(path))
+            assert code == 0 and err == ""
+            assert len(out.splitlines()) == atoms
+            assert set(out.split()[1::2]) == {"F"}
+
+
 def test_deep_parentheses_are_a_located_parse_error(capsys, tmp_path):
     deep = tmp_path / "deep.blp"
     deep.write_text("p <- " + "(" * 2000 + "q" + ")" * 2000 + ".\n")

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import proggen
 from blp import engine
 from blp.bilattice import F, I, T, TruthValue, U
 from blp.grounder import GroundAtom, ground
@@ -202,9 +203,14 @@ def test_compare_semantics_reports_thm_orderings(suspect_gp):
 def test_base_mismatch_rejected(suspect_gp, excluded_middle_gp):
     from blp.valuation import BaseMismatchError
 
+    # also on a warm memo that holds the key (F, 0, 0) of an all-U w
+    _warm(suspect_gp)
+    engine.stability(suspect_gp, F, const_valuation(suspect_gp.base, U))
     v = const_valuation(excluded_middle_gp.base, U)
     with pytest.raises(BaseMismatchError):
         engine.stability(suspect_gp, F, v)
+    with pytest.raises(BaseMismatchError):
+        engine.is_alpha_fixed_model(suspect_gp, F, v)
 
 
 def test_self_check_fires_when_the_oscillation_pair_is_off(suspect_gp, monkeypatch):
@@ -221,3 +227,109 @@ def test_self_check_fires_when_the_oscillation_pair_is_off(suspect_gp, monkeypat
     with pytest.raises(engine.InternalInvariantError, match="decomposition"):
         engine.semantics(suspect_gp, F)
     assert engine.semantics(suspect_gp, F, self_check=False).fix_f != real(suspect_gp, F)[0]
+
+
+# -- the stability-closure memo ---------------------------------------------
+
+# (first seed, count, keyword arguments) of the corpora in conftest.py
+CORPORA = (
+    (0, 500, {}),
+    (1000, 200, {"conventional": True}),
+    (2000, 100, {"negation_free": True}),
+    (3000, 60, {"max_atoms": 4}),
+)
+
+
+def _plain_closure(gp, alpha, w):
+    """The stability closure by direct iteration, bypassing the memo."""
+    return engine._iterate(
+        lambda x: engine.immediate_consequence(gp, alpha, x, w),
+        const_valuation(gp.base, alpha),
+        engine._bound(gp),
+        "plain closure",
+    )
+
+
+def _warm(gp):
+    for alpha in ALPHAS:
+        engine.semantics(gp, alpha)
+    engine.compare_semantics(gp)
+    return gp
+
+
+def test_warm_memo_matches_plain_iteration_on_the_corpora():
+    rng = random.Random(41)
+    for first, count, kwargs in CORPORA:
+        for seed in range(first, first + count):
+            warm = _warm(proggen.random_ground_program(seed, **kwargs))
+            fresh = proggen.random_ground_program(seed, **kwargs)
+            neg = warm.compiled.negated
+            for alpha in ALPHAS:
+                # random w, and the fixpoints with every never-negated
+                # atom scrambled, which the warm memo already holds
+                ws = [random_valuation(rng, warm.base) for _ in range(3)]
+                noise = random_valuation(rng, warm.base)
+                for v in (engine.fix_u(warm, alpha), engine.fix_i(warm, alpha)):
+                    ws.append(Valuation.from_masks(
+                        warm.base,
+                        v.belief & neg | noise.belief & ~neg,
+                        v.doubt & neg | noise.doubt & ~neg,
+                    ))
+                for w in ws:
+                    fresh_w = Valuation.from_masks(fresh.base, w.belief, w.doubt)
+                    assert engine._stability_steps(warm, alpha, w) == \
+                        _plain_closure(fresh, alpha, fresh_w)
+
+
+def test_iteration_counts_same_on_warm_and_fresh_programs():
+    for first, count, kwargs in CORPORA:
+        for seed in range(first, first + count, 5):
+            warm = _warm(proggen.random_ground_program(seed, **kwargs))
+            for alpha in ALPHAS:
+                fresh = proggen.random_ground_program(seed, **kwargs)
+                assert engine.semantics(warm, alpha).iteration_counts == \
+                    engine.semantics(fresh, alpha).iteration_counts
+
+
+def test_memo_key_is_the_negated_atoms_belief_and_doubt():
+    gp = ground(parse_program("p <- ~q & r. r <- ~s | t. q."))
+    atoms = {str(a): i for i, a in enumerate(gp.base.atoms)}
+    assert engine._compiled(gp).negated == (
+        1 << atoms["q"] | 1 << atoms["s"]
+    )
+    closures = gp.compiled.closures
+
+    def w_with(**values):
+        return Valuation.from_mapping(
+            gp.base, {a: values.get(str(a), U) for a in gp.base}
+        )
+
+    unknown = engine.stability(gp, F, w_with())
+    assert len(closures) == 1
+    # q believed, or q doubted: one bit each, a new entry each
+    believed = engine.stability(gp, F, w_with(q=T))
+    doubted = engine.stability(gp, F, w_with(q=F))
+    assert len(closures) == 3
+    assert [by_name(v)["p"] for v in (unknown, believed, doubted)] == [U, F, U]
+    # p, r and t are never negated: any values there share the entry
+    assert engine.stability(gp, F, w_with(p=T, r=I, t=F)) is unknown
+    assert len(closures) == 3
+    # the key carries alpha
+    engine.stability(gp, T, w_with())
+    assert len(closures) == 4
+
+
+def test_iterate_names_the_atoms_still_moving_at_the_bound():
+    base = ground(parse_program("".join(f"a{i}. " for i in range(8)))).base
+
+    def flip(v):  # every atom but a0 and a7 swaps F and T on each application
+        moving = ((1 << 7) - 1) & ~1
+        return Valuation.from_masks(base, v.belief ^ moving, v.doubt ^ moving)
+
+    start = Valuation.from_masks(base, 0, (1 << 8) - 1)
+    with pytest.raises(engine.InternalInvariantError) as caught:
+        engine._iterate(flip, start, 4, "test iteration")
+    assert str(caught.value) == (
+        "test iteration did not converge within 4 applications "
+        "(non-monotone update?); still moving: a1, a2, a3, a4, a5 and 1 more"
+    )

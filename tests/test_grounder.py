@@ -186,3 +186,62 @@ def test_same_clause_colliding_instances_merge():
                 extra_constants=("a", "b"))
     merged = gp.rules[GroundAtom("p", ("a", "b"))]
     assert merged == Binary(BinOp.OR, Atom("q", (Const("b"),)), Atom("r", (Const("a"),)))
+
+
+def _instantiated_reference(f, subst, constants, occurring):
+    """Instantiation by plain structural recursion, for comparison."""
+    from blp.syntax import NegAtom, Quant, Quantified
+
+    if isinstance(f, (Atom, NegAtom)):
+        names = tuple(subst.get(t.name, t.name) for t in f.args)
+        occurring.add((f.pred, names))
+        return type(f)(f.pred, tuple(map(Const, names)))
+    if isinstance(f, Binary):
+        return Binary(
+            f.op,
+            _instantiated_reference(f.left, subst, constants, occurring),
+            _instantiated_reference(f.right, subst, constants, occurring),
+        )
+    if isinstance(f, Quantified):
+        op = BinOp.OR if f.kind == Quant.EXISTS else BinOp.AND
+        pieces = [
+            _instantiated_reference(f.body, {**subst, f.var: c}, constants, occurring)
+            for c in constants
+        ]
+        folded = pieces[0]
+        for piece in pieces[1:]:
+            folded = Binary(op, folded, piece)
+        return folded
+    if isinstance(f, Equal):
+        return TruthConst(T if subst[f.left.name] == f.right.name else F)
+    return f
+
+
+def test_instantiate_matches_structural_recursion():
+    from blp.grounder import _instantiate
+    from blp.syntax import NegAtom, Quant, Quantified, Var
+
+    rng = random.Random(13)
+    ops = list(BinOp)
+
+    def formula(depth):
+        if depth == 0 or rng.random() < 0.3:
+            return rng.choice([
+                Atom("p", (Var("X"),)), NegAtom("q", (Var("X"), Const("a"))),
+                TruthConst(rng.choice(list(TruthValue))), Equal(Var("X"), Const("b")),
+            ])
+        if rng.random() < 0.1:
+            return Quantified(rng.choice(list(Quant)), "X", formula(depth - 1))
+        # mostly left-deep chains of one operator, as the parser builds them
+        op = rng.choice(ops)
+        f = formula(depth - 1)
+        for _ in range(rng.randint(1, 4)):
+            f = Binary(op if rng.random() < 0.8 else rng.choice(ops), f, formula(depth - 1))
+        return f
+
+    for _ in range(300):
+        f = formula(4)
+        got, want = set(), set()
+        args = ({"X": "a"}, ("a", "b"))
+        assert _instantiate(f, *args, got) == _instantiated_reference(f, *args, want)
+        assert got == want

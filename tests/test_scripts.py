@@ -23,3 +23,29 @@ def test_script_exits_cleanly(argv):
     )
     assert done.returncode == 0, done.stdout + done.stderr
     assert done.stdout
+
+
+def test_dump_outputs_is_deterministic_on_a_smoke_subset(tmp_path):
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location(
+        "dump_outputs", SCRIPTS / "dump_outputs.py"
+    )
+    dump = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(dump)
+    # every 150th program: proggen corpora and benchmark workloads, some
+    # with model files
+    progs = dump.programs()[::150]
+    assert any(model is not None for _, _, model in progs)
+    first, second = tmp_path / "first.txt", tmp_path / "second.txt"
+    lines = dump.write_dump(first, progs)
+    assert dump.write_dump(second, progs) == lines
+    text = first.read_text()
+    assert text == second.read_text()
+    rows = [line.split("\t") for line in text.splitlines()]
+    assert rows == sorted(rows, key=lambda r: "\t".join(r))
+    counts = [r for r in rows if r[0].startswith('["counts"')]
+    assert len(counts) == len(progs)
+    calls = [r for r in rows if not r[0].startswith('["counts"')]
+    assert all(len(r) == 4 and r[1] in ("0", "1") for r in calls)
+    assert str(tmp_path) not in text

@@ -122,6 +122,38 @@ def test_negated_guard_with_or_and_constants():
     )
 
 
+_GUARD_LEAVES = st.one_of(
+    st.sampled_from([TruthConst(v) for v in TruthValue]),
+    st.builds(Equal, st.sampled_from([Var("X"), Const("a")]), st.just(Const("b"))),
+    st.builds(NotEqual, st.just(Var("X")), st.sampled_from([Const("a"), Const("b")])),
+)
+_GUARDS = st.recursive(
+    _GUARD_LEAVES,
+    lambda sub: st.builds(Binary, st.sampled_from(list(BinOp)), sub, sub),
+    max_leaves=40,
+)
+_DUAL = {BinOp.AND: BinOp.OR, BinOp.OR: BinOp.AND,
+         BinOp.CONSENSUS: BinOp.CONSENSUS, BinOp.GULLIBILITY: BinOp.GULLIBILITY}
+
+
+def _negated_reference(f):
+    """Negation pushed to the leaves by plain structural recursion."""
+    if isinstance(f, Binary):
+        return Binary(_DUAL[f.op], _negated_reference(f.left), _negated_reference(f.right))
+    if isinstance(f, TruthConst):
+        return TruthConst({T: F, F: T}.get(f.value, f.value))
+    if isinstance(f, Equal):
+        return NotEqual(f.left, f.right)
+    return Equal(f.left, f.right)
+
+
+@given(_GUARDS)
+def test_negated_guard_matches_structural_recursion(guard):
+    from blp.syntax import _push_negation
+
+    assert _push_negation(guard) == _negated_reference(guard)
+
+
 def test_negation_on_parenthesized_atom():
     assert only_clause("x <- ~(a).").body == NegAtom("a")
 
