@@ -12,12 +12,15 @@ extreme oscillation pair under the truth ordering.
 
 The four extremal fixpoints determine each other through the bilattice
 operations; semantics() recomputes those identities after every run and
-refuses to return a result that violates them.
+refuses to return a result that violates them, naming the atoms at
+which each failed identity breaks.
 
 Valuations are (belief, doubt) bit masks over the base.  The rule bodies
-of a ground program are compiled once, on its first evaluation, into a
-flat list of n-ary nodes (valuation.CompiledBodies) that is cached on
-the program; one application of the operator runs that list once.
+of a ground program are compiled once, on its first evaluation, from
+its ground IR (GroundProgram.ir, see grounder) into a flat list of
+n-ary nodes (valuation.CompiledBodies) that is cached on the program;
+one application of the operator runs that list once.  The engine never
+reads the formula trees of GroundProgram.rules.
 
 Each stability closure is computed once per program.  A body reads the
 second argument only at the atoms it negates, so the closure depends on
@@ -57,10 +60,7 @@ class InternalInvariantError(RuntimeError):
 def _compiled(gp: GroundProgram) -> CompiledBodies:
     """The program's rule bodies, compiled on first use."""
     if gp.compiled is None:
-        index = gp.base.index
-        gp.compiled = CompiledBodies(
-            gp.base, [(1 << index(head), body) for head, body in gp.rules.items()]
-        )
+        gp.compiled = CompiledBodies(gp.base, gp.ir)
     return gp.compiled
 
 
@@ -77,7 +77,17 @@ def immediate_consequence(
     return Valuation.from_masks(base, belief | rest_belief, doubt | rest_doubt)
 
 
-_MOVING_SHOWN = 5  # atoms named when an iteration hits its bound
+_NAMED = 5  # atoms named in an invariant failure; the rest are counted
+
+
+def _atom_names(base, mask: int) -> str:
+    """The atoms of mask in base order: the first _NAMED by name, then
+    how many more there are."""
+    names = [str(a) for i, a in enumerate(base.atoms) if mask >> i & 1]
+    shown = ", ".join(names[:_NAMED])
+    if len(names) > _NAMED:
+        shown += f" and {len(names) - _NAMED} more"
+    return shown
 
 
 def _iterate(step, start: Valuation, max_apps: int, label: str):
@@ -87,15 +97,15 @@ def _iterate(step, start: Valuation, max_apps: int, label: str):
         if nxt == cur:
             return cur, n + 1
         prev, cur = cur, nxt
-    moving = (prev.belief ^ cur.belief) | (prev.doubt ^ cur.doubt)
-    names = [str(a) for i, a in enumerate(cur.base.atoms) if moving >> i & 1]
-    shown = ", ".join(names[:_MOVING_SHOWN])
-    if len(names) > _MOVING_SHOWN:
-        shown += f" and {len(names) - _MOVING_SHOWN} more"
     raise InternalInvariantError(
         f"{label} did not converge within {max_apps} applications "
-        f"(non-monotone update?); still moving: {shown}"
+        f"(non-monotone update?); still moving: {_atom_names(cur.base, _moved(prev, cur))}"
     )
+
+
+def _moved(a: Valuation, b: Valuation) -> int:
+    """The mask of the atoms on which a and b differ."""
+    return (a.belief ^ b.belief) | (a.doubt ^ b.doubt)
 
 
 def _bound(gp: GroundProgram) -> int:
@@ -237,19 +247,19 @@ def semantics(gp: GroundProgram, alpha: Alpha, self_check: bool = True) -> Seman
 
 
 def _check_decomposition(r: SemanticsResult) -> None:
+    u, i, f, t = r.fix_u, r.fix_i, r.fix_f, r.fix_t
+    # each check is the mask of the atoms at which its identity fails
     checks = [
-        ("knowledge-least = consensus of the oscillation pair",
-         r.fix_u == r.fix_f.meet_k(r.fix_t)),
-        ("knowledge-greatest = gullibility of the oscillation pair",
-         r.fix_i == r.fix_f.join_k(r.fix_t)),
+        ("knowledge-least = consensus of the oscillation pair", _moved(u, f.meet_k(t))),
+        ("knowledge-greatest = gullibility of the oscillation pair", _moved(i, f.join_k(t))),
         ("truth-least oscillation = conjunction of the knowledge extremes",
-         r.fix_f == r.fix_u.meet_t(r.fix_i)),
+         _moved(f, u.meet_t(i))),
         ("truth-greatest oscillation = disjunction of the knowledge extremes",
-         r.fix_t == r.fix_u.join_t(r.fix_i)),
-        ("knowledge extremes ordered", r.fix_u.leq_k(r.fix_i)),
-        ("oscillation pair ordered", r.fix_f.leq_t(r.fix_t)),
+         _moved(t, u.join_t(i))),
+        ("knowledge extremes ordered", u.belief & ~i.belief | u.doubt & ~i.doubt),
+        ("oscillation pair ordered", f.belief & ~t.belief | t.doubt & ~f.doubt),
     ]
-    bad = [name for name, ok in checks if not ok]
+    bad = [f"{name} (at {_atom_names(u.base, mask)})" for name, mask in checks if mask]
     if bad:
         raise InternalInvariantError(
             "fixpoint decomposition identities violated: " + "; ".join(bad)

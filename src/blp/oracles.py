@@ -10,10 +10,13 @@ conjunction min, disjunction max), and a valuation under construction
 is a list of them indexed by base position.
 
 Each program is checked for conventionality and compiled once, on its
-first use by an oracle, into postfix code over base positions and
-Kleene-int constants (see _compiled); the code is cached on the
-program.  Stable models are searched only over the atoms the
-well-founded semantics leaves unknown (see enumerate_stable_models).
+first use by an oracle, from its ground IR (GroundProgram.ir, see
+grounder) into postfix code over base positions and Kleene-int
+constants (see _compiled); the code is cached on the program.  The
+oracles build their valuations from Kleene ints they computed, so they
+skip the checks of the public ThreeValuation constructor.  Stable
+models are searched only over the atoms the well-founded semantics
+leaves unknown (see enumerate_stable_models).
 """
 
 from __future__ import annotations
@@ -22,8 +25,8 @@ from itertools import product
 from typing import Iterable
 
 from .bilattice import F, T, TruthValue, U
-from .grounder import Base, BaseMismatchError, GroundProgram
-from .syntax import Atom, Binary, BinOp, NegAtom, TruthConst
+from .grounder import CONSTS, LIT, OPS, Base, BaseMismatchError, GroundProgram
+from .syntax import BinOp
 from .valuation import Valuation
 
 _F3, _U3, _T3 = -1, 0, 1
@@ -32,7 +35,7 @@ _OF_TV = {F: _F3, U: _U3, T: _T3}
 
 # instruction tags of the compiled code
 _POS, _NEG, _CONST, _AND, _OR = range(5)
-_TAG = {BinOp.AND: _AND, BinOp.OR: _OR}
+_TAG = {4 + OPS.index(BinOp.AND): _AND, 4 + OPS.index(BinOp.OR): _OR}  # by IR code
 
 
 class ConventionalityError(ValueError):
@@ -57,8 +60,17 @@ class ThreeValuation:
             raise ValueError("three-valued valuations take values in {F, U, T}")
 
     @classmethod
+    def _of(cls, base: Base, ints) -> "ThreeValuation":
+        """The valuation of ints, unchecked: one Kleene int per atom of
+        base, as the oracles compute them."""
+        v = object.__new__(cls)
+        v.base = base
+        v.ints = tuple(ints)
+        return v
+
+    @classmethod
     def all_unknown(cls, base: Base) -> "ThreeValuation":
-        return cls(base, (_U3,) * len(base))
+        return cls._of(base, (_U3,) * len(base))
 
     @classmethod
     def from_valuation(cls, v: Valuation) -> "ThreeValuation":
@@ -95,60 +107,81 @@ class ThreeValuation:
 
 def _compiled(gp: GroundProgram) -> tuple:
     """The program's rules as (head index, code) pairs, checked and
-    compiled on first use and cached on the program.
+    compiled from the ground IR on first use and cached on the program.
 
     code is the rule body in postfix, a tuple of (tag, x) instructions:
     _POS and _NEG push the value of the atom at base position x, read
     positively or negated; _CONST pushes the Kleene int x; _AND and _OR
     pop x values and push their min or max.  A chain of one connective
-    becomes one n-ary instruction.  The walk is iterative and preorder,
-    and it raises ConventionalityError at the first node outside the
-    conventional fragment; a program that fails is not cached, so every
+    becomes one n-ary instruction: each operand on the compiler's stack
+    is [tag of its open n-ary instruction or None, its operand count,
+    its instructions so far], and a connective extends its left
+    operand's list in place.  A program outside the conventional
+    fragment raises ConventionalityError and is not cached, so every
     call on it raises.
     """
     if gp.oracle_code is not None:
         return gp.oracle_code
-    locate = gp.base.locate
+    n = len(gp.base)
+    leaf = [None] * LIT + [
+        (tag, i) for i in range(n) for tag in (_POS, _NEG)
+    ]  # leaf[c] is the instruction of IR literal code c
+    for value in (T, F):
+        leaf[CONSTS.index(value)] = (_CONST, _OF_TV[value])
     rules = []
-    for head, body in gp.rules.items():
-        code = []
-        depth = 0  # values on the stack once the code so far has run
-        todo = [(body, None)]
-        while todo:
-            f, enclosing = todo.pop()
-            if f is None:  # close the n-ary node opened at depth start
-                tag, start = enclosing
-                code.append((tag, depth - start))
-                depth = start + 1
+    for head, code in gp.ir:
+        stack = []
+        for c in code:
+            ins = leaf[c]
+            if ins is not None:
+                stack.append([None, 1, [ins]])
                 continue
-            if isinstance(f, Binary):
-                tag = _TAG.get(f.op)
-                if tag is None:
-                    raise ConventionalityError(
-                        f"connective {f.op.value!r} is outside the conventional fragment"
-                    )
-                if tag != enclosing:
-                    todo.append((None, (tag, depth)))
-                todo += ((f.right, tag), (f.left, tag))
-                continue
-            if isinstance(f, Atom):
-                code.append((_POS, locate(f)))
-            elif isinstance(f, NegAtom):
-                code.append((_NEG, locate(f)))
-            elif isinstance(f, TruthConst):
-                if f.value not in (T, F):
-                    raise ConventionalityError(
-                        f"truth constant {f.value} is outside the conventional fragment"
-                    )
-                code.append((_CONST, _OF_TV[f.value]))
+            tag = _TAG.get(c)
+            if tag is None:
+                raise ConventionalityError(_outside(code))
+            right = stack.pop()
+            left = stack[-1]
+            if left[0] != tag:
+                if left[0] is not None:
+                    left[2].append((left[0], left[1]))
+                left[0], left[1] = tag, 1
+            if right[0] == tag:
+                left[1] += right[1]
             else:
-                raise ConventionalityError(
-                    f"{type(f).__name__} node is outside the conventional fragment"
-                )
-            depth += 1
-        rules.append((gp.base.index(head), tuple(code)))
+                if right[0] is not None:
+                    right[2].append((right[0], right[1]))
+                left[1] += 1
+            left[2] += right[2]
+        root = stack[0]
+        if root[0] is not None:
+            root[2].append((root[0], root[1]))
+        rules.append((head, tuple(root[2])))
     gp.oracle_code = tuple(rules)
     return gp.oracle_code
+
+
+def _outside(code: tuple) -> str:
+    """The message for the first node outside the conventional fragment
+    in preorder, the order of the formula's text.  In postfix a node
+    comes after its subtree, which is the run of codes from the first
+    leaf under it; so a later node whose run reaches back over the
+    first bad node found so far is its ancestor, and precedes it."""
+    starts = []  # where the subtree of each operand on the stack begins
+    first = first_at = None
+    for k, c in enumerate(code):
+        if 4 <= c < LIT:
+            starts.pop()
+            start = starts[-1]
+        else:
+            start = k
+            starts.append(k)
+        if c >= LIT or c in _TAG or c < 4 and CONSTS[c] in (T, F):
+            continue
+        if first is None or start <= first_at:
+            first, first_at = c, k
+    if first < 4:
+        return f"truth constant {CONSTS[first]} is outside the conventional fragment"
+    return f"connective {OPS[first - 4].value!r} is outside the conventional fragment"
 
 
 def _step(rules: tuple, pos, neg, rest: int) -> list:
@@ -186,7 +219,7 @@ def gl_transform(gp: GroundProgram, v: ThreeValuation) -> ThreeValuation:
     for _ in range(2 * len(cur) + 1):
         nxt = _step(rules, cur, v.ints, _F3)
         if nxt == cur:
-            return ThreeValuation(gp.base, cur)
+            return ThreeValuation._of(gp.base, cur)
         cur = nxt
     raise RuntimeError("positive consequence iteration failed to converge")
 
@@ -211,7 +244,7 @@ def kripke_kleene(gp: GroundProgram) -> ThreeValuation:
     for _ in range(2 * len(cur) + 1):
         nxt = _step(rules, cur, cur, _U3)
         if nxt == cur:
-            return ThreeValuation(gp.base, cur)
+            return ThreeValuation._of(gp.base, cur)
         cur = nxt
     raise RuntimeError("Kripke-Kleene iteration failed to converge")
 
@@ -243,7 +276,7 @@ def enumerate_stable_models(gp: GroundProgram, cap: int = 10) -> list:
     for combo in product((_F3, _U3, _T3), repeat=len(open_at)):
         for i, x in zip(open_at, combo):
             cells[i] = x
-        candidate = ThreeValuation(gp.base, cells)
+        candidate = ThreeValuation._of(gp.base, cells)
         if gl_transform(gp, candidate) == candidate:
             models.append(candidate)
     return models

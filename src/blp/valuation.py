@@ -8,13 +8,15 @@ operations on the masks, the orderings are subset tests, and equality
 is an integer compare.
 
 Formula evaluation comes in two independently coded flavors.
-CompiledBodies turns ground formulas into a flat list of n-ary nodes
-and evaluates them against a pair of valuations (positive atoms from
-the first, negated atoms from the second); contrajoin_eval and the
-engine use it.  pseudo_eval reads a formula against set-pair encodings
-using (in-true-set, in-false-set) bit logic.  The two must agree
-everywhere; the test suite holds them against each other.  Both find
-the atom of a ground literal through Base.locate.
+CompiledBodies compiles the ground IR of rule bodies (see grounder)
+into a flat list of n-ary nodes and evaluates them against a pair of
+valuations (positive atoms from the first, negated atoms from the
+second); the engine and contrajoin_eval use it, the latter through
+grounder.formula_code.  pseudo_eval reads a formula tree (a rule body
+of GroundProgram.rules) against set-pair encodings using (in-true-set,
+in-false-set) bit logic, with an explicit stack; bottomup uses it.  The
+two share no tables and must agree everywhere; the test suite holds
+them against each other.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from __future__ import annotations
 from typing import Iterable, Mapping, Tuple
 
 from .bilattice import F, I, T, TruthValue, U
-from .grounder import Base, BaseMismatchError, GroundAtom
+from .grounder import CONSTS, LIT, Base, BaseMismatchError, GroundAtom, formula_code
 from .syntax import (
     Atom,
     Binary,
@@ -247,17 +249,36 @@ def from_interpretation(i: Interpretation) -> Valuation:
 # which consensus is bitwise and and gullibility bitwise or; or the truth
 # code, the knowledge code xor 2 (belief | (not doubt) << 1), in which
 # conjunction is bitwise and and disjunction bitwise or.
+# The kinds are numbered as the connectives of the ground IR, whose
+# constants are numbered by knowledge code.
 _AND, _OR, _CONS, _GULL = range(4)
-_KIND = {BinOp.AND: _AND, BinOp.OR: _OR, BinOp.CONSENSUS: _CONS, BinOp.GULLIBILITY: _GULL}
 _FLIP = (2, 2, 0, 0)  # xor that turns a knowledge code into the kind's own code
 _MEET = (True, False, True, False)  # folds with bitwise and, else or
-_KCODE = {U: 0, T: 1, F: 2, I: 3}
-_OF_KCODE = (U, T, F, I)
-_IDENTITY = (T, F, I, U)
+_OF_KCODE = CONSTS
+_START = (1 ^ 2, 2 ^ 2, 3, 0)  # each kind's identity T, F, I, U in its own code
+
+
+def _add(node: list, x) -> None:
+    """Fold operand x (a literal bit, a complemented constant code or a
+    pending node) into pending node."""
+    kind = node[0]
+    if type(x) is int:
+        if x > 0:
+            node[1] |= x
+            return
+        x = ~x ^ _FLIP[kind]
+    elif x[0] == kind:
+        node[1] |= x[1]
+        node[3] += x[3]
+        x = x[2]
+    else:
+        node[3].append(x)
+        return
+    node[2] = node[2] & x if _MEET[kind] else node[2] | x
 
 
 class CompiledBodies:
-    """Ground formulas compiled against one base, evaluated without recursion.
+    """Ground IR bodies compiled against one base, evaluated without recursion.
 
     Literals are bits of a mask of width 2n over a base of n atoms: bit
     i is atom i read positively, bit n + i atom i read negated.  Each
@@ -268,11 +289,18 @@ class CompiledBodies:
     constants into its parent's.  A node writes its value into its
     parent's slot, xor flip to convert the code.  A root writes into the
     output slot of its body, which folds like a gullibility node: in
-    the knowledge code, with bitwise or, from U.  The body paired with
-    bit yields that bit of the result masks; out_mask has every such
-    bit and rest every other bit of the base.  negated has bit i for
-    every atom i some body reads under "~".  closures is the engine's
-    memo of stability closures for these bodies; it starts empty.
+    the knowledge code, with bitwise or, from U.  The body of head i
+    yields bit i of the result masks; out_mask has every such bit and
+    rest every other bit of the base.  negated has bit i for every atom
+    i some body reads under "~".  closures is the engine's memo of
+    stability closures for these bodies; it starts empty.
+
+    Each body's IR code is read once, with a stack: a literal pushes its
+    bit, a constant the complement of its knowledge code, and a
+    connective pops two operands and pushes a pending node [kind,
+    literal mask, start value, pending children].  An operand that is a
+    pending node of the connective's own kind is merged into it, so a
+    chain of one connective becomes one node.
     """
 
     __slots__ = (
@@ -280,56 +308,57 @@ class CompiledBodies:
         "closures",
     )
 
-    def __init__(self, base: Base, bodies: Iterable[Tuple[int, Formula]]) -> None:
+    def __init__(self, base: Base, bodies: Iterable[Tuple[int, tuple]]) -> None:
         n = len(base)
         bodies = tuple(bodies)
         self.width = n
         self.lits = (1 << 2 * n) - 1
-        self.outputs = tuple(bit for bit, _ in bodies)
+        self.outputs = tuple(1 << head for head, _ in bodies)
         self.out_mask = 0
         for bit in self.outputs:
             self.out_mask |= bit
         self.rest = ((1 << n) - 1) & ~self.out_mask
+        bits = [0] * LIT  # bits[c] is the literal bit of IR code c
+        for i in range(n):
+            bits += (1 << i, 1 << (n + i))
         init = [0] * len(bodies)
         nodes = []
-        locate = base.locate
-        for out, (_, body) in enumerate(bodies):
-            todo = [(body, out, _GULL)]
+        for out, (_, code) in enumerate(bodies):
+            stack = []
+            for c in code:
+                if c >= LIT:
+                    stack.append(bits[c])
+                elif c < 4:
+                    stack.append(~c)
+                else:
+                    right = stack.pop()
+                    node = stack.pop()
+                    if type(node) is not list or node[0] != c - 4:
+                        node, left = [c - 4, 0, _START[c - 4], []], node
+                        _add(node, left)
+                    _add(node, right)
+                    stack.append(node)
+            root = stack.pop()
+            if type(root) is not list:  # a lone leaf is a one-operand node
+                root, leaf = [_OR, 0, _START[_OR], []], root
+                _add(root, leaf)
+            todo = [(root, out, _GULL)]
             while todo:
-                f, parent, pkind = todo.pop()
-                if f is None:  # every child of this node has been emitted
-                    nodes.append(parent)
+                node, parent, pkind = todo.pop()
+                if pkind is None:  # every child of this node has been emitted
+                    nodes.append(node)
                     continue
-                op = f.op if isinstance(f, Binary) else BinOp.OR
-                kind = _KIND[op]
-                meet, flip = _MEET[kind], _FLIP[kind]
-                acc = _KCODE[_IDENTITY[kind]] ^ flip
-                mask = 0
-                children = []
-                operands = [f]
-                while operands:
-                    g = operands.pop()
-                    if isinstance(g, Binary):
-                        if g.op is op:
-                            operands += (g.right, g.left)
-                        else:
-                            children.append(g)
-                    elif isinstance(g, Atom):
-                        mask |= 1 << locate(g)
-                    elif isinstance(g, NegAtom):
-                        mask |= 1 << (n + locate(g))
-                    else:
-                        code = _KCODE[_constant(g)] ^ flip
-                        acc = acc & code if meet else acc | code
-                pmeet, pflip = _MEET[pkind], flip ^ _FLIP[pkind]
+                kind, mask, acc, children = node
+                pmeet, pflip = _MEET[pkind], _FLIP[kind] ^ _FLIP[pkind]
                 if not mask and not children:
                     code = acc ^ pflip
                     init[parent] = init[parent] & code if pmeet else init[parent] | code
                     continue
                 slot = len(init)
                 init.append(acc)
-                todo.append((None, (kind, mask, slot, parent, pmeet, pflip), None))
-                todo += ((g, slot, kind) for g in children)
+                todo.append(((kind, mask, slot, parent, pmeet, pflip), None, None))
+                for child in children:
+                    todo.append((child, slot, kind))
         self.init = init
         self.nodes = tuple(nodes)
         negated = 0
@@ -381,32 +410,13 @@ class CompiledBodies:
         return belief, doubt
 
 
-def _constant(f) -> TruthValue:
-    """The value of a leaf that reads no atom."""
-    if isinstance(f, TruthConst):
-        return f.value
-    if isinstance(f, Equal):
-        return T if _const_name(f.left) == _const_name(f.right) else F
-    if isinstance(f, NotEqual):
-        return F if _const_name(f.left) == _const_name(f.right) else T
-    if isinstance(f, Quantified):
-        raise ValueError("quantifiers must be expanded by grounding before evaluation")
-    raise TypeError(f"cannot evaluate {type(f).__name__} node")
-
-
 def contrajoin_eval(v: Valuation, w: Valuation, body: Formula) -> TruthValue:
     """Evaluate a ground formula reading positive atoms from v and
     negated atoms, negated, from w; truth constants are themselves."""
     if v.base != w.base:
         raise BaseMismatchError("contrajoin requires both valuations over one base")
-    belief, doubt = CompiledBodies(v.base, [(1, body)]).evaluate(v, w)
+    belief, doubt = CompiledBodies(v.base, [(0, formula_code(v.base, body))]).evaluate(v, w)
     return _OF_KCODE[belief | doubt << 1]
-
-
-def _const_name(t) -> str:
-    if not isinstance(t, Const):
-        raise ValueError(f"unresolved variable {t.name} in equality")
-    return t.name
 
 
 # pseudo_eval works on (in-true-set, in-false-set) bit pairs end to end and
@@ -423,32 +433,47 @@ def pseudo_eval(j: PseudoInterpretation, body: Formula) -> TruthValue:
 
 
 def _pe(j, f):
-    if isinstance(f, Atom):
-        return _atom_bits(j.pos, f)
-    if isinstance(f, NegAtom):
-        t, fl = _atom_bits(j.neg, f)
-        return (fl, t)
-    if isinstance(f, Binary):
-        t1, f1 = _pe(j, f.left)
-        t2, f2 = _pe(j, f.right)
-        if f.op == BinOp.AND:
-            return (t1 and t2, f1 or f2)
-        if f.op == BinOp.OR:
-            return (t1 or t2, f1 and f2)
-        if f.op == BinOp.CONSENSUS:
-            return (t1 and t2, f1 and f2)
-        return (t1 or t2, f1 or f2)
-    if isinstance(f, TruthConst):
-        return _CONST_BITS[f.value]
-    if isinstance(f, Equal):
-        same = _const_name(f.left) == _const_name(f.right)
-        return (same, not same)
-    if isinstance(f, NotEqual):
-        same = _const_name(f.left) == _const_name(f.right)
-        return (not same, same)
-    if isinstance(f, Quantified):
-        raise ValueError("quantifiers must be expanded by grounding before evaluation")
-    raise TypeError(f"cannot evaluate {type(f).__name__} node")
+    """The (in-true-set, in-false-set) bits of f under j.  Iterative: a
+    binary node is visited again, as its connective, once the bits of
+    both of its operands are on the value stack."""
+    values = []
+    todo = [f]
+    while todo:
+        g = todo.pop()
+        if type(g) is BinOp:
+            t2, f2 = values.pop()
+            t1, f1 = values.pop()
+            if g is BinOp.AND:
+                values.append((t1 and t2, f1 or f2))
+            elif g is BinOp.OR:
+                values.append((t1 or t2, f1 and f2))
+            elif g is BinOp.CONSENSUS:
+                values.append((t1 and t2, f1 and f2))
+            else:
+                values.append((t1 or t2, f1 or f2))
+        elif isinstance(g, Binary):
+            todo += (g.op, g.right, g.left)
+        elif isinstance(g, Atom):
+            values.append(_atom_bits(j.pos, g))
+        elif isinstance(g, NegAtom):
+            t, fl = _atom_bits(j.neg, g)
+            values.append((fl, t))
+        elif isinstance(g, TruthConst):
+            values.append(_CONST_BITS[g.value])
+        elif isinstance(g, (Equal, NotEqual)):
+            same = _name(g.left) == _name(g.right)
+            values.append((same, not same) if isinstance(g, Equal) else (not same, same))
+        elif isinstance(g, Quantified):
+            raise ValueError("quantifiers must be expanded by grounding before evaluation")
+        else:
+            raise TypeError(f"cannot evaluate {type(g).__name__} node")
+    return values[0]
+
+
+def _name(t) -> str:
+    if not isinstance(t, Const):
+        raise ValueError(f"unresolved variable {t.name} in equality")
+    return t.name
 
 
 def _atom_bits(interp: Interpretation, leaf):

@@ -53,3 +53,10 @@ def test_unknown_atoms_land_in_neither_set(suspect_gp):
     # only the fact is decided under the skeptical default
     assert {str(a) for a in result.true_set} == {"suspect(john)"}
     assert result.false_set == frozenset()
+
+
+def test_long_flat_body_evaluates_without_recursion():
+    gp = ground(parse_program("p <- " + " & ".join(f"q{i}" for i in range(3000)) + "."))
+    for alpha in ALPHAS:
+        result = from_interpretation(alpha_fixed_semantics(gp, alpha))
+        assert result == engine.fix_u(gp, alpha)

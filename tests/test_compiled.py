@@ -20,7 +20,7 @@ from blp.bilattice import (
     truth_join,
     truth_meet,
 )
-from blp.grounder import Base, GroundAtom
+from blp.grounder import Base, GroundAtom, formula_code
 from blp.syntax import Atom, Binary, BinOp, NegAtom, TruthConst, parse_program
 from blp.valuation import (
     CompiledBodies,
@@ -45,7 +45,7 @@ def random_valuation(rng, base):
 
 
 def compiled_value(base, body, v, w):
-    belief, doubt = CompiledBodies(base, [(1, body)]).evaluate(v, w)
+    belief, doubt = CompiledBodies(base, [(0, formula_code(base, body))]).evaluate(v, w)
     return {(0, 0): U, (1, 0): T, (0, 1): F, (1, 1): I}[belief, doubt]
 
 
@@ -90,7 +90,7 @@ def _body(text):
 def test_same_connective_chains_flatten_into_one_node():
     for op in "&|*+":
         body = _body(f" {op} ".join(["a", "~b", "b", "~a", "a"]))
-        compiled = CompiledBodies(AB, [(1, body)])
+        compiled = CompiledBodies(AB, [(0, formula_code(AB, body))])
         assert len(compiled.nodes) == 1
         # one bit per distinct literal: a, b positive; a, b negated
         assert compiled.nodes[0][1] == 0b1111
@@ -101,7 +101,7 @@ def test_truth_constants_fold_inside_and_and_consensus():
     for text in ("a & #u & ~b", "#i & a & ~b", "a * #i * ~b", "#u * ~a * b",
                  "(a | #u) & (~b * #i)", "#i & #u", "#u * #t", "(#t * #f) | a"):
         body = _body(text)
-        compiled = CompiledBodies(AB, [(1, body)])
+        compiled = CompiledBodies(AB, [(0, formula_code(AB, body))])
         # no node is left holding only constants
         assert all(node[1] or any(other[3] == node[2] for other in compiled.nodes)
                    for node in compiled.nodes)
@@ -111,7 +111,7 @@ def test_truth_constants_fold_inside_and_and_consensus():
 def test_atom_positive_and_negated_in_one_node():
     for op in "&|*+":
         body = _body(f"a {op} ~a")
-        assert len(CompiledBodies(AB, [(1, body)]).nodes) == 1
+        assert len(CompiledBodies(AB, [(0, formula_code(AB, body))]).nodes) == 1
         _exhaustive(AB, body)
 
 

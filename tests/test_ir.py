@@ -1,0 +1,122 @@
+"""The ground IR: its two producers, its renderer and the oracles' reading of it."""
+
+import pathlib
+import sys
+
+import pytest
+
+from blp import oracles
+from blp.grounder import GroundProgram, formula_code, ground
+from blp.oracles import ConventionalityError
+from blp.syntax import (
+    Binary,
+    BinOp,
+    TruthConst,
+    parse_program,
+    render_formula,
+    render_program,
+    walk,
+)
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "blpbench"))
+import workloads  # noqa: E402
+
+CORPORA = ("mixed_corpus", "conventional_corpus", "positive_corpus", "tiny_corpus")
+
+
+def workload_programs():
+    """The ground programs of seeds 0-3 of every benchmark workload."""
+    return [
+        ground(parse_program(prog.text))
+        for name in workloads.WORKLOADS
+        for seed in range(4)
+        for prog in workloads.build(name, seed).programs.values()
+    ]
+
+
+def assert_one_ir(gp):
+    """The template grounder's IR is the converter's IR of gp.rules, and
+    render is render_formula's text of gp.rules."""
+    rules = gp.rules
+    index = gp.base.index
+    assert gp.ir == tuple((index(h), formula_code(gp.base, b)) for h, b in rules.items())
+    assert GroundProgram(gp.base, rules, gp.not_heads).ir == gp.ir
+    assert gp.render() == render_program(gp.to_program())
+
+
+@pytest.mark.parametrize("corpus", CORPORA)
+def test_both_producers_give_one_ir_on_the_corpora(corpus, request):
+    for gp in request.getfixturevalue(corpus):
+        assert_one_ir(gp)
+
+
+def test_both_producers_give_one_ir_on_the_workloads():
+    gps = workload_programs()
+    assert len(gps) > 1500
+    for gp in gps:
+        assert_one_ir(gp)
+
+
+def test_render_of_ground_text_regrounds_to_the_same_ir():
+    for gp in workload_programs()[::7]:
+        again = ground(parse_program(gp.render()))
+        assert again.base == gp.base and again.ir == gp.ir
+
+
+def test_render_matches_render_formula_on_the_long_inputs():
+    texts = [
+        "".join(f"p <- q{i}.\n" for i in range(3000)),
+        "".join(f"e(c{i}).\n" for i in range(1500)) + "p <- exists X: e(X).\n",
+        "p <- " + " & ".join(f"q{i}" for i in range(3000)) + ".\n",
+        "p <- q & ~(" + " & ".join(["#t"] * 3000) + ").\n",
+        "p <- " + "".join(f"(q{i} & " for i in range(99)) + "q" + ")" * 99 + ".\n",
+    ]
+    for text in texts:
+        gp = ground(parse_program(text))
+        want = render_program(gp.to_program())
+        assert gp.render() == want
+
+
+def test_render_parenthesizes_like_render_formula():
+    for text in ("a & (b | c)", "(a & b) | c", "a & (b & c)", "(a | b) & (c | d)",
+                 "a * (b + c) * d", "(a + b) * (c & (d | e))", "~a | (#u & (#i * b))",
+                 "exists X: r(X) & (s(X) | t(X))", "a | (b | (c | d))"):
+        gp = ground(parse_program(f"h <- {text}. r(x). r(y)."))
+        assert gp.render() == render_program(gp.to_program())
+        body = gp.rules[next(a for a in gp.rules if str(a) == "h")]
+        assert f"h <- {render_formula(body)}.\n" in gp.render()
+
+
+def test_oracle_code_flattens_one_connective_into_one_instruction():
+    gp = ground(parse_program("h <- a & (b & c) & (d | ~e | #f)."))
+    (_, code), = [r for r in oracles._compiled(gp) if gp.base.atoms[r[0]].pred == "h"]
+    tags = [tag for tag, _ in code]
+    assert tags.count(oracles._AND) == 1 and tags.count(oracles._OR) == 1
+    assert code[-1] == (oracles._AND, 4) and (oracles._OR, 3) in code
+
+
+def _first_outside(body):
+    """The first node outside the conventional fragment, in preorder."""
+    for node in walk(body):
+        if isinstance(node, Binary) and node.op not in (BinOp.AND, BinOp.OR):
+            return f"connective {node.op.value!r}"
+        if isinstance(node, TruthConst) and str(node.value) in "UI":
+            return f"truth constant {node.value}"
+    return None
+
+
+def test_conventionality_error_names_the_first_node_in_preorder(mixed_corpus):
+    texts = ["h <- #u * a.", "h <- a & #u.", "h <- (a & #i) + (#u * b).",
+             "h <- a | (b & (#u | c * d)).", "h <- a * b. g <- #u."]
+    gps = [ground(parse_program(t)) for t in texts] + list(mixed_corpus)
+    failing = 0
+    for gp in gps:
+        want = next(filter(None, map(_first_outside, gp.rules.values())), None)
+        if want is None:
+            oracles._compiled(gp)
+            continue
+        failing += 1
+        with pytest.raises(ConventionalityError) as caught:
+            oracles.well_founded(gp)
+        assert str(caught.value) == f"{want} is outside the conventional fragment"
+    assert failing > 100

@@ -216,3 +216,18 @@ def test_three_valuation_embedding_rejects_inconsistency(excluded_middle_gp):
         ThreeValuation.from_valuation(
             const_valuation(excluded_middle_gp.base, I)
         )
+
+
+def test_three_valuation_constructor_checks_its_values():
+    base = ground(parse_program("a. b.")).base
+    assert ThreeValuation(base, (1, -1)).ints == (1, -1)
+    with pytest.raises(ValueError, match=r"values in \{F, U, T\}"):
+        ThreeValuation(base, (1, 2))
+    with pytest.raises(ValueError, match="expected 2 values, got 1"):
+        ThreeValuation(base, (1,))
+    with pytest.raises(ValueError, match="expected 2 values, got 3"):
+        ThreeValuation(base, (1, 0, -1))
+    # the oracles' own results, built unchecked, equal checked ones
+    gp = ground(parse_program("a <- ~b. b <- ~a. c <- a & ~c."))
+    for v in [well_founded(gp), kripke_kleene(gp)] + enumerate_stable_models(gp):
+        assert v == ThreeValuation(v.base, v.ints)
