@@ -353,6 +353,28 @@ def test_self_check_names_the_atoms_of_each_failed_identity(suspect_gp):
         f"truth-greatest oscillation = disjunction of the knowledge extremes (at {atom}); "
         f"knowledge extremes ordered (at {atom})"
     )
+    # orderings that fail in the doubt mask alone, then in the belief mask alone
+    suspect = suspect_gp.base.atoms[3]
+    assert r.fix_f[suspect] is T and r.fix_t[suspect] is T
+    for field, at, failed in (
+        ("fix_i", atom, ("knowledge-greatest = gullibility of the oscillation pair",
+                         "truth-greatest oscillation = disjunction of the knowledge extremes",
+                         "knowledge extremes ordered")),
+        ("fix_f", atom, ("knowledge-least = consensus of the oscillation pair",
+                         "truth-least oscillation = conjunction of the knowledge extremes",
+                         "oscillation pair ordered")),
+        ("fix_t", suspect, ("knowledge-least = consensus of the oscillation pair",
+                            "truth-greatest oscillation = disjunction of the knowledge extremes",
+                            "oscillation pair ordered")),
+    ):
+        moved = {a: getattr(r, field)[a] for a in suspect_gp.base}
+        moved[at] = U
+        bad = dataclasses.replace(
+            r, **{field: Valuation.from_mapping(suspect_gp.base, moved)})
+        with pytest.raises(engine.InternalInvariantError) as caught:
+            engine._check_decomposition(bad)
+        assert str(caught.value) == "fixpoint decomposition identities violated: " + (
+            "; ".join(f"{name} (at {at})" for name in failed))
     # every atom off: five named, the rest counted
     gp = ground(parse_program("".join(f"a{i}. " for i in range(8))))
     r = engine.semantics(gp, F)
