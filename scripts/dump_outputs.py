@@ -9,7 +9,10 @@ Writes one line per call: the argv (with program file names relative to
 a temporary directory), the exit code, and the SHA-256 of stdout and of
 stderr.  It also writes, per program, engine.semantics(...).iteration_counts
 at all four defaults, taken after compare_semantics has run on the same
-ground program.  Lines are sorted, so two dumps compare with diff.
+ground program, and the parse outcome of the program and of seeded
+truncations and one-character mutations of it: the SHA-256 of the
+rendered program, or the str() of the ParseError.  Lines are sorted, so
+two dumps compare with diff.
 
 Usage: python3 scripts/dump_outputs.py OUT
 """
@@ -19,6 +22,7 @@ import hashlib
 import io
 import json
 import pathlib
+import random
 import sys
 import tempfile
 
@@ -29,13 +33,15 @@ from blp import engine  # noqa: E402
 from blp.bilattice import F, I, T, U  # noqa: E402
 from blp.cli import main as blp_main  # noqa: E402
 from blp.grounder import ground  # noqa: E402
-from blp.syntax import parse_program  # noqa: E402
+from blp.syntax import ParseError, parse_program, render_program  # noqa: E402
 from proggen import random_ground_program  # noqa: E402
 
 ALPHAS = "FTUI"
 FIXPOINTS = ("fixU", "fixI", "fixF", "fixT")
 FORMATS = ("table", "tsv", "json")
 WORKLOAD_SEEDS = range(4)
+VARIANTS = 8  # truncations and one-character mutations parsed per program
+MUTATION_CHARS = "()~.,&|*+=:<-#%tfaqXZ \t\n\r$\u00e9"
 
 # (kind, first seed, count, keyword arguments): the corpora of tests/conftest.py
 CORPORA = (
@@ -87,6 +93,28 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def variants(name: str, text: str):
+    """The program text, then seeded truncations and mutations of it."""
+    rng = random.Random(name)
+    out = [text]
+    for i in range(VARIANTS):
+        pos = rng.randrange(len(text) + 1)
+        if i % 2 == 0:
+            out.append(text[:pos])
+        else:
+            kind = rng.randrange(3)  # insert, replace or delete one character
+            insert = rng.choice(MUTATION_CHARS) if kind < 2 else ""
+            out.append(text[:pos] + insert + text[pos + (kind > 0):])
+    return out
+
+
+def _parse_outcome(text: str) -> str:
+    try:
+        return "ok " + _sha(render_program(parse_program(text)))
+    except ParseError as exc:
+        return f"error {exc}"
+
+
 def _run(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -126,6 +154,8 @@ def records(progs, workdir: pathlib.Path):
             shown = json.dumps([a.replace(prefix, "") for a in argv])
             lines.append(f"{shown}\t{code}\t{_sha(out)}\t{_sha(err)}")
         lines.append(f'["counts", "{name}.blp"]\t{_counts(text)}')
+        for i, variant in enumerate(variants(name, text)):
+            lines.append(f'["parse", "{name}.blp", {i}]\t{_parse_outcome(variant)}')
     return lines
 
 

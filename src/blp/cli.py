@@ -99,13 +99,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _read_input(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
+        if path == "-":
+            return sys.stdin.read()
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        name = "standard input" if path == "-" else path
+        raise CliError(
+            f"cannot read {name}: not valid UTF-8 "
+            f"(byte 0x{exc.object[exc.start]:02x} at offset {exc.start})"
+        ) from None
 
 
 def _extra_constants(raw: str):

@@ -31,6 +31,13 @@ leaves (sound in FOUR: negation inverts the truth order, so it swaps
 "&" with "|", and preserves the knowledge order, so it distributes over
 "*" and "+").  Negation over anything containing an atom other than a
 bare literal, or containing a quantifier, is rejected.
+
+The tokenizer is one regex match per token, blanks and comments skipped
+inside it, and a token is a (kind, text, offset) tuple; line and column
+are worked out from the offset only when a ParseError is raised.  The
+binary operators are parsed by precedence climbing (Pratt, POPL 1973):
+a chain of one operator is a loop, which recurses only where a tighter
+operator follows.
 """
 
 from __future__ import annotations
@@ -177,96 +184,93 @@ _TRUTH_TOKENS = {
     "#i": TruthValue.INCONSISTENT,
 }
 
+# Binding power of each binary operator, loosest first: the parser climbs
+# these levels and the renderer parenthesizes by them.
+_PREC = {BinOp.GULLIBILITY: 1, BinOp.CONSENSUS: 2, BinOp.OR: 3, BinOp.AND: 4}
+_BINDING = {op.value: (prec, op) for op, prec in _PREC.items()}
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    line: int
-    col: int
-
-
-_TOKEN_RE = re.compile(
-    r"""(?P<WS>[ \t\r\n]+)
-      | (?P<COMMENT>%[^\n]*)
-      | (?P<ARROW><-)
-      | (?P<TRUTH>\#[tfui])
-      | (?P<LIDENT>[a-z][A-Za-z0-9_]*)
-      | (?P<UIDENT>[A-Z][A-Za-z0-9_]*)
-      | (?P<PUNCT>[().,~&|*+=:])
-    """,
+# One match per token, as (kind, text, offset) with the kind PUNCT for the
+# one-character tokens.  The prefix skips blanks and comments; BAD takes
+# the rest of the text from an unexpected character on, and EOF matches
+# only at the end (twice when blanks or a comment end the text).
+_SCAN = re.compile(
+    r"""(?:[ \t\r\n]+|%[^\n]*)*
+        (?: (?P<ARROW><-)
+          | (?P<TRUTH>\#[tfui])
+          | (?P<LIDENT>[a-z][A-Za-z0-9_]*)
+          | (?P<UIDENT>[A-Z][A-Za-z0-9_]*)
+          | (?P<PUNCT>[().,~&|*+=:])
+          | (?P<BAD>[\s\S]+)
+          | (?P<EOF>) )""",
     re.VERBOSE,
 )
 
 
 def _tokenize(text: str) -> list:
-    tokens = []
-    pos = 0
-    line = 1
-    line_start = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(
-                f"unexpected character {text[pos]!r}", line, pos - line_start + 1
-            )
-        kind = m.lastgroup
-        chunk = m.group()
-        if kind not in ("WS", "COMMENT"):
-            col = pos - line_start + 1
-            tokens.append(_Token(chunk if kind == "PUNCT" else kind, chunk, line, col))
-        if "\n" in chunk:
-            line += chunk.count("\n")
-            line_start = pos + chunk.rindex("\n") + 1
-        pos = m.end()
-    tokens.append(_Token("EOF", "", line, len(text) - line_start + 1))
+    tokens = [
+        (m.lastgroup, m[m.lastindex], m.start(m.lastindex))
+        for m in _SCAN.finditer(text)
+    ]
+    if len(tokens) > 1 and tokens[-2][0] == "BAD":
+        offset = tokens[-2][2]
+        raise ParseError(
+            f"unexpected character {text[offset]!r}", *_position(text, offset)
+        )
     return tokens
 
 
+def _position(text: str, offset: int) -> tuple:
+    """(line, column) of offset, both counted from 1."""
+    return (
+        text.count("\n", 0, offset) + 1,
+        offset - text.rfind("\n", 0, offset),
+    )
+
+
 class _Parser:
-    def __init__(self, tokens) -> None:
-        self.tokens = tokens
+    """Recursive descent over the token list; punctuation is tested by its
+    text, which no other kind of token can have."""
+
+    def __init__(self, text: str) -> None:
+        self.text = text
+        self.tokens = _tokenize(text)
         self.i = 0
         self.depth = 0  # formulas open around the current token
-        self.arities: dict = {}
+        self.arities: dict = {}  # predicate -> (arity, offset of first use)
+        self.constants: set = set()
 
-    def peek(self, ahead: int = 0) -> _Token:
-        return self.tokens[min(self.i + ahead, len(self.tokens) - 1)]
+    def error(self, message: str, tok: tuple) -> ParseError:
+        return ParseError(message, *_position(self.text, tok[2]))
 
-    def advance(self) -> _Token:
+    def expected(self, what: str) -> ParseError:
         tok = self.tokens[self.i]
-        if tok.kind != "EOF":
-            self.i += 1
-        return tok
+        found = tok[1] or "end of input"
+        return self.error(f"expected {what}, found {found!r}", tok)
 
-    def expect(self, kind: str, what: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            found = tok.text or "end of input"
-            raise ParseError(f"expected {what}, found {found!r}", tok.line, tok.col)
-        return self.advance()
+    def expect(self, text: str, what: str) -> None:
+        if self.tokens[self.i][1] != text:
+            raise self.expected(what)
+        self.i += 1
 
     def program(self) -> Program:
         clauses = []
-        while self.peek().kind != "EOF":
+        while self.tokens[self.i][0] != "EOF":
             clauses.append(self.clause())
-        return Program.from_clauses(clauses)
+        return Program(tuple(clauses), frozenset(self.constants))
 
     def clause(self) -> Clause:
-        head_tok = self.peek()
+        head_tok = self.tokens[self.i]
         head = self.atom(scope=None)
         head_vars = set()
         for term in head.args:
-            if isinstance(term, Var):
+            if type(term) is Var:
                 if term.name in head_vars:
-                    raise ParseError(
-                        f"repeated variable {term.name} in clause head",
-                        head_tok.line,
-                        head_tok.col,
+                    raise self.error(
+                        f"repeated variable {term.name} in clause head", head_tok
                     )
                 head_vars.add(term.name)
-        if self.peek().kind == "ARROW":
-            self.advance()
+        if self.tokens[self.i][1] == "<-":
+            self.i += 1
             body = self.formula(frozenset(head_vars))
         else:
             body = TruthConst(T)
@@ -274,160 +278,151 @@ class _Parser:
         return Clause(head, body)
 
     def atom(self, scope) -> Atom:
-        tok = self.expect("LIDENT", "a predicate name")
-        if tok.text in _KEYWORDS:
-            raise ParseError(f"{tok.text!r} is a reserved word", tok.line, tok.col)
-        args: list = []
-        if self.peek().kind == "(":
-            self.advance()
-            args.append(self.term(scope))
-            while self.peek().kind == ",":
-                self.advance()
+        tok = self.tokens[self.i]
+        if tok[0] != "LIDENT":
+            raise self.expected("a predicate name")
+        if tok[1] in _KEYWORDS:
+            raise self.error(f"{tok[1]!r} is a reserved word", tok)
+        self.i += 1
+        args = ()
+        if self.tokens[self.i][1] == "(":
+            self.i += 1
+            args = [self.term(scope)]
+            while self.tokens[self.i][1] == ",":
+                self.i += 1
                 args.append(self.term(scope))
             self.expect(")", "')'")
-        self._check_arity(tok, len(args))
-        return Atom(tok.text, tuple(args))
+            args = tuple(args)
+        seen = self.arities.setdefault(tok[1], (len(args), tok[2]))
+        if seen[0] != len(args):
+            line, column = _position(self.text, seen[1])
+            raise self.error(
+                f"predicate {tok[1]} used with arity {len(args)} "
+                f"but with arity {seen[0]} at line {line}, column {column}",
+                tok,
+            )
+        return Atom(tok[1], args)
 
     def term(self, scope) -> Term:
-        tok = self.peek()
-        if tok.kind == "LIDENT":
-            if tok.text in _KEYWORDS:
-                raise ParseError(f"{tok.text!r} is a reserved word", tok.line, tok.col)
-            self.advance()
-            return Const(tok.text)
-        if tok.kind == "UIDENT":
-            self.advance()
-            if scope is not None and tok.text not in scope:
-                raise ParseError(
-                    f"variable {tok.text} is free in the body "
+        tok = kind, text, _ = self.tokens[self.i]
+        if kind == "LIDENT":
+            if text in _KEYWORDS:
+                raise self.error(f"{text!r} is a reserved word", tok)
+            self.i += 1
+            self.constants.add(text)
+            return Const(text)
+        if kind == "UIDENT":
+            self.i += 1
+            if scope is not None and text not in scope:
+                raise self.error(
+                    f"variable {text} is free in the body "
                     "(not a head variable and not bound by a quantifier)",
-                    tok.line,
-                    tok.col,
+                    tok,
                 )
-            return Var(tok.text)
-        raise ParseError(f"expected a term, found {tok.text!r}", tok.line, tok.col)
+            return Var(text)
+        raise self.error(f"expected a term, found {text!r}", tok)
 
     def formula(self, scope) -> Formula:
         # every nested formula recurses through here, so bounding the
         # depth keeps the parser far from Python's recursion limit
         if self.depth == _MAX_NESTING:
-            tok = self.tokens[self.i - 1]
-            raise ParseError(
+            raise self.error(
                 f"formula nested more than {_MAX_NESTING} levels deep",
-                tok.line,
-                tok.col,
+                self.tokens[self.i - 1],
             )
         self.depth += 1
-        f = self._binary(scope, 0)
+        f = self.climb(self.unit(scope), scope, 1)
         self.depth -= 1
         return f
 
-    _LEVELS = ("+", "*", "|", "&")
-    _LEVEL_OPS = {
-        "+": BinOp.GULLIBILITY,
-        "*": BinOp.CONSENSUS,
-        "|": BinOp.OR,
-        "&": BinOp.AND,
-    }
-
-    def _binary(self, scope, level: int) -> Formula:
-        if level == len(self._LEVELS):
-            return self.unit(scope)
-        tok_text = self._LEVELS[level]
-        left = self._binary(scope, level + 1)
-        while self.peek().kind == tok_text:
-            self.advance()
-            right = self._binary(scope, level + 1)
-            left = Binary(self._LEVEL_OPS[tok_text], left, right)
+    def climb(self, left: Formula, scope, min_prec: int) -> Formula:
+        """Operator-precedence climbing: extend left with every following
+        operator binding at least min_prec.  A chain of one operator is
+        this loop; it recurses only to a tighter operator on the right."""
+        tokens = self.tokens
+        binding = _BINDING.get(tokens[self.i][1])
+        while binding is not None and binding[0] >= min_prec:
+            prec, op = binding
+            self.i += 1
+            right = self.unit(scope)
+            binding = _BINDING.get(tokens[self.i][1])
+            if binding is not None and binding[0] > prec:
+                right = self.climb(right, scope, prec + 1)
+                binding = _BINDING.get(tokens[self.i][1])
+            left = Binary(op, left, right)
         return left
 
     def unit(self, scope) -> Formula:
-        tok = self.peek()
-        if tok.kind == "(":
-            self.advance()
-            inner = self.formula(scope)
-            self.expect(")", "')'")
-            return inner
-        if tok.kind == "~":
-            self.advance()
-            return self.negated(scope)
-        if tok.kind == "TRUTH":
-            self.advance()
-            return TruthConst(_TRUTH_TOKENS[tok.text])
-        if tok.kind == "LIDENT" and tok.text in _KEYWORDS:
-            self.advance()
-            var_tok = self.expect("UIDENT", f"a variable after {tok.text!r}")
-            self.expect(":", "':'")
-            body = self.formula(frozenset(scope) | {var_tok.text})
-            kind = Quant.EXISTS if tok.text == "exists" else Quant.FORALL
-            return Quantified(kind, var_tok.text, body)
-        if tok.kind == "LIDENT":
-            if self.peek(1).kind == "=":
+        tok = kind, text, _ = self.tokens[self.i]
+        if kind == "LIDENT":
+            if text in _KEYWORDS:
+                self.i += 1
+                var_tok = self.tokens[self.i]
+                if var_tok[0] != "UIDENT":
+                    raise self.expected(f"a variable after {text!r}")
+                self.i += 1
+                self.expect(":", "':'")
+                body = self.formula(frozenset(scope) | {var_tok[1]})
+                kind = Quant.EXISTS if text == "exists" else Quant.FORALL
+                return Quantified(kind, var_tok[1], body)
+            if self.tokens[self.i + 1][1] == "=":
                 left = self.term(scope)
-                self.advance()
+                self.i += 1
                 return Equal(left, self.term(scope))
             return self.atom(scope)
-        if tok.kind == "UIDENT":
+        if text == "~":
+            self.i += 1
+            return self.negated(scope)
+        if text == "(":
+            return self.parenthesized(scope)
+        if kind == "TRUTH":
+            self.i += 1
+            return TruthConst(_TRUTH_TOKENS[text])
+        if kind == "UIDENT":
             left = self.term(scope)
             self.expect("=", "'=' after a variable")
             return Equal(left, self.term(scope))
-        found = tok.text or "end of input"
-        raise ParseError(f"expected a formula, found {found!r}", tok.line, tok.col)
+        raise self.expected("a formula")
+
+    def parenthesized(self, scope) -> Formula:
+        self.i += 1
+        inner = self.formula(scope)
+        self.expect(")", "')'")
+        return inner
 
     def negated(self, scope) -> Formula:
-        tok = self.peek()
-        if tok.kind == "TRUTH":
-            self.advance()
-            return TruthConst(negation(_TRUTH_TOKENS[tok.text]))
-        if tok.kind == "LIDENT" and tok.text not in _KEYWORDS:
+        tok = kind, text, _ = self.tokens[self.i]
+        if kind == "TRUTH":
+            self.i += 1
+            return TruthConst(negation(_TRUTH_TOKENS[text]))
+        if kind == "LIDENT" and text not in _KEYWORDS:
             atom = self.atom(scope)
-            if self.peek().kind == "=":
-                raise ParseError(
-                    "parenthesize an equality under '~', as in ~(x = y)",
-                    tok.line,
-                    tok.col,
+            if self.tokens[self.i][1] == "=":
+                raise self.error(
+                    "parenthesize an equality under '~', as in ~(x = y)", tok
                 )
             return NegAtom(atom.pred, atom.args)
-        if tok.kind == "(":
-            self.advance()
-            inner = self.formula(scope)
-            self.expect(")", "')'")
-            return self._negate_guard(inner, tok)
-        raise ParseError(
+        if text == "(":
+            return self._negate_guard(self.parenthesized(scope), tok)
+        raise self.error(
             "'~' must be followed by an atom, a truth constant, "
             "or a parenthesized guard",
-            tok.line,
-            tok.col,
+            tok,
         )
 
-    def _negate_guard(self, f: Formula, tok: _Token) -> Formula:
+    def _negate_guard(self, f: Formula, tok: tuple) -> Formula:
         if isinstance(f, Atom):
             return NegAtom(f.pred, f.args)
         for node in walk(f):
             if isinstance(node, (Atom, NegAtom)):
-                raise ParseError(
+                raise self.error(
                     "'~' applies only to atoms or to guards built from "
                     "equalities and truth constants",
-                    tok.line,
-                    tok.col,
+                    tok,
                 )
             if isinstance(node, Quantified):
-                raise ParseError(
-                    "'~' may not apply to a quantified formula", tok.line, tok.col
-                )
+                raise self.error("'~' may not apply to a quantified formula", tok)
         return _push_negation(f)
-
-    def _check_arity(self, tok: _Token, arity: int) -> None:
-        seen = self.arities.get(tok.text)
-        if seen is None:
-            self.arities[tok.text] = (arity, tok.line, tok.col)
-        elif seen[0] != arity:
-            raise ParseError(
-                f"predicate {tok.text} used with arity {arity} "
-                f"but with arity {seen[0]} at line {seen[1]}, column {seen[2]}",
-                tok.line,
-                tok.col,
-            )
 
 
 _NEGATED_OP = {
@@ -463,7 +458,7 @@ def _push_negation(f: Formula) -> Formula:
 
 def parse_program(text: str) -> Program:
     """Parse program text; raises ParseError with line and column on failure."""
-    return _Parser(_tokenize(text)).program()
+    return _Parser(text).program()
 
 
 def is_conventional(program: Program, strict: bool = False) -> bool:
@@ -505,7 +500,6 @@ def _literal_conjunction(f: Formula) -> bool:
     return True
 
 
-_PREC = {BinOp.GULLIBILITY: 1, BinOp.CONSENSUS: 2, BinOp.OR: 3, BinOp.AND: 4}
 _TRUTH_OUT = {v: k for k, v in _TRUTH_TOKENS.items()}
 _OP_TEXT = {op: f" {op.value} " for op in BinOp}
 

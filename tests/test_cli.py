@@ -385,3 +385,28 @@ def test_deep_parentheses_are_a_located_parse_error(capsys, tmp_path):
     assert code == 0 and err == "" and out.startswith("p <- q0 & (q1 & (q2")
     code, out, err = run(capsys, "eval", "--semantics", "wfs", "--format", "tsv", str(nested))
     assert code == 0 and _tsv_value(out, "p") == "F"
+
+
+def test_invalid_utf8_is_a_located_read_error(capsys, tmp_path, monkeypatch):
+    import io
+    import sys
+
+    bad = tmp_path / "bad.blp"
+    bad.write_bytes(b"p <- \xff\xfe.\n")
+    code, out, err = run(capsys, "eval", "--semantics", "wfs", str(bad))
+    assert code == 1 and out == ""
+    assert err == f"error: cannot read {bad}: not valid UTF-8 (byte 0xff at offset 5)\n"
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"p.\nq <- \xc3("),
+                                                       encoding="utf-8"))
+    code, out, err = run(capsys, "ground", "-")
+    assert code == 1 and out == ""
+    assert err == "error: cannot read standard input: not valid UTF-8 (byte 0xc3 at offset 8)\n"
+    model = tmp_path / "model.tsv"
+    model.write_bytes(b"p\tT\n\x80")
+    code, out, err = run(capsys, "check", "--alpha", "F", "--model", str(model),
+                         str(DATA / "empty.blp"))
+    assert code == 1 and out == ""
+    assert err == f"error: cannot read {model}: not valid UTF-8 (byte 0x80 at offset 4)\n"
+    # valid input on stdin still reads
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"p.\n"), encoding="utf-8"))
+    assert run(capsys, "ground", "-") == (0, "p.\n", "")

@@ -46,6 +46,12 @@ def test_dump_outputs_is_deterministic_on_a_smoke_subset(tmp_path):
     assert rows == sorted(rows, key=lambda r: "\t".join(r))
     counts = [r for r in rows if r[0].startswith('["counts"')]
     assert len(counts) == len(progs)
-    calls = [r for r in rows if not r[0].startswith('["counts"')]
+    parses = [r for r in rows if r[0].startswith('["parse"')]
+    assert len(parses) == len(progs) * (dump.VARIANTS + 1)
+    assert all(len(r) == 2 and r[1].startswith(("ok ", "error line ")) for r in parses)
+    # each unmutated program parses, and some variants do not
+    assert all(r[1].startswith("ok ") for r in parses if r[0].endswith(", 0]"))
+    assert any(r[1].startswith("error ") for r in parses)
+    calls = [r for r in rows if not r[0].startswith(('["counts"', '["parse"'))]
     assert all(len(r) == 4 and r[1] in ("0", "1") for r in calls)
     assert str(tmp_path) not in text

@@ -200,9 +200,99 @@ def test_reserved_words():
         parse_program("p(forall).")
 
 
+_GUARD_ONLY = "'~' applies only to atoms or to guards built from equalities and truth constants"
+_TILDE_FOLLOW = "'~' must be followed by an atom, a truth constant, or a parenthesized guard"
+_FREE = "is free in the body (not a head variable and not bound by a quantifier)"
+_TOO_DEEP = "formula nested more than 100 levels deep"
+
+# One row per raise site in blp.syntax (several for the sites reached more
+# than one way): the input and the whole str() of its ParseError, so a moved
+# line or column fails as surely as a changed message.
+PARSE_ERRORS = [
+    # unexpected character
+    ("p <- q $ r.", "line 1, column 8: unexpected character '$'"),
+    ("p <- q\n  & r\t@.", "line 2, column 7: unexpected character '@'"),
+    ("p <- q(\u00e9).", "line 1, column 8: unexpected character '\u00e9'"),
+    ("p <- q\x00.", "line 1, column 7: unexpected character '\\x00'"),
+    ("a.\r\nb <- \tc $.", "line 2, column 9: unexpected character '$'"),
+    ("a.\rb $", "line 1, column 6: unexpected character '$'"),
+    # reserved word: in a head, as a term, inside an atom after "~"
+    ("exists(a).", "line 1, column 1: 'exists' is a reserved word"),
+    ("p(forall).", "line 1, column 3: 'forall' is a reserved word"),
+    ("p <- ~q(exists).", "line 1, column 9: 'exists' is a reserved word"),
+    # head and body variables
+    ("p(X,Y,X) <- q(X).", "line 1, column 1: repeated variable X in clause head"),
+    ("p(X) <- q(X,Y).", f"line 1, column 13: variable Y {_FREE}"),
+    ("p(X) <- exists Y: q(Y) & r(Z).", f"line 1, column 28: variable Z {_FREE}"),
+    ("\tp(X) <-\r\n\t\tq(X, Y).", f"line 2, column 8: variable Y {_FREE}"),
+    # expected a predicate name, a term, a formula
+    ("X.", "line 1, column 1: expected a predicate name, found 'X'"),
+    ("<- a.", "line 1, column 1: expected a predicate name, found '<-'"),
+    ("p(<-).", "line 1, column 3: expected a term, found '<-'"),
+    ("p(a,", "line 1, column 5: expected a term, found ''"),
+    ("p <- q(a, .", "line 1, column 11: expected a term, found '.'"),
+    ("p <- .", "line 1, column 6: expected a formula, found '.'"),
+    ("p <- q &", "line 1, column 9: expected a formula, found 'end of input'"),
+    # expected '.', ')', ':'
+    ("a <- b\nc.", "line 2, column 1: expected '.', found 'c'"),
+    ("a <- b", "line 1, column 7: expected '.', found 'end of input'"),
+    ("% head\r\n\tp <- q\r\n% end",
+     "line 3, column 6: expected '.', found 'end of input'"),
+    ("p <- q % trailing comment",
+     "line 1, column 26: expected '.', found 'end of input'"),
+    ("p <- (a.", "line 1, column 8: expected ')', found '.'"),
+    ("p <- ~(a = b.", "line 1, column 13: expected ')', found '.'"),
+    ("p(a.", "line 1, column 4: expected ')', found '.'"),
+    ("p <- exists X q(X).", "line 1, column 15: expected ':', found 'q'"),
+    # quantifier variable, '=' after a variable
+    ("p <- exists a: q.", "line 1, column 13: expected a variable after 'exists', found 'a'"),
+    ("p <- forall: q.", "line 1, column 12: expected a variable after 'forall', found ':'"),
+    ("p <- q(a) & forall.",
+     "line 1, column 19: expected a variable after 'forall', found '.'"),
+    ("p(X) <- X.", "line 1, column 10: expected '=' after a variable, found '.'"),
+    ("p(X) <- X & q.", "line 1, column 11: expected '=' after a variable, found '&'"),
+    # negation
+    ("p(X) <- ~ a = X.",
+     "line 1, column 11: parenthesize an equality under '~', as in ~(x = y)"),
+    ("p <- ~ &.", f"line 1, column 8: {_TILDE_FOLLOW}"),
+    ("p <- ~ X = a.", f"line 1, column 8: {_TILDE_FOLLOW}"),
+    ("p <- ~exists X: q.", f"line 1, column 7: {_TILDE_FOLLOW}"),
+    ("x <- ~(a & b).", f"line 1, column 7: {_GUARD_ONLY}"),
+    ("x <- ~(#t & ~a).", f"line 1, column 7: {_GUARD_ONLY}"),
+    ("x <- ~(exists Y: Y = a).",
+     "line 1, column 7: '~' may not apply to a quantified formula"),
+    ("x <- ~(a = a | forall Y: #t).",
+     "line 1, column 7: '~' may not apply to a quantified formula"),
+    # arity clash, naming where the predicate was first used
+    ("p(a).\nq <- p(a,b).",
+     "line 2, column 6: predicate p used with arity 2 but with arity 1 at line 1, column 1"),
+    ("p <- q.\nr <- s & \tq(a).",
+     "line 2, column 11: predicate q used with arity 1 but with arity 0 at line 1, column 6"),
+    ("a <- b.\r\nc <- d(e, f).\r\nd(e) <- c.",
+     "line 3, column 1: predicate d used with arity 1 but with arity 2 at line 2, column 6"),
+    # nesting limit: parentheses, quantifier bodies, negated guards
+    ("p <- " + "(" * 150 + "q" + ")" * 150 + ".", f"line 1, column 105: {_TOO_DEEP}"),
+    ("p <- " + "exists X: " * 101 + "q.", f"line 1, column 1004: {_TOO_DEEP}"),
+    ("p <- " + "~(" * 101 + "#t" + ")" * 101 + ".", f"line 1, column 205: {_TOO_DEEP}"),
+]
+
+
+@pytest.mark.parametrize(
+    "text, message", PARSE_ERRORS, ids=[f"e{i:02d}" for i in range(len(PARSE_ERRORS))]
+)
+def test_parse_error_message_line_and_column(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_program(text)
+    assert str(err.value) == message
+    line, column = message.split(":", 1)[0].split(", ")
+    assert (err.value.line, err.value.column) == (int(line[5:]), int(column[7:]))
+
+
 def test_comments_ignored():
     program = parse_program("% leading\na. % trailing\n% only\n")
     assert len(program.clauses) == 1
+    # a comment may end the input without a newline
+    assert len(parse_program("p <- q. % no newline").clauses) == 1
 
 
 def test_constants_collected_from_everywhere():
