@@ -3,8 +3,11 @@
 keeps every answer.
 
 Runs blp.cli.main in-process, with every subcommand, on the seeded
-programs of tests/proggen.py (the test corpora) and, when blpbench is
-importable, on the programs of seeds 0-3 of every benchmark workload.
+programs of tests/proggen.py (the test corpora and a corpus of
+conventional programs of up to 10 atoms), on seeded programs of five
+even loops, whose stable-model search spans 3^10 candidates, and, when
+blpbench is importable, on the programs of seeds 0-3 of every benchmark
+workload.
 Writes one line per call: the argv (with program file names relative to
 a temporary directory), the exit code, and the SHA-256 of stdout and of
 stderr.  It also writes, per program, engine.semantics(...).iteration_counts
@@ -49,7 +52,28 @@ CORPORA = (
     ("conventional", 1000, 200, {"conventional": True}),
     ("positive", 2000, 100, {"negation_free": True}),
     ("tiny", 3000, 60, {"max_atoms": 4}),
+    ("wide", 4000, 30, {"conventional": True, "max_atoms": 10}),
 )
+LOOP_SEEDS = range(5000, 5006)  # seeds of the even-loop programs
+
+
+def loop_program(seed: int) -> str:
+    """Five even loops a_i <- ~b_i. b_i <- ~a_i., some bodies widened by
+    a seeded literal: the well-founded semantics leaves all 10 atoms
+    unknown, so the stable-model search spans 3^10 candidates, which
+    the proggen corpora rarely reach."""
+    rng = random.Random(seed)
+    atoms = [f"{x}{i}" for i in range(5) for x in "ab"]
+    clauses = []
+    for i in range(5):
+        for head, other in ((f"a{i}", f"b{i}"), (f"b{i}", f"a{i}")):
+            body = f"~{other}"
+            roll = rng.random()
+            if roll < 0.6:
+                lit = rng.choice(("", "~")) + rng.choice(atoms)
+                body += (" & " if roll < 0.3 else " | ") + lit
+            clauses.append(f"{head} <- {body}.\n")
+    return "".join(clauses)
 
 
 def programs():
@@ -59,6 +83,8 @@ def programs():
         for seed in range(first, first + count):
             text = random_ground_program(seed, **kwargs).render()
             out.append((f"proggen-{kind}-{seed:04d}", text, None))
+    for seed in LOOP_SEEDS:
+        out.append((f"loops-{seed:04d}", loop_program(seed), None))
     try:
         from blpbench import workloads
     except ImportError:

@@ -14,14 +14,22 @@ first use by an oracle, from its ground IR (GroundProgram.ir, see
 grounder) into postfix code over base positions and Kleene-int
 constants (see _compiled); the code is cached on the program.  The
 oracles build their valuations from Kleene ints they computed, so they
-skip the checks of the public ThreeValuation constructor.  Stable
-models are searched only over the atoms the well-founded semantics
-leaves unknown (see enumerate_stable_models).
+skip the checks of the public ThreeValuation constructor.
+
+Stable models are searched only over the atoms the well-founded
+semantics leaves unknown, and all candidates at once: candidate L is
+bit lane L of Python ints, each atom's value in a lane a pair of bits
+(is it T?, is it not F?), so one pass of the same compiled code
+transforms every candidate (see enumerate_stable_models and
+_lane_transform).  The scalar _step stays for the other oracles: they
+iterate one valuation, where a single lane costs more than a Kleene
+int.
 """
 
 from __future__ import annotations
 
-from itertools import product
+from functools import reduce
+from operator import and_, or_
 from typing import Iterable
 
 from .bilattice import F, T, TruthValue, U
@@ -224,6 +232,46 @@ def gl_transform(gp: GroundProgram, v: ThreeValuation) -> ThreeValuation:
     raise RuntimeError("positive consequence iteration failed to converge")
 
 
+def _lane_transform(rules: tuple, cand: list, lanes: int) -> list:
+    """gl_transform of many candidates at once, as bit lanes.
+
+    Atom i of lane L is bit L of cand[i] (is it T?) and bit lanes + L
+    (is it not F?): a Kleene int v is the pair (v == T, v != F).  On
+    these bits min and max are & and |, and negation swaps the halves
+    and complements them, so one pass of the compiled code evaluates
+    every lane, and a lane's bits depend only on that lane's bits.
+    Each lane therefore iterates on its own, monotonely from all-F, to
+    its own least fixpoint within the bound gl_transform uses; the
+    whole list stops changing once the last lane has.
+    """
+    full = (1 << lanes) - 1
+    both = (1 << 2 * lanes) - 1
+    neg = [both ^ (c >> lanes | (c & full) << lanes) for c in cand]
+    const = {_T3: both, _F3: 0}
+    cur = [0] * len(cand)
+    for _ in range(2 * len(cur) + 1):
+        nxt = [0] * len(cur)
+        stack = []
+        push = stack.append
+        for head, code in rules:
+            for tag, x in code:
+                if tag == _POS:
+                    push(cur[x])
+                elif tag == _NEG:
+                    push(neg[x])
+                elif tag == _CONST:
+                    push(const[x])
+                else:
+                    args = stack[-x:]
+                    del stack[-x:]
+                    push(reduce(and_ if tag == _AND else or_, args))
+            nxt[head] = stack.pop()
+        if nxt == cur:
+            return cur
+        cur = nxt
+    raise RuntimeError("positive consequence iteration failed to converge")
+
+
 def well_founded(gp: GroundProgram) -> ThreeValuation:
     """Least fixpoint of the transform, reached from the all-unknown
     valuation; this is the well-founded semantics."""
@@ -260,11 +308,16 @@ def enumerate_stable_models(gp: GroundProgram, cap: int = 10) -> list:
     reaches its knowledge-least fixpoint, which is the well-founded
     semantics.  Every fixpoint sits above that one in the knowledge
     order, so every fixpoint agrees with it on the atoms it makes T or
-    F (Przymusinski 1990).  Each candidate is still checked to be a
-    fixpoint.  The cap bounds the size of the base, not the number of
-    atoms left open.
+    F (Przymusinski 1990).  The cap bounds the size of the base, not
+    the number of atoms left open.
+
+    The 3^k candidates over the k open atoms are transformed at once,
+    as bit lanes of Python ints: lane L is candidate L in
+    itertools.product((F, U, T), repeat=k) order, so reading the
+    fixpoint lanes lowest first gives the lexicographic order.  See
+    _lane_transform for the encoding and why lanes cannot interact.
     """
-    _compiled(gp)  # a non-conventional program fails here, before the cap
+    rules = _compiled(gp)  # a non-conventional program fails here, before the cap
     n = len(gp.base)
     if n > cap:
         raise EnumerationCapError(
@@ -272,11 +325,33 @@ def enumerate_stable_models(gp: GroundProgram, cap: int = 10) -> list:
         )
     cells = list(well_founded(gp).ints)
     open_at = [i for i, x in enumerate(cells) if x == _U3]
+    k = len(open_at)
+    lanes = 3**k
+    full = (1 << lanes) - 1
+    # atom i of the candidates: T-lanes in the low half, not-F-lanes in
+    # the high half; settled atoms hold their value in every lane
+    cand = [(0, full << lanes, full | full << lanes)[x + 1] for x in cells]
+    for j, i in enumerate(open_at):
+        # digit j of lane L: blocks of 3^(k-1-j) lanes of F, U and T in
+        # turn, the period of three blocks repeated 3^j times
+        block = 3 ** (k - 1 - j)
+        ones = (1 << block) - 1
+        t = ones << 2 * block
+        nf = t | ones << block
+        repeat = full // ((1 << 3 * block) - 1)
+        cand[i] = (t | nf << lanes) * repeat
+    out = _lane_transform(rules, cand, lanes)
+    diff = 0
+    for got, want in zip(out, cand):
+        diff |= got ^ want
+    fixed = full & ~(diff | diff >> lanes)
     models = []
-    for combo in product((_F3, _U3, _T3), repeat=len(open_at)):
-        for i, x in zip(open_at, combo):
-            cells[i] = x
-        candidate = ThreeValuation._of(gp.base, cells)
-        if gl_transform(gp, candidate) == candidate:
-            models.append(candidate)
+    while fixed:
+        low = fixed & -fixed
+        lane = low.bit_length() - 1
+        fixed ^= low
+        for i in reversed(open_at):
+            lane, digit = divmod(lane, 3)
+            cells[i] = digit - 1
+        models.append(ThreeValuation._of(gp.base, cells))
     return models

@@ -320,7 +320,7 @@ class _Parser:
                     tok,
                 )
             return Var(text)
-        raise self.error(f"expected a term, found {text!r}", tok)
+        raise self.expected("a term")
 
     def formula(self, scope) -> Formula:
         # every nested formula recurses through here, so bounding the

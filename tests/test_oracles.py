@@ -1,5 +1,7 @@
 """Three-valued reference semantics against the four-valued engine."""
 
+import pathlib
+import sys
 from itertools import product
 
 import pytest
@@ -17,6 +19,9 @@ from blp.oracles import (
     well_founded,
 )
 from blp.syntax import parse_program
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "blpbench"))
+import workloads  # noqa: E402
 
 
 def by_name(tv):
@@ -170,8 +175,30 @@ def test_search_transforms_only_open_candidates(monkeypatch):
     assert wf.ints.count(0) == 4 and wfs_steps == 3
     del calls[:]
     models = enumerate_stable_models(gp)
-    assert len(calls) == 3**4 + wfs_steps
+    # the 3^4 candidates are transformed as lanes, not one call each
+    assert len(calls) == wfs_steps
     assert models and all(m.ints[3:5] == wf.ints[3:5] == (-1, 1) for m in models)
+
+
+def test_lane_search_matches_brute_force_on_stable_workload():
+    gps = [
+        ground(parse_program(prog.text))
+        for seed in range(4)
+        for prog in workloads.build("stable", seed).programs.values()
+    ]
+    assert len(gps) == 400
+    for gp in gps:
+        assert enumerate_stable_models(gp) == brute_force_stable_models(gp)
+
+
+def test_lane_search_at_the_cap_with_every_atom_open():
+    text = " ".join(f"a{i} <- ~b{i}. b{i} <- ~a{i}." for i in range(5))
+    gp = ground(parse_program(text))
+    assert len(gp.base) == 10 and well_founded(gp).ints == (0,) * 10
+    models = enumerate_stable_models(gp)
+    assert len(models) == 3**5
+    assert [m.ints for m in models] == sorted(m.ints for m in models)
+    assert models == brute_force_stable_models(gp)
 
 
 def test_enumeration_cap():

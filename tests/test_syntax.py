@@ -229,7 +229,7 @@ PARSE_ERRORS = [
     ("X.", "line 1, column 1: expected a predicate name, found 'X'"),
     ("<- a.", "line 1, column 1: expected a predicate name, found '<-'"),
     ("p(<-).", "line 1, column 3: expected a term, found '<-'"),
-    ("p(a,", "line 1, column 5: expected a term, found ''"),
+    ("p(a,", "line 1, column 5: expected a term, found 'end of input'"),
     ("p <- q(a, .", "line 1, column 11: expected a term, found '.'"),
     ("p <- .", "line 1, column 6: expected a formula, found '.'"),
     ("p <- q &", "line 1, column 9: expected a formula, found 'end of input'"),
