@@ -29,6 +29,15 @@ compiled bodies keep a memo under exactly that key (see
 _stability_steps).  The memo holds closures of the operator, never
 fixpoints: fixU, fixI and the oscillation pair are each still iterated
 from their own start values.
+
+Likewise a body reads the first argument only at the atoms it reads
+without "~" (CompiledBodies.positive).  The closure loop therefore stops
+as soon as an application moves none of those atoms: the next
+application would return the same valuation, so it is counted, as
+naive iteration counts it, but not made (see _iterate).  The outer and
+squared loops confirm every fixpoint with a real application, so their
+counts, and the inner counts those applications add, stay those of
+naive iteration.
 """
 
 from __future__ import annotations
@@ -90,12 +99,25 @@ def _atom_names(base, mask: int) -> str:
     return shown
 
 
-def _iterate(step, start: Valuation, max_apps: int, label: str):
+def _iterate(step, start: Valuation, max_apps: int, label: str, reads: int = -1):
+    """Apply step from start until it returns its argument: the fixpoint
+    and the applications naive iteration makes, the confirming one
+    included.
+
+    step must read its argument only at the atoms of the mask reads.
+    Once an application moves none of them, the next one would return
+    the same valuation, so it is counted but not made, provided naive
+    iteration has room for it within max_apps; otherwise the loop goes
+    on and raises as naive iteration does.
+    """
     prev = cur = start
     for n in range(max_apps):
         nxt = step(cur)
-        if nxt == cur:
+        moved = _moved(cur, nxt)
+        if not moved:
             return cur, n + 1
+        if not moved & reads and n + 2 <= max_apps:
+            return nxt, n + 2
         prev, cur = cur, nxt
     raise InternalInvariantError(
         f"{label} did not converge within {max_apps} applications "
@@ -125,6 +147,10 @@ def _stability_steps(gp: GroundProgram, alpha: Alpha, w: Valuation):
     NegAtom has such a bit in any node mask, so only the neg bits of w
     reach any result.  Two w that agree there therefore produce the
     same iterates, hence the same closure and the same count.
+
+    By the same argument an application reads x only at the atoms some
+    body reads without "~" (CompiledBodies.positive), so _iterate stops
+    one application early once none of those has moved.
     """
     if w.base != gp.base:
         raise BaseMismatchError("valuations do not match the program's base")
@@ -138,6 +164,7 @@ def _stability_steps(gp: GroundProgram, alpha: Alpha, w: Valuation):
             const_valuation(gp.base, alpha),
             _bound(gp),
             "inner consequence iteration",
+            compiled.positive,
         )
     return found
 

@@ -179,7 +179,7 @@ class GroundProgram:
     compiled is None until the engine first evaluates the program; it
     then holds the rule bodies compiled against the base.  oracle_code
     is None until an oracle first checks and compiles the program; it
-    then holds the rules in the oracles' own form.
+    then holds the rules in the oracles' own forms.
     """
 
     __slots__ = ("base", "ir", "not_heads", "compiled", "oracle_code", "_rules")

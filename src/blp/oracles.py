@@ -9,12 +9,23 @@ engine's evaluation code.  Truth values live here as the integers
 conjunction min, disjunction max), and a valuation under construction
 is a list of them indexed by base position.
 
-Each program is checked for conventionality and compiled once, on its
-first use by an oracle, from its ground IR (GroundProgram.ir, see
-grounder) into postfix code over base positions and Kleene-int
-constants (see _compiled); the code is cached on the program.  The
-oracles build their valuations from Kleene ints they computed, so they
-skip the checks of the public ThreeValuation constructor.
+Each program is checked for conventionality and compiled, on its first
+use by an oracle, from its ground IR (GroundProgram.ir, see grounder)
+into postfix code over base positions and Kleene-int constants (see
+_compiled); the code is cached on the program.  Kripke-Kleene reads
+that code as it is.  The transform pins every atom that heads no rule
+to F, so its code, compiled and cached separately (see _pinned), reads
+each positive literal of such an atom as F and folds the constants
+away: F decides a conjunction and T a disjunction.  The oracles build
+their valuations from Kleene ints they computed, so they skip the
+checks of the public ThreeValuation constructor.
+
+A step of each transform loop reads only some positions: the
+transform's positive iteration reads the positions the pinned code
+reads positively, and the well-founded iteration, through the
+transform, the positions it reads negated.  Once a step leaves its
+positions unchanged, the next step would return the same valuation, so
+each loop stops there rather than making that step.
 
 Stable models are searched only over the atoms the well-founded
 semantics leaves unknown, and all candidates at once: candidate L is
@@ -29,7 +40,7 @@ int.
 from __future__ import annotations
 
 from functools import reduce
-from operator import and_, or_
+from operator import and_, itemgetter, or_
 from typing import Iterable
 
 from .bilattice import F, T, TruthValue, U
@@ -44,6 +55,7 @@ _OF_TV = {F: _F3, U: _U3, T: _T3}
 # instruction tags of the compiled code
 _POS, _NEG, _CONST, _AND, _OR = range(5)
 _TAG = {4 + OPS.index(BinOp.AND): _AND, 4 + OPS.index(BinOp.OR): _OR}  # by IR code
+_ABSORB = {_AND: _F3, _OR: _T3}  # the constant that decides each connective
 
 
 class ConventionalityError(ValueError):
@@ -121,34 +133,95 @@ def _compiled(gp: GroundProgram) -> tuple:
     _POS and _NEG push the value of the atom at base position x, read
     positively or negated; _CONST pushes the Kleene int x; _AND and _OR
     pop x values and push their min or max.  A chain of one connective
-    becomes one n-ary instruction: each operand on the compiler's stack
-    is [tag of its open n-ary instruction or None, its operand count,
-    its instructions so far], and a connective extends its left
-    operand's list in place.  A program outside the conventional
-    fragment raises ConventionalityError and is not cached, so every
-    call on it raises.
+    becomes one n-ary instruction (see _compile).  A program outside
+    the conventional fragment raises ConventionalityError and is not
+    cached, so every call on it raises.
+
+    gp.oracle_code maps False to these rules and True to the pinned
+    form of _pinned; each is compiled when first asked for.
     """
-    if gp.oracle_code is not None:
-        return gp.oracle_code
+    forms = gp.oracle_code or {}
+    if False not in forms:
+        forms[False] = _compile(gp, pinned=False)
+        gp.oracle_code = forms
+    return forms[False]
+
+
+def _pinned(gp: GroundProgram) -> tuple:
+    """(rules, positive, negated): the rules as _compiled gives them,
+    but with every positive literal of an atom that heads no rule read
+    as F and the T and F constants folded away, and the base positions
+    the folded code reads positively and negated, each as a function
+    giving the values of a list at those positions.  Checked, compiled
+    and cached like _compiled.
+
+    This is the code of the Gelfond-Lifschitz transform, which pins the
+    atoms that head no rule to F: F absorbs a conjunction and T a
+    disjunction, and the other constant is the identity of each, so
+    a rule body folds to a shorter code or to a constant.  Every IR
+    code is still read, so a node outside the conventional fragment
+    under an absorbed operand raises as in _compiled.
+    """
+    forms = gp.oracle_code or {}
+    if True not in forms:
+        rules = _compile(gp, pinned=True)
+        positive, negated = set(), set()
+        for _, code in rules:
+            for tag, x in code:
+                if tag == _POS:
+                    positive.add(x)
+                elif tag == _NEG:
+                    negated.add(x)
+        forms[True] = rules, _reader(positive), _reader(negated)
+        gp.oracle_code = forms
+    return forms[True]
+
+
+def _reader(positions: set):
+    """A function giving the values of a list at positions, in a form
+    that compares equal exactly when the values there are equal."""
+    if not positions:
+        return lambda values: None
+    return itemgetter(*sorted(positions))
+
+
+def _compile(gp: GroundProgram, pinned: bool) -> tuple:
+    """The rules in the form of _compiled, pinned as _pinned says when
+    pinned is set.
+
+    Each operand on the compiler's stack is [tag of its open n-ary
+    instruction or None, its operand count, its instructions so far],
+    and a connective extends its left operand's list in place.  In
+    pinned code a constant operand is the bare Kleene int, folded into
+    the connective that takes it.
+    """
     n = len(gp.base)
     leaf = [None] * LIT + [
         (tag, i) for i in range(n) for tag in (_POS, _NEG)
     ]  # leaf[c] is the instruction of IR literal code c
     for value in (T, F):
-        leaf[CONSTS.index(value)] = (_CONST, _OF_TV[value])
+        x = _OF_TV[value]
+        leaf[CONSTS.index(value)] = x if pinned else (_CONST, x)
+    if pinned:
+        for i in set(range(n)).difference(head for head, _ in gp.ir):
+            leaf[LIT + 2 * i] = _F3
     rules = []
     for head, code in gp.ir:
         stack = []
         for c in code:
             ins = leaf[c]
             if ins is not None:
-                stack.append([None, 1, [ins]])
+                stack.append(ins if type(ins) is int else [None, 1, [ins]])
                 continue
             tag = _TAG.get(c)
             if tag is None:
                 raise ConventionalityError(_outside(code))
             right = stack.pop()
             left = stack[-1]
+            if type(left) is int or type(right) is int:
+                const, other = (right, left) if type(right) is int else (left, right)
+                stack[-1] = const if const == _ABSORB[tag] else other
+                continue
             if left[0] != tag:
                 if left[0] is not None:
                     left[2].append((left[0], left[1]))
@@ -161,11 +234,13 @@ def _compiled(gp: GroundProgram) -> tuple:
                 left[1] += 1
             left[2] += right[2]
         root = stack[0]
+        if type(root) is int:
+            rules.append((head, ((_CONST, root),)))
+            continue
         if root[0] is not None:
             root[2].append((root[0], root[1]))
         rules.append((head, tuple(root[2])))
-    gp.oracle_code = tuple(rules)
-    return gp.oracle_code
+    return tuple(rules)
 
 
 def _outside(code: tuple) -> str:
@@ -219,20 +294,24 @@ def gl_transform(gp: GroundProgram, v: ThreeValuation) -> ThreeValuation:
     """Extended Gelfond-Lifschitz transform: freeze negated atoms to their
     values under v, then take the truth-least fixpoint of the positive
     consequence operator (non-heads pinned false).  Reading negated atoms
-    from v while iterating is the same as freezing them first."""
-    rules = _compiled(gp)
+    from v while iterating is the same as freezing them first.
+
+    A step reads its argument only at the positions the pinned code
+    reads positively, so once a step leaves those unchanged the next
+    would return the same list, and the iteration stops there."""
+    rules, positive, _ = _pinned(gp)
     if v.base != gp.base:
         raise BaseMismatchError("valuation does not match the program's base")
     cur = [_F3] * len(v.ints)
     for _ in range(2 * len(cur) + 1):
         nxt = _step(rules, cur, v.ints, _F3)
-        if nxt == cur:
-            return ThreeValuation._of(gp.base, cur)
+        if positive(nxt) == positive(cur):
+            return ThreeValuation._of(gp.base, nxt)
         cur = nxt
     raise RuntimeError("positive consequence iteration failed to converge")
 
 
-def _lane_transform(rules: tuple, cand: list, lanes: int) -> list:
+def _lane_transform(rules: tuple, positive, cand: list, lanes: int) -> list:
     """gl_transform of many candidates at once, as bit lanes.
 
     Atom i of lane L is bit L of cand[i] (is it T?) and bit lanes + L
@@ -242,7 +321,9 @@ def _lane_transform(rules: tuple, cand: list, lanes: int) -> list:
     every lane, and a lane's bits depend only on that lane's bits.
     Each lane therefore iterates on its own, monotonely from all-F, to
     its own least fixpoint within the bound gl_transform uses; the
-    whole list stops changing once the last lane has.
+    whole list stops changing once the last lane has.  It stops one
+    step earlier, as gl_transform does, once a step leaves the
+    positions the pinned rules read positively unchanged.
     """
     full = (1 << lanes) - 1
     both = (1 << 2 * lanes) - 1
@@ -266,20 +347,26 @@ def _lane_transform(rules: tuple, cand: list, lanes: int) -> list:
                     del stack[-x:]
                     push(reduce(and_ if tag == _AND else or_, args))
             nxt[head] = stack.pop()
-        if nxt == cur:
-            return cur
+        if positive(nxt) == positive(cur):
+            return nxt
         cur = nxt
     raise RuntimeError("positive consequence iteration failed to converge")
 
 
 def well_founded(gp: GroundProgram) -> ThreeValuation:
     """Least fixpoint of the transform, reached from the all-unknown
-    valuation; this is the well-founded semantics."""
+    valuation; this is the well-founded semantics.
+
+    The transform reads its argument only at the positions the pinned
+    code reads negated, so once a transform leaves those unchanged the
+    next would return the same valuation, and the iteration stops
+    there."""
+    negated = _pinned(gp)[2]
     cur = ThreeValuation.all_unknown(gp.base)
     for _ in range(2 * len(gp.base) + 1):
         nxt = gl_transform(gp, cur)
-        if nxt == cur:
-            return cur
+        if negated(nxt.ints) == negated(cur.ints):
+            return nxt
         cur = nxt
     raise RuntimeError("well-founded iteration failed to converge")
 
@@ -317,7 +404,7 @@ def enumerate_stable_models(gp: GroundProgram, cap: int = 10) -> list:
     fixpoint lanes lowest first gives the lexicographic order.  See
     _lane_transform for the encoding and why lanes cannot interact.
     """
-    rules = _compiled(gp)  # a non-conventional program fails here, before the cap
+    rules, positive, _ = _pinned(gp)  # a non-conventional program fails here, before the cap
     n = len(gp.base)
     if n > cap:
         raise EnumerationCapError(
@@ -340,7 +427,7 @@ def enumerate_stable_models(gp: GroundProgram, cap: int = 10) -> list:
         nf = t | ones << block
         repeat = full // ((1 << 3 * block) - 1)
         cand[i] = (t | nf << lanes) * repeat
-    out = _lane_transform(rules, cand, lanes)
+    out = _lane_transform(rules, positive, cand, lanes)
     diff = 0
     for got, want in zip(out, cand):
         diff |= got ^ want

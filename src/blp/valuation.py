@@ -291,8 +291,9 @@ class CompiledBodies:
     output slot of its body, which folds like a gullibility node: in
     the knowledge code, with bitwise or, from U.  The body of head i
     yields bit i of the result masks; out_mask has every such bit and
-    rest every other bit of the base.  negated has bit i for every atom
-    i some body reads under "~".  closures is the engine's memo of
+    rest every other bit of the base.  positive has bit i for every
+    atom i some body reads without "~", and negated for every atom i
+    some body reads under "~".  closures is the engine's memo of
     stability closures for these bodies; it starts empty.
 
     Each body's IR code is read once, with a stack: a literal pushes its
@@ -304,8 +305,8 @@ class CompiledBodies:
     """
 
     __slots__ = (
-        "width", "lits", "outputs", "out_mask", "rest", "init", "nodes", "negated",
-        "closures",
+        "width", "lits", "outputs", "out_mask", "rest", "init", "nodes", "positive",
+        "negated", "closures",
     )
 
     def __init__(self, base: Base, bodies: Iterable[Tuple[int, tuple]]) -> None:
@@ -361,10 +362,11 @@ class CompiledBodies:
                     todo.append((child, slot, kind))
         self.init = init
         self.nodes = tuple(nodes)
-        negated = 0
+        lits = 0
         for node in nodes:
-            negated |= node[1] >> n
-        self.negated = negated
+            lits |= node[1]
+        self.positive = lits & (1 << n) - 1
+        self.negated = lits >> n
         self.closures = {}
 
     def evaluate(self, v: Valuation, w: Valuation):

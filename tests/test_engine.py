@@ -241,13 +241,16 @@ CORPORA = (
 
 
 def _plain_closure(gp, alpha, w):
-    """The stability closure by direct iteration, bypassing the memo."""
-    return engine._iterate(
-        lambda x: engine.immediate_consequence(gp, alpha, x, w),
-        const_valuation(gp.base, alpha),
-        engine._bound(gp),
-        "plain closure",
-    )
+    """The stability closure by naive iteration, bypassing the memo and
+    _iterate: the closure and the applications made, the one that
+    confirms the fixpoint included."""
+    cur = const_valuation(gp.base, alpha)
+    for n in range(engine._bound(gp)):
+        nxt = engine.immediate_consequence(gp, alpha, cur, w)
+        if nxt == cur:
+            return cur, n + 1
+        cur = nxt
+    raise AssertionError("plain closure did not converge")
 
 
 def _warm(gp):
@@ -317,6 +320,73 @@ def test_memo_key_is_the_negated_atoms_belief_and_doubt():
     # the key carries alpha
     engine.stability(gp, T, w_with())
     assert len(closures) == 4
+
+
+def test_positive_mask_is_the_atoms_read_without_negation():
+    gp = ground(parse_program("p <- ~q & r. r <- ~s | t. q. u <- r & ~r."))
+    atoms = {str(a): i for i, a in enumerate(gp.base.atoms)}
+    compiled = engine._compiled(gp)
+    assert compiled.positive == 1 << atoms["r"] | 1 << atoms["t"]
+    assert compiled.negated == 1 << atoms["q"] | 1 << atoms["s"] | 1 << atoms["r"]
+
+
+def test_closure_skips_the_confirming_application_once_no_read_atom_moves(monkeypatch):
+    # from all-F: q becomes T, then p, which no body reads; naive
+    # iteration needs a third application to see that nothing moves
+    gp = ground(parse_program("p <- q. q."))
+    w = const_valuation(gp.base, U)
+    plain = _plain_closure(gp, F, w)
+    assert plain[1] == 3
+    calls = []
+    consequence = engine.immediate_consequence
+
+    def counting(*args):
+        calls.append(args)
+        return consequence(*args)
+
+    monkeypatch.setattr(engine, "immediate_consequence", counting)
+    assert engine._stability_steps(gp, F, w) == plain
+    assert len(calls) == 2
+
+
+def _stub_steps(base, moves):
+    """A step that swaps F and T at the atoms of moves[k] on its k-th
+    application and returns its argument once moves runs out, and the
+    list of its calls."""
+    calls = []
+
+    def step(v):
+        calls.append(v)
+        k = len(calls) - 1
+        if k >= len(moves):
+            return v
+        return Valuation.from_masks(base, v.belief ^ moves[k], v.doubt ^ moves[k])
+
+    return step, calls
+
+
+def test_iterate_stops_early_only_with_room_for_the_confirming_application():
+    base = ground(parse_program("a. b.")).base
+    start = const_valuation(base, F)
+    a, b = 1, 2  # reads a; the last application moves only b
+    step, calls = _stub_steps(base, [a, b])
+    assert engine._iterate(step, start, 3, "stub", a) == (
+        Valuation.from_masks(base, a | b, 0), 3
+    )
+    assert len(calls) == 2
+    step, calls = _stub_steps(base, [a, a, b])  # the move of b is the last allowed
+    with pytest.raises(engine.InternalInvariantError) as caught:
+        engine._iterate(step, start, 3, "stub", a)
+    assert len(calls) == 3
+    assert str(caught.value) == (
+        "stub did not converge within 3 applications "
+        "(non-monotone update?); still moving: b"
+    )
+    step, calls = _stub_steps(base, [a, a, b])  # naive iteration has room at 4
+    assert engine._iterate(step, start, 4, "stub", a) == (
+        Valuation.from_masks(base, b, a), 4
+    )
+    assert len(calls) == 3
 
 
 def test_iterate_names_the_atoms_still_moving_at_the_bound():

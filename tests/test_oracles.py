@@ -1,6 +1,7 @@
 """Three-valued reference semantics against the four-valued engine."""
 
 import pathlib
+import random
 import sys
 from itertools import product
 
@@ -19,6 +20,7 @@ from blp.oracles import (
     well_founded,
 )
 from blp.syntax import parse_program
+from blp.valuation import Interpretation, PseudoInterpretation, pseudo_eval
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "blpbench"))
 import workloads  # noqa: E402
@@ -154,12 +156,6 @@ def brute_force_stable_models(gp):
     return [c for c in candidates if gl_transform(gp, c) == c]
 
 
-def test_restricted_search_matches_brute_force(conventional_corpus):
-    shaped = [ground(parse_program(text)) for text in STABLE_SHAPED]
-    for gp in list(conventional_corpus) + shaped:
-        assert enumerate_stable_models(gp) == brute_force_stable_models(gp)
-
-
 def test_search_transforms_only_open_candidates(monkeypatch):
     gp = ground(parse_program(STABLE_SHAPED[0]))
     calls = []
@@ -172,7 +168,7 @@ def test_search_transforms_only_open_candidates(monkeypatch):
     monkeypatch.setattr(oracles, "gl_transform", counting)
     wf = well_founded(gp)
     wfs_steps = len(calls)
-    assert wf.ints.count(0) == 4 and wfs_steps == 3
+    assert wf.ints.count(0) == 4 and wfs_steps == 2
     del calls[:]
     models = enumerate_stable_models(gp)
     # the 3^4 candidates are transformed as lanes, not one call each
@@ -199,6 +195,125 @@ def test_lane_search_at_the_cap_with_every_atom_open():
     assert len(models) == 3**5
     assert [m.ints for m in models] == sorted(m.ints for m in models)
     assert models == brute_force_stable_models(gp)
+
+
+# -- an independent reference for the transform ------------------------------
+
+_KLEENE = {F: -1, U: 0, T: 1}
+
+
+def _interpretation(base, ints):
+    atoms = base.atoms
+    return Interpretation(
+        base,
+        [a for a, x in zip(atoms, ints) if x == 1],
+        [a for a, x in zip(atoms, ints) if x == -1],
+    )
+
+
+def reference_transform(gp, v):
+    """The extended GL transform of v by its definition, sharing no code
+    with the oracles: from all-F, each head takes the pseudo_eval value
+    of its body in gp.rules, positive literals read from the current
+    valuation and negated ones from v, and every atom that heads no
+    rule stays F, until nothing changes."""
+    atoms, rules = gp.base.atoms, gp.rules
+    neg = _interpretation(gp.base, v.ints)
+    cur = [-1] * len(atoms)
+    for _ in range(2 * len(atoms) + 1):
+        j = PseudoInterpretation(_interpretation(gp.base, cur), neg)
+        nxt = [_KLEENE[pseudo_eval(j, rules[a])] if a in rules else -1 for a in atoms]
+        if nxt == cur:
+            return ThreeValuation(gp.base, cur)
+        cur = nxt
+    raise AssertionError("the reference transform did not converge")
+
+
+def reference_well_founded(gp):
+    """The reference transform iterated from all-U until it repeats."""
+    chain = [ThreeValuation.all_unknown(gp.base)]
+    while len(chain) <= 2 * len(gp.base) + 1:
+        nxt = reference_transform(gp, chain[-1])
+        if nxt == chain[-1]:
+            return chain
+        chain.append(nxt)
+    raise AssertionError("the reference well-founded iteration did not converge")
+
+
+def _reference_checks(gp, candidates):
+    """Hold well_founded and gl_transform to the reference, on the
+    reference well-founded chain and on candidates; the candidates the
+    reference transform fixes, in their order."""
+    chain = reference_well_founded(gp)
+    assert well_founded(gp) == chain[-1]
+    for v in chain:
+        assert gl_transform(gp, v) == reference_transform(gp, v)
+    fixed = []
+    for v in candidates:
+        want = reference_transform(gp, v)
+        assert gl_transform(gp, v) == want
+        if want == v:
+            fixed.append(v)
+    return fixed
+
+
+def test_restricted_search_matches_brute_force(conventional_corpus):
+    # every candidate, transformed by the reference as well
+    shaped = [ground(parse_program(text)) for text in STABLE_SHAPED]
+    for gp in list(conventional_corpus) + shaped:
+        every = [ThreeValuation(gp.base, c) for c in product((-1, 0, 1), repeat=len(gp.base))]
+        assert enumerate_stable_models(gp) == _reference_checks(gp, every)
+
+
+def test_oracles_match_the_reference_on_the_stable_workload():
+    """Seed 0 of the stable workload, searched over the candidates that
+    keep the reference well-founded values of its settled atoms: every
+    stable model does (see enumerate_stable_models)."""
+    for prog in workloads.build("stable", 0).programs.values():
+        gp = ground(parse_program(prog.text))
+        wf = reference_well_founded(gp)[-1].ints
+        choices = [(-1, 0, 1) if x == 0 else (x,) for x in wf]
+        candidates = [ThreeValuation(gp.base, c) for c in product(*choices)]
+        assert enumerate_stable_models(gp) == _reference_checks(gp, candidates)
+
+
+def test_oracles_match_the_reference_on_the_winmove_workload():
+    rng = random.Random(9)
+    gps = [
+        ground(parse_program(prog.text))
+        for seed in (0, 1)
+        for prog in workloads.build("winmove", seed).programs.values()
+    ]
+    assert len(gps) == 32
+    for gp in gps:
+        candidates = [
+            ThreeValuation(gp.base, (rng.choice((-1, 0, 1)) for _ in gp.base.atoms))
+            for _ in range(2)
+        ]
+        _reference_checks(gp, candidates)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("p <- q & (r + s). r. s.", "connective '+' is outside the conventional fragment"),
+    ("p <- #f & (r * s). r. s.", "connective '*' is outside the conventional fragment"),
+])
+def test_folded_code_still_rejects_what_it_absorbs(text, message):
+    # q heads no rule, so the transform reads it as F, which absorbs the
+    # conjunction exactly as #f does; the node under it still counts
+    gp = ground(parse_program(text))
+    v = ThreeValuation.all_unknown(gp.base)
+    calls = (
+        lambda: gl_transform(gp, v),
+        lambda: well_founded(gp),
+        lambda: kripke_kleene(gp),
+        lambda: enumerate_stable_models(gp),
+    )
+    for _ in range(2):
+        for call in calls:
+            with pytest.raises(ConventionalityError) as caught:
+                call()
+            assert str(caught.value) == message
+    assert gp.oracle_code is None
 
 
 def test_enumeration_cap():
