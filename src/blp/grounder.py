@@ -25,7 +25,7 @@ tuple of ints with the exact tree shape of the body: 0-3 push the truth
 constants U, T, F, I (CONSTS, in the knowledge code belief | doubt << 1),
 4-7 apply &, |, *, + (OPS) to the two values below, LIT + 2i pushes
 atom i and LIT + 2i + 1 its negation.  It is the one input of the
-engine's CompiledBodies, the oracles' Kleene code and
+engine's CompiledBodies, the oracles' interpreter and
 GroundProgram.render.  GroundProgram.rules is an AST view of it, built
 on demand for bottomup and other readers of formulas.  A ground program
 built by hand from formulas gets its IR from formula_code, which finds
@@ -178,8 +178,8 @@ class GroundProgram:
     from rules gets its IR from them at once, through formula_code.
     compiled is None until the engine first evaluates the program; it
     then holds the rule bodies compiled against the base.  oracle_code
-    is None until an oracle first checks and compiles the program; it
-    then holds the rules in the oracles' own forms.
+    is None until the oracles' transform first checks the program; it
+    then holds the IR the transform runs, folded (see oracles._pinned).
     """
 
     __slots__ = ("base", "ir", "not_heads", "compiled", "oracle_code", "_rules")
@@ -542,15 +542,3 @@ def _emit(block: list, env: list, out: list, atoms: list, constants: tuple) -> N
         else:
             out.append(ins[3] if env[ins[1]] == env[ins[2]] else ins[4])
 
-
-def _instantiate(f: Formula, subst: dict, constants: tuple, occurring: set) -> Formula:
-    """f with subst applied and quantifiers expanded, as a formula; adds
-    the (pred, names) pair of every literal to occurring.  f goes
-    through a template, as a clause body does in ground."""
-    tables, atoms, out = {}, [], []
-    _, _, k, block, env = _template(Clause(Atom("", tuple(map(Var, subst))), f), tables)
-    env[:k] = subst.values()
-    _emit(block, env, out, atoms, tuple(constants))
-    found = [GroundAtom(pred, (key,) if type(key) is str else key) for pred, key in atoms]
-    occurring.update((a.pred, a.args) for a in found)
-    return _formula(out, found, {})

@@ -4,21 +4,28 @@ Implements the extended Gelfond-Lifschitz transform (and with it the
 well-founded semantics and the three-valued stable models) and the
 Kripke-Kleene semantics.  These are cross-validation oracles for the
 four-valued engine: they share the parser and grounder but none of the
-engine's evaluation code.  Truth values live here as the integers
--1, 0, 1 with Kleene's strong tables (negation is arithmetic negation,
-conjunction min, disjunction max), and a valuation under construction
-is a list of them indexed by base position.
+engine's evaluation code.  Their public valuations (ThreeValuation)
+hold the integers -1, 0, 1 for F, U, T, Kleene's values; the oracles
+convert them only on entry and exit, and build their results unchecked.
 
-Each program is checked for conventionality and compiled, on its first
-use by an oracle, from its ground IR (GroundProgram.ir, see grounder)
-into postfix code over base positions and Kleene-int constants (see
-_compiled); the code is cached on the program.  Kripke-Kleene reads
-that code as it is.  The transform pins every atom that heads no rule
-to F, so its code, compiled and cached separately (see _pinned), reads
-each positive literal of such an atom as F and folds the constants
-away: F decides a conjunction and T a disjunction.  The oracles build
-their valuations from Kleene ints they computed, so they skip the
-checks of the public ThreeValuation constructor.
+Inside, a value is a lane code: valuation L is bit lane L of a Python
+int, and an atom's value in it a pair of bits (is it T?, is it not F?),
+stored as (not-F lanes) << lanes | (T lanes).  On these bits Kleene's
+conjunction and disjunction (min and max) are & and |, and negation
+swaps the halves and complements them.  gl_transform, well_founded and
+kripke_kleene iterate one valuation, one lane, where F, U and T are 0,
+2 and 3.  A lane's bits depend only on that lane's bits, so the stable
+search transforms every candidate at once, one lane each (see
+enumerate_stable_models).
+
+One interpreter, _run, evaluates the ground IR (GroundProgram.ir, see
+grounder) on lane codes, reading each leaf from a table indexed by IR
+code.  Kripke-Kleene runs the IR as it is, once _check has found it
+conventional.  The transform pins every atom that heads no rule to F,
+so it runs on a copy of the IR (see _pinned), made on first use and
+cached on the program, that reads each positive literal of such an
+atom as F and folds the constants away: F decides a conjunction and T
+a disjunction.
 
 A step of each transform loop reads only some positions: the
 transform's positive iteration reads the positions the pinned code
@@ -26,21 +33,11 @@ reads positively, and the well-founded iteration, through the
 transform, the positions it reads negated.  Once a step leaves its
 positions unchanged, the next step would return the same valuation, so
 each loop stops there rather than making that step.
-
-Stable models are searched only over the atoms the well-founded
-semantics leaves unknown, and all candidates at once: candidate L is
-bit lane L of Python ints, each atom's value in a lane a pair of bits
-(is it T?, is it not F?), so one pass of the same compiled code
-transforms every candidate (see enumerate_stable_models and
-_lane_transform).  The scalar _step stays for the other oracles: they
-iterate one valuation, where a single lane costs more than a Kleene
-int.
 """
 
 from __future__ import annotations
 
-from functools import reduce
-from operator import and_, itemgetter, or_
+from operator import itemgetter
 from typing import Iterable
 
 from .bilattice import F, T, TruthValue, U
@@ -52,10 +49,17 @@ _F3, _U3, _T3 = -1, 0, 1
 _TO_TV = {_F3: F, _U3: U, _T3: T}
 _OF_TV = {F: _F3, U: _U3, T: _T3}
 
-# instruction tags of the compiled code
-_POS, _NEG, _CONST, _AND, _OR = range(5)
-_TAG = {4 + OPS.index(BinOp.AND): _AND, 4 + OPS.index(BinOp.OR): _OR}  # by IR code
-_ABSORB = {_AND: _F3, _OR: _T3}  # the constant that decides each connective
+# one-lane codes; _LANE[x] is the code of Kleene int x (-1 indexes the
+# last item) and _KLEENE[c] the Kleene int of code c
+_F1, _U1, _T1 = 0, 2, 3
+_LANE = (_U1, _T1, _F1)
+_KLEENE = (_F3, None, _U3, _T3)
+
+# IR codes of the conventional fragment, and the codes outside it
+_T, _F = CONSTS.index(T), CONSTS.index(F)
+_AND, _OR = 4 + OPS.index(BinOp.AND), 4 + OPS.index(BinOp.OR)
+_OUTSIDE = frozenset(range(LIT)).difference((_T, _F, _AND, _OR))
+_ABSORB = {_AND: _F, _OR: _T}  # the constant that decides each connective
 
 
 class ConventionalityError(ValueError):
@@ -125,122 +129,78 @@ class ThreeValuation:
         return f"<ThreeValuation {inner}>"
 
 
-def _compiled(gp: GroundProgram) -> tuple:
-    """The program's rules as (head index, code) pairs, checked and
-    compiled from the ground IR on first use and cached on the program.
-
-    code is the rule body in postfix, a tuple of (tag, x) instructions:
-    _POS and _NEG push the value of the atom at base position x, read
-    positively or negated; _CONST pushes the Kleene int x; _AND and _OR
-    pop x values and push their min or max.  A chain of one connective
-    becomes one n-ary instruction (see _compile).  A program outside
-    the conventional fragment raises ConventionalityError and is not
-    cached, so every call on it raises.
-
-    gp.oracle_code maps False to these rules and True to the pinned
-    form of _pinned; each is compiled when first asked for.
-    """
-    forms = gp.oracle_code or {}
-    if False not in forms:
-        forms[False] = _compile(gp, pinned=False)
-        gp.oracle_code = forms
-    return forms[False]
+def _check(ir: tuple) -> None:
+    """Raise ConventionalityError for the first rule body of ir, in
+    order, that has a node outside the conventional fragment."""
+    for _, code in ir:
+        if not _OUTSIDE.isdisjoint(code):
+            raise ConventionalityError(_outside(code))
 
 
 def _pinned(gp: GroundProgram) -> tuple:
-    """(rules, positive, negated): the rules as _compiled gives them,
-    but with every positive literal of an atom that heads no rule read
-    as F and the T and F constants folded away, and the base positions
-    the folded code reads positively and negated, each as a function
-    giving the values of a list at those positions.  Checked, compiled
-    and cached like _compiled.
+    """(rules, positive, negated): the rules of the program's IR, with
+    every positive literal of an atom that heads no rule read as F and
+    the T and F constants folded away, and the base positions the folded
+    code reads positively and negated, each as a function giving the
+    values of a list at those positions.  Checked and folded on first
+    use and cached on the program as gp.oracle_code; a program outside
+    the conventional fragment raises ConventionalityError and is not
+    cached, so every call on it raises.
 
     This is the code of the Gelfond-Lifschitz transform, which pins the
     atoms that head no rule to F: F absorbs a conjunction and T a
     disjunction, and the other constant is the identity of each, so
-    a rule body folds to a shorter code or to a constant.  Every IR
-    code is still read, so a node outside the conventional fragment
-    under an absorbed operand raises as in _compiled.
+    a rule body folds to a shorter code or to a constant.  The whole IR
+    is checked first, so a node outside the conventional fragment under
+    an absorbed operand raises as well.
     """
-    forms = gp.oracle_code or {}
-    if True not in forms:
-        rules = _compile(gp, pinned=True)
-        positive, negated = set(), set()
-        for _, code in rules:
-            for tag, x in code:
-                if tag == _POS:
-                    positive.add(x)
-                elif tag == _NEG:
-                    negated.add(x)
-        forms[True] = rules, _reader(positive), _reader(negated)
-        gp.oracle_code = forms
-    return forms[True]
+    if gp.oracle_code is None:
+        _check(gp.ir)
+        n = len(gp.base)
+        leaf = list(range(LIT + 2 * n))  # the code each leaf code folds as
+        for i in set(range(n)).difference(head for head, _ in gp.ir):
+            leaf[LIT + 2 * i] = _F
+        rules = tuple((head, _fold(code, leaf)) for head, code in gp.ir)
+        read = set().union(*(code for _, code in rules))
+        gp.oracle_code = (
+            rules,
+            _reader(i for i in range(n) if LIT + 2 * i in read),
+            _reader(i for i in range(n) if LIT + 2 * i + 1 in read),
+        )
+    return gp.oracle_code
 
 
-def _reader(positions: set):
+def _fold(code: tuple, leaf: list) -> tuple:
+    """code with each leaf code c read as leaf[c] and the T and F
+    constants folded through & and |: postfix again, or one constant.
+    An operand on the stack is a constant code or a list of codes."""
+    stack = []
+    for c in code:
+        if c != _AND and c != _OR:
+            c = leaf[c]
+            stack.append(c if c < LIT else [c])
+            continue
+        right = stack.pop()
+        left = stack[-1]
+        if type(right) is int:
+            if right == _ABSORB[c]:
+                stack[-1] = right
+        elif type(left) is int:
+            stack[-1] = left if left == _ABSORB[c] else right
+        else:
+            left += right
+            left.append(c)
+    root = stack[0]
+    return (root,) if type(root) is int else tuple(root)
+
+
+def _reader(positions: Iterable[int]):
     """A function giving the values of a list at positions, in a form
     that compares equal exactly when the values there are equal."""
+    positions = sorted(positions)
     if not positions:
         return lambda values: None
-    return itemgetter(*sorted(positions))
-
-
-def _compile(gp: GroundProgram, pinned: bool) -> tuple:
-    """The rules in the form of _compiled, pinned as _pinned says when
-    pinned is set.
-
-    Each operand on the compiler's stack is [tag of its open n-ary
-    instruction or None, its operand count, its instructions so far],
-    and a connective extends its left operand's list in place.  In
-    pinned code a constant operand is the bare Kleene int, folded into
-    the connective that takes it.
-    """
-    n = len(gp.base)
-    leaf = [None] * LIT + [
-        (tag, i) for i in range(n) for tag in (_POS, _NEG)
-    ]  # leaf[c] is the instruction of IR literal code c
-    for value in (T, F):
-        x = _OF_TV[value]
-        leaf[CONSTS.index(value)] = x if pinned else (_CONST, x)
-    if pinned:
-        for i in set(range(n)).difference(head for head, _ in gp.ir):
-            leaf[LIT + 2 * i] = _F3
-    rules = []
-    for head, code in gp.ir:
-        stack = []
-        for c in code:
-            ins = leaf[c]
-            if ins is not None:
-                stack.append(ins if type(ins) is int else [None, 1, [ins]])
-                continue
-            tag = _TAG.get(c)
-            if tag is None:
-                raise ConventionalityError(_outside(code))
-            right = stack.pop()
-            left = stack[-1]
-            if type(left) is int or type(right) is int:
-                const, other = (right, left) if type(right) is int else (left, right)
-                stack[-1] = const if const == _ABSORB[tag] else other
-                continue
-            if left[0] != tag:
-                if left[0] is not None:
-                    left[2].append((left[0], left[1]))
-                left[0], left[1] = tag, 1
-            if right[0] == tag:
-                left[1] += right[1]
-            else:
-                if right[0] is not None:
-                    right[2].append((right[0], right[1]))
-                left[1] += 1
-            left[2] += right[2]
-        root = stack[0]
-        if type(root) is int:
-            rules.append((head, ((_CONST, root),)))
-            continue
-        if root[0] is not None:
-            root[2].append((root[0], root[1]))
-        rules.append((head, tuple(root[2])))
-    return tuple(rules)
+    return itemgetter(*positions)
 
 
 def _outside(code: tuple) -> str:
@@ -258,7 +218,7 @@ def _outside(code: tuple) -> str:
         else:
             start = k
             starts.append(k)
-        if c >= LIT or c in _TAG or c < 4 and CONSTS[c] in (T, F):
+        if c not in _OUTSIDE:
             continue
         if first is None or start <= first_at:
             first, first_at = c, k
@@ -267,90 +227,79 @@ def _outside(code: tuple) -> str:
     return f"connective {OPS[first - 4].value!r} is outside the conventional fragment"
 
 
-def _step(rules: tuple, pos, neg, rest: int) -> list:
-    """The Kleene value of every rule body, at its head's position,
-    reading positive atoms from pos and negated atoms, negated, from
-    neg (both indexed by base position); every other atom takes rest."""
-    out = [rest] * len(pos)
+def _table(n: int, lanes: int) -> list:
+    """A leaf table for _run over n atoms and lanes lanes: the T and F
+    slots hold all-ones and 0, and the literal slots, table[LIT::2]
+    for the atoms and table[LIT + 1::2] for their negations, are the
+    caller's to fill."""
+    table = [None] * (LIT + 2 * n)
+    table[_T] = (1 << 2 * lanes) - 1
+    table[_F] = 0
+    return table
+
+
+def _negated(values: list, lanes: int) -> list:
+    """The negations of lane codes: their halves swapped and complemented."""
+    full = (1 << lanes) - 1
+    both = (1 << 2 * lanes) - 1
+    return [both ^ (c >> lanes | (c & full) << lanes) for c in values]
+
+
+def _run(rules: tuple, table: list, out: list) -> None:
+    """Set out[head] to the value of each rule's postfix IR code.
+
+    A leaf code c, a constant or a literal, pushes table[c]; IR & and |
+    pop two values and push their bitwise and and or, which on lane
+    codes are Kleene's min and max in every lane at once."""
     stack = []
-    push = stack.append
+    push, pop = stack.append, stack.pop
     for head, code in rules:
-        for tag, x in code:
-            if tag == _POS:
-                push(pos[x])
-            elif tag == _NEG:
-                push(-neg[x])
-            elif tag == _CONST:
-                push(x)
+        for c in code:
+            if c == _AND:
+                x = pop()
+                stack[-1] &= x
+            elif c == _OR:
+                x = pop()
+                stack[-1] |= x
             else:
-                args = stack[-x:]
-                del stack[-x:]
-                push(min(args) if tag == _AND else max(args))
-        out[head] = stack.pop()
-    return out
+                push(table[c])
+        out[head] = pop()
+
+
+def _least(rules: tuple, positive, table: list, n: int) -> list:
+    """The truth-least fixpoint of the pinned rules over n atoms, from
+    all-F: each step writes the current values into the positive
+    literal slots of table and runs the rules, and every atom that
+    heads no rule stays F.  The negated slots hold the frozen values.
+
+    A step reads its argument only at the positions the pinned code
+    reads positively, so once a step leaves those unchanged the next
+    would return the same list, and the iteration stops there."""
+    cur = [_F1] * n
+    for _ in range(2 * n + 1):
+        table[LIT::2] = cur
+        nxt = [_F1] * n
+        _run(rules, table, nxt)
+        if positive(nxt) == positive(cur):
+            return nxt
+        cur = nxt
+    raise RuntimeError("positive consequence iteration failed to converge")
 
 
 def gl_transform(gp: GroundProgram, v: ThreeValuation) -> ThreeValuation:
     """Extended Gelfond-Lifschitz transform: freeze negated atoms to their
     values under v, then take the truth-least fixpoint of the positive
     consequence operator (non-heads pinned false).  Reading negated atoms
-    from v while iterating is the same as freezing them first.
-
-    A step reads its argument only at the positions the pinned code
-    reads positively, so once a step leaves those unchanged the next
-    would return the same list, and the iteration stops there."""
+    from v while iterating is the same as freezing them first.  The
+    iteration is _least, in one lane."""
     rules, positive, _ = _pinned(gp)
     if v.base != gp.base:
         raise BaseMismatchError("valuation does not match the program's base")
-    cur = [_F3] * len(v.ints)
-    for _ in range(2 * len(cur) + 1):
-        nxt = _step(rules, cur, v.ints, _F3)
-        if positive(nxt) == positive(cur):
-            return ThreeValuation._of(gp.base, nxt)
-        cur = nxt
-    raise RuntimeError("positive consequence iteration failed to converge")
-
-
-def _lane_transform(rules: tuple, positive, cand: list, lanes: int) -> list:
-    """gl_transform of many candidates at once, as bit lanes.
-
-    Atom i of lane L is bit L of cand[i] (is it T?) and bit lanes + L
-    (is it not F?): a Kleene int v is the pair (v == T, v != F).  On
-    these bits min and max are & and |, and negation swaps the halves
-    and complements them, so one pass of the compiled code evaluates
-    every lane, and a lane's bits depend only on that lane's bits.
-    Each lane therefore iterates on its own, monotonely from all-F, to
-    its own least fixpoint within the bound gl_transform uses; the
-    whole list stops changing once the last lane has.  It stops one
-    step earlier, as gl_transform does, once a step leaves the
-    positions the pinned rules read positively unchanged.
-    """
-    full = (1 << lanes) - 1
-    both = (1 << 2 * lanes) - 1
-    neg = [both ^ (c >> lanes | (c & full) << lanes) for c in cand]
-    const = {_T3: both, _F3: 0}
-    cur = [0] * len(cand)
-    for _ in range(2 * len(cur) + 1):
-        nxt = [0] * len(cur)
-        stack = []
-        push = stack.append
-        for head, code in rules:
-            for tag, x in code:
-                if tag == _POS:
-                    push(cur[x])
-                elif tag == _NEG:
-                    push(neg[x])
-                elif tag == _CONST:
-                    push(const[x])
-                else:
-                    args = stack[-x:]
-                    del stack[-x:]
-                    push(reduce(and_ if tag == _AND else or_, args))
-            nxt[head] = stack.pop()
-        if positive(nxt) == positive(cur):
-            return nxt
-        cur = nxt
-    raise RuntimeError("positive consequence iteration failed to converge")
+    n = len(v.ints)
+    table = _table(n, 1)
+    table[LIT + 1::2] = [_LANE[-x] for x in v.ints]  # Kleene negation is -x
+    out = _least(rules, positive, table, n)
+    return ThreeValuation._of(gp.base, [_KLEENE[c] for c in out])
 
 
 def well_founded(gp: GroundProgram) -> ThreeValuation:
@@ -373,13 +322,19 @@ def well_founded(gp: GroundProgram) -> ThreeValuation:
 
 def kripke_kleene(gp: GroundProgram) -> ThreeValuation:
     """Knowledge-least fixpoint of the single-valuation consequence
-    operator: heads take their body's Kleene value, non-heads stay unknown."""
-    rules = _compiled(gp)
-    cur = [_U3] * len(gp.base)
-    for _ in range(2 * len(cur) + 1):
-        nxt = _step(rules, cur, cur, _U3)
+    operator: heads take their body's Kleene value, non-heads stay unknown.
+    It runs the program's IR as it is, in one lane."""
+    _check(gp.ir)
+    n = len(gp.base)
+    table = _table(n, 1)
+    cur = [_U1] * n
+    for _ in range(2 * n + 1):
+        table[LIT::2] = cur
+        table[LIT + 1::2] = _negated(cur, 1)
+        nxt = [_U1] * n
+        _run(gp.ir, table, nxt)
         if nxt == cur:
-            return ThreeValuation._of(gp.base, cur)
+            return ThreeValuation._of(gp.base, [_KLEENE[c] for c in cur])
         cur = nxt
     raise RuntimeError("Kripke-Kleene iteration failed to converge")
 
@@ -399,10 +354,12 @@ def enumerate_stable_models(gp: GroundProgram, cap: int = 10) -> list:
     the number of atoms left open.
 
     The 3^k candidates over the k open atoms are transformed at once,
-    as bit lanes of Python ints: lane L is candidate L in
+    by one run of _least in 3^k lanes: lane L is candidate L in
     itertools.product((F, U, T), repeat=k) order, so reading the
-    fixpoint lanes lowest first gives the lexicographic order.  See
-    _lane_transform for the encoding and why lanes cannot interact.
+    fixpoint lanes lowest first gives the lexicographic order.  Lanes
+    cannot interact, so each iterates on its own, monotonely from
+    all-F, to its own least fixpoint within the bound of _least; the
+    whole list stops changing once the last lane has.
     """
     rules, positive, _ = _pinned(gp)  # a non-conventional program fails here, before the cap
     n = len(gp.base)
@@ -427,7 +384,9 @@ def enumerate_stable_models(gp: GroundProgram, cap: int = 10) -> list:
         nf = t | ones << block
         repeat = full // ((1 << 3 * block) - 1)
         cand[i] = (t | nf << lanes) * repeat
-    out = _lane_transform(rules, positive, cand, lanes)
+    table = _table(n, lanes)
+    table[LIT + 1::2] = _negated(cand, lanes)
+    out = _least(rules, positive, table, n)
     diff = 0
     for got, want in zip(out, cand):
         diff |= got ^ want

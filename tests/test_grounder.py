@@ -218,8 +218,8 @@ def _instantiated_reference(f, subst, constants, occurring):
 
 
 def test_instantiate_matches_structural_recursion():
-    from blp.grounder import _instantiate
-    from blp.syntax import NegAtom, Quant, Quantified, Var
+    # each formula is the body of h(X) <- f., ground over the constants a, b
+    from blp.syntax import Clause, NegAtom, Program, Quant, Quantified, Var
 
     rng = random.Random(13)
     ops = list(BinOp)
@@ -239,9 +239,14 @@ def test_instantiate_matches_structural_recursion():
             f = Binary(op if rng.random() < 0.8 else rng.choice(ops), f, formula(depth - 1))
         return f
 
+    constants = ("a", "b")
+    heads = {GroundAtom("h", (c,)) for c in constants}
     for _ in range(300):
         f = formula(4)
-        got, want = set(), set()
-        args = ({"X": "a"}, ("a", "b"))
-        assert _instantiate(f, *args, got) == _instantiated_reference(f, *args, want)
-        assert got == want
+        program = Program.from_clauses([Clause(Atom("h", (Var("X"),)), f)])
+        gp = ground(program, extra_constants=constants)
+        occurring = set()
+        for c in constants:
+            want = _instantiated_reference(f, {"X": c}, constants, occurring)
+            assert gp.rules[GroundAtom("h", (c,))] == want
+        assert set(gp.base) == heads | {GroundAtom(*key) for key in occurring}

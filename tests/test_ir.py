@@ -6,7 +6,8 @@ import sys
 import pytest
 
 from blp import oracles
-from blp.grounder import GroundProgram, formula_code, ground
+from blp.bilattice import T
+from blp.grounder import CONSTS, LIT, GroundAtom, GroundProgram, formula_code, ground
 from blp.oracles import ConventionalityError
 from blp.syntax import (
     Binary,
@@ -87,12 +88,35 @@ def test_render_parenthesizes_like_render_formula():
         assert f"h <- {render_formula(body)}.\n" in gp.render()
 
 
-def test_oracle_code_flattens_one_connective_into_one_instruction():
-    gp = ground(parse_program("h <- a & (b & c) & (d | ~e | #f)."))
-    (_, code), = [r for r in oracles._compiled(gp) if gp.base.atoms[r[0]].pred == "h"]
-    tags = [tag for tag, _ in code]
-    assert tags.count(oracles._AND) == 1 and tags.count(oracles._OR) == 1
-    assert code[-1] == (oracles._AND, 4) and (oracles._OR, 3) in code
+def _pinned_code(gp, pred):
+    rules = oracles._pinned(gp)[0]
+    (code,) = [code for head, code in rules if gp.base.atoms[head].pred == pred]
+    return code
+
+
+def test_pinned_code_folds_the_pinned_atoms_and_the_constants():
+    # q heads no rule, so a & q is F, which the disjunction drops, and
+    # ~b & #t is ~b: the rule of h is the one literal ~b
+    gp = ground(parse_program("h <- (a & q) | (~b & #t). a. b."))
+    b = gp.base.index(GroundAtom("b"))
+    assert _pinned_code(gp, "h") == (LIT + 2 * b + 1,)
+    gp = ground(parse_program("p <- q | #t."))
+    assert _pinned_code(gp, "p") == (CONSTS.index(T),)
+
+
+def test_kripke_kleene_runs_the_ir_itself(monkeypatch):
+    gp = ground(parse_program("h <- (a & q) | (~b & #t). a. b. p <- q | #t."))
+    seen = []
+    run = oracles._run
+
+    def recording(rules, table, out):
+        seen.append(rules)
+        run(rules, table, out)
+
+    monkeypatch.setattr(oracles, "_run", recording)
+    oracles.kripke_kleene(gp)
+    assert seen and all(rules is gp.ir for rules in seen)
+    assert gp.oracle_code is None
 
 
 def _first_outside(body):
@@ -113,7 +137,7 @@ def test_conventionality_error_names_the_first_node_in_preorder(mixed_corpus):
     for gp in gps:
         want = next(filter(None, map(_first_outside, gp.rules.values())), None)
         if want is None:
-            oracles._compiled(gp)
+            oracles.kripke_kleene(gp)  # does not raise
             continue
         failing += 1
         with pytest.raises(ConventionalityError) as caught:

@@ -1,5 +1,6 @@
 """Three-valued reference semantics against the four-valued engine."""
 
+import ast
 import pathlib
 import random
 import sys
@@ -7,6 +8,7 @@ from itertools import product
 
 import pytest
 
+import proggen
 from blp import engine, oracles
 from blp.bilattice import F, T, U
 from blp.grounder import GroundAtom, ground
@@ -240,6 +242,24 @@ def reference_well_founded(gp):
     raise AssertionError("the reference well-founded iteration did not converge")
 
 
+def reference_kripke_kleene(gp):
+    """Kripke-Kleene by its definition, sharing no code with the
+    oracles: from all-U, each head takes the pseudo_eval value of its
+    body in gp.rules, with both halves of the pseudo-interpretation the
+    current valuation, and every atom that heads no rule stays U, until
+    nothing changes."""
+    atoms, rules = gp.base.atoms, gp.rules
+    cur = [0] * len(atoms)
+    for _ in range(2 * len(atoms) + 1):
+        i = _interpretation(gp.base, cur)
+        j = PseudoInterpretation(i, i)
+        nxt = [_KLEENE[pseudo_eval(j, rules[a])] if a in rules else 0 for a in atoms]
+        if nxt == cur:
+            return ThreeValuation(gp.base, cur)
+        cur = nxt
+    raise AssertionError("the reference Kripke-Kleene iteration did not converge")
+
+
 def _reference_checks(gp, candidates):
     """Hold well_founded and gl_transform to the reference, on the
     reference well-founded chain and on candidates; the candidates the
@@ -291,6 +311,42 @@ def test_oracles_match_the_reference_on_the_winmove_workload():
             for _ in range(2)
         ]
         _reference_checks(gp, candidates)
+
+
+def test_kripke_kleene_matches_the_reference(conventional_corpus):
+    wide = [  # the wide corpus of scripts/dump_outputs.py
+        proggen.random_ground_program(4000 + seed, conventional=True, max_atoms=10)
+        for seed in range(30)
+    ]
+    winmove = [
+        ground(parse_program(prog.text))
+        for seed in (0, 1)
+        for prog in workloads.build("winmove", seed).programs.values()
+    ]
+    corpus = [
+        ground(parse_program(prog.text))
+        for name, prog in workloads.build("corpus", 0).programs.items()
+        if name.startswith("v")
+    ]
+    assert len(winmove) == 32 and len(corpus) == 200
+    for gp in list(conventional_corpus) + wide + winmove + corpus:
+        assert kripke_kleene(gp) == reference_kripke_kleene(gp)
+
+
+def test_oracles_import_no_other_evaluator():
+    # the engine, bottomup and the oracles keep separate evaluation code
+    tree = ast.parse(pathlib.Path(oracles.__file__).read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names.update(alias.name.split("."))
+        elif isinstance(node, ast.ImportFrom):
+            names.update((node.module or "").split("."))
+            names.update(alias.name for alias in node.names)
+    assert {"grounder", "GroundProgram"} <= names
+    banned = {"engine", "bottomup", "CompiledBodies", "contrajoin_eval", "pseudo_eval"}
+    assert not names & banned
 
 
 @pytest.mark.parametrize("text, message", [
