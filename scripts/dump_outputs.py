@@ -8,6 +8,9 @@ conventional programs of up to 10 atoms), on seeded programs of five
 even loops, whose stable-model search spans 3^10 candidates, and, when
 blpbench is importable, on the programs of seeds 0-3 of every benchmark
 workload.
+Each program is run with argv in several shapes: every flag spelled out,
+--format left out, flags in another order, the file before the flags,
+--format=tsv and an abbreviated --form.
 Writes one line per call: the argv (with program file names relative to
 a temporary directory), the exit code, and the SHA-256 of stdout and of
 stderr.  It also writes, per program, engine.semantics(...).iteration_counts
@@ -106,13 +109,23 @@ def _argvs(path, models):
         yield ["eval", "--semantics", "stable-enum", "--format", fmt, path]
         yield ["compare", "--format", fmt, path]
     for sem in ("consensus", "wfs", "kk"):
-        yield ["eval", "--semantics", sem, "--format", "tsv", path]
+        for fmt in FORMATS:
+            yield ["eval", "--semantics", sem, "--format", fmt, path]
     yield ["ground", path]
+    # argv in other shapes: --format left out, flags in another order,
+    # the file before the flags, --flag=value and an abbreviated flag
+    yield ["eval", "--alpha", "T", "--semantics", "fixF", path]
+    yield ["eval", "--semantics", "stable-enum", path]
+    yield ["compare", path]
+    yield ["eval", path, "--format", "tsv", "--semantics", "fixT", "--alpha", "I"]
+    yield ["compare", "--format=tsv", path]
+    yield ["eval", "--form", "tsv", "--semantics", "fixI", "--alpha", "U", path]
     for model in models:
         for alpha in ALPHAS:
             yield ["check", "--alpha", alpha, "--model", model, "--format", "tsv", path]
         for fmt in ("table", "json"):
             yield ["check", "--alpha", "F", "--model", model, "--format", fmt, path]
+        yield ["check", path, "--model", model, "--alpha", "T"]
 
 
 def _sha(text: str) -> str:

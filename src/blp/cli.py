@@ -9,6 +9,17 @@ Exit status: 0 on success, 1 on user errors (unreadable input, syntax,
 arity, bad model files, bad flags), 2 when a computed result violates
 an internal algebraic invariant, which indicates a bug rather than bad
 input.
+
+Each subcommand's options are one table, COMMANDS: flag, choices,
+default, whether required, help.  build_parser builds argparse from it,
+and _read_argv reads the plain argv, the subcommand and then its flags,
+each once with a value, and the file, in any order, into the Namespace
+argparse would return, without building the parser.  Any other argv,
+help and every error included, goes to argparse, which is therefore the
+one source of usage and error text.
+
+Output is written from the masks: Valuation.symbols gives one symbol per
+atom, and the atom texts come from Base.names.
 """
 
 from __future__ import annotations
@@ -18,13 +29,14 @@ import functools
 import json
 import re
 import sys
+from typing import NamedTuple, Optional
 
 from . import engine, oracles
 from .bilattice import TruthValue
 from .grounder import GroundProgram, ground
 from .oracles import ThreeValuation
 from .syntax import ParseError, is_conventional, parse_program
-from .valuation import Valuation
+from .valuation import Valuation, value_masks
 
 SEMANTICS_CHOICES = (
     "fixU",
@@ -48,54 +60,6 @@ class CliError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # route argparse failures to exit status 1
         raise CliError(f"{self.prog}: {message}")
-
-
-@functools.cache  # built on first use, then shared by every call of main
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="blp", description="Four-valued logic program semantics")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("file", nargs="?", default="-",
-                       help="program file (.blp), or - for stdin")
-        p.add_argument("--base", choices=("occurring", "full"), default="occurring",
-                       help="atom universe: atoms occurring in rules, or the full "
-                            "predicate-by-constant base")
-        p.add_argument("--const", default="",
-                       help="comma-separated extra domain constants")
-        p.add_argument("--strict-conventional", action="store_true",
-                       help="reject programs whose bodies are not conjunctions "
-                            "of literals")
-
-    def formatted(p):
-        p.add_argument("--format", choices=("table", "tsv", "json"), default="table")
-
-    p_eval = sub.add_parser("eval", help="compute one semantics")
-    p_eval.add_argument("--alpha", choices=("F", "T", "U", "I"),
-                        help="default value for atoms heading no rule")
-    p_eval.add_argument("--semantics", required=True, choices=SEMANTICS_CHOICES)
-    formatted(p_eval)
-    common(p_eval)
-    p_eval.set_defaults(func=cmd_eval)
-
-    p_cmp = sub.add_parser("compare", help="all four defaults plus consensus")
-    formatted(p_cmp)
-    common(p_cmp)
-    p_cmp.set_defaults(func=cmd_compare)
-
-    p_chk = sub.add_parser("check", help="check a candidate model from a file")
-    p_chk.add_argument("--alpha", required=True, choices=("F", "T", "U", "I"))
-    p_chk.add_argument("--model", required=True,
-                       help="file of atom<TAB>value lines covering the base")
-    formatted(p_chk)
-    common(p_chk)
-    p_chk.set_defaults(func=cmd_check)
-
-    p_gnd = sub.add_parser("ground", help="dump the ground program")
-    common(p_gnd)
-    p_gnd.set_defaults(func=cmd_ground)
-
-    return parser
 
 
 def _read_input(path: str) -> str:
@@ -133,13 +97,22 @@ def _load_ground_program(args) -> GroundProgram:
 
 
 def _print_columns(rows, header=None) -> None:
-    table = ([header] if header else []) + [list(map(str, r)) for r in rows]
-    if not table or not rows and header is None:
+    """Left-aligned columns of strings, one space apart."""
+    table = [header] if header else []
+    table += rows
+    if not table:
         return
     widths = [max(len(r[i]) for r in table) for i in range(len(table[0]))]
-    for row in table:
-        cells = [c.ljust(w) for c, w in zip(row, widths)]
-        print(" ".join(cells).rstrip())
+    sys.stdout.write("".join(
+        " ".join([c.ljust(w) for c, w in zip(row, widths)]).rstrip() + "\n"
+        for row in table
+    ))
+
+
+def _print_tsv(rows, header) -> None:
+    lines = ["\t".join(header)]
+    lines += map("\t".join, rows)
+    sys.stdout.write("\n".join(lines) + "\n")
 
 
 def _emit_valuation(v: Valuation, fmt: str) -> None:
@@ -148,26 +121,25 @@ def _emit_valuation(v: Valuation, fmt: str) -> None:
     elif fmt == "tsv":
         sys.stdout.write(v.to_lines())
     else:
-        _print_columns(list(v.items()))
+        _print_columns(zip(v.base.names, v.symbols()))
 
 
-def _emit_model_set(models, fmt: str) -> None:
-    valuations = sorted((m.to_valuation() for m in models), key=Valuation.to_lines)
+def _emit_model_set(names, models, fmt: str) -> None:
+    """The models' columns, sorted as their to_lines texts: over one
+    base those first differ at the first atom whose values differ, as
+    their symbols do."""
+    columns = sorted(m.to_valuation().symbols() for m in models)
     if fmt == "json":
-        print(json.dumps([v.to_json_dict() for v in valuations],
-                         indent=2, sort_keys=True))
+        print(json.dumps([dict(zip(names, c)) for c in columns], indent=2, sort_keys=True))
         return
-    if not valuations:
+    if not columns:
         return
-    atoms = valuations[0].base.atoms
-    names = [f"model{i + 1}" for i in range(len(valuations))]
-    rows = [[str(a)] + [str(v[a]) for v in valuations] for a in atoms]
+    header = ["atom"] + [f"model{i + 1}" for i in range(len(columns))]
+    rows = zip(names, *columns)
     if fmt == "tsv":
-        print("\t".join(["atom"] + names))
-        for row in rows:
-            print("\t".join(row))
+        _print_tsv(rows, header)
     else:
-        _print_columns(rows, header=["atom"] + names)
+        _print_columns(rows, header)
 
 
 def cmd_eval(args) -> int:
@@ -193,7 +165,7 @@ def cmd_eval(args) -> int:
     elif name == "kk":
         result = oracles.kripke_kleene(gp).to_valuation()
     else:
-        _emit_model_set(oracles.enumerate_stable_models(gp), args.format)
+        _emit_model_set(gp.base.names, oracles.enumerate_stable_models(gp), args.format)
         return 0
     _emit_valuation(result, args.format)
     return 0
@@ -207,14 +179,9 @@ def cmd_compare(args) -> int:
         payload = {n: report.valuations[n].to_json_dict() for n in names}
         print(json.dumps(payload, indent=2, sort_keys=True))
         return 0
-    rows = [
-        [str(a)] + [str(report.valuations[n][a]) for n in names]
-        for a in gp.base.atoms
-    ]
+    rows = zip(gp.base.names, *[report.valuations[n].symbols() for n in names])
     if args.format == "tsv":
-        print("\t".join(["atom"] + names))
-        for row in rows:
-            print("\t".join(row))
+        _print_tsv(rows, ["atom"] + names)
         return 0
     _print_columns(rows, header=["atom"] + names)
     print()
@@ -234,8 +201,9 @@ def _yn(flag: bool) -> str:
 
 def _parse_model_file(path: str, gp: GroundProgram) -> Valuation:
     text = _read_input(path)
-    by_name = {str(atom): atom for atom in gp.base.atoms}
-    mapping = {}
+    names = gp.base.names
+    by_name = {name: i for i, name in enumerate(names)}
+    belief = doubt = seen = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("%"):
@@ -246,20 +214,25 @@ def _parse_model_file(path: str, gp: GroundProgram) -> Valuation:
         atom_text, value_text = parts
         if not _ATOM_RE.match(atom_text):
             raise CliError(f"{path}:{lineno}: malformed atom {atom_text!r}")
-        atom = by_name.get(atom_text)
-        if atom is None:
+        i = by_name.get(atom_text)
+        if i is None:
             raise CliError(f"{path}:{lineno}: unknown atom {atom_text}")
         try:
             value = TruthValue.from_symbol(value_text)
         except ValueError as exc:
             raise CliError(f"{path}:{lineno}: {exc}") from None
-        if atom in mapping:
+        bit = 1 << i
+        if seen & bit:
             raise CliError(f"{path}:{lineno}: duplicate atom {atom_text}")
-        mapping[atom] = value
-    missing = [str(a) for a in gp.base.atoms if a not in mapping]
+        seen |= bit
+        b, d = value_masks(value, bit)
+        belief |= b
+        doubt |= d
+    missing = ~seen & ((1 << len(names)) - 1)
     if missing:
-        raise CliError(f"model file is missing atom {missing[0]}")
-    return Valuation.from_mapping(gp.base, mapping)
+        first = (missing & -missing).bit_length() - 1
+        raise CliError(f"model file is missing atom {names[first]}")
+    return Valuation.from_masks(gp.base, belief, doubt)
 
 
 def cmd_check(args) -> int:
@@ -300,10 +273,140 @@ def cmd_ground(args) -> int:
     return 0
 
 
+class Option(NamedTuple):
+    """One entry of a subcommand's option table.  A flag without a
+    leading "-" is the positional argument.  choices None takes any
+    value.  A flag whose default is False is a switch: it takes no value
+    and sets True."""
+
+    flag: str
+    choices: Optional[tuple] = None
+    default: object = None
+    required: bool = False
+    help: Optional[str] = None
+
+
+_ALPHAS = ("F", "T", "U", "I")
+_FORMAT = Option("--format", ("table", "tsv", "json"), "table")
+_COMMON = (
+    Option("file", default="-", help="program file (.blp), or - for stdin"),
+    Option("--base", ("occurring", "full"), "occurring",
+           help="atom universe: atoms occurring in rules, or the full "
+                "predicate-by-constant base"),
+    Option("--const", default="", help="comma-separated extra domain constants"),
+    Option("--strict-conventional", default=False,
+           help="reject programs whose bodies are not conjunctions of literals"),
+)
+
+# name: (help, function, options in the order argparse lists them)
+COMMANDS = {
+    "eval": ("compute one semantics", cmd_eval, (
+        Option("--alpha", _ALPHAS, help="default value for atoms heading no rule"),
+        Option("--semantics", SEMANTICS_CHOICES, required=True),
+        _FORMAT,
+    ) + _COMMON),
+    "compare": ("all four defaults plus consensus", cmd_compare, (_FORMAT,) + _COMMON),
+    "check": ("check a candidate model from a file", cmd_check, (
+        Option("--alpha", _ALPHAS, required=True),
+        Option("--model", required=True,
+               help="file of atom<TAB>value lines covering the base"),
+        _FORMAT,
+    ) + _COMMON),
+    "ground": ("dump the ground program", cmd_ground, _COMMON),
+}
+
+
+def _dest(flag: str) -> str:
+    """The Namespace attribute of flag, as argparse names it."""
+    return flag.lstrip("-").replace("-", "_")
+
+
+@functools.cache  # built on first use, then shared by every call of main
+def build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(prog="blp", description="Four-valued logic program semantics")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, func, options) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for opt in options:
+            if not opt.flag.startswith("-"):
+                p.add_argument(opt.flag, nargs="?", default=opt.default, help=opt.help)
+            elif opt.default is False:
+                p.add_argument(opt.flag, action="store_true", help=opt.help)
+            else:
+                p.add_argument(opt.flag, choices=opt.choices, default=opt.default,
+                               required=opt.required, help=opt.help)
+        p.set_defaults(func=func)
+    return parser
+
+
+def _reader_tables() -> dict:
+    """name: (function, {flag: (dest, choices, is a switch)}, positional
+    dest, defaults, required dests), from COMMANDS."""
+    tables = {}
+    for name, (_, func, options) in COMMANDS.items():
+        flags = {o.flag: (_dest(o.flag), o.choices, o.default is False)
+                 for o in options if o.flag[0] == "-"}
+        positional = next(o.flag for o in options if o.flag[0] != "-")
+        defaults = {_dest(o.flag): o.default for o in options}
+        required = frozenset(_dest(o.flag) for o in options if o.required)
+        tables[name] = (func, flags, positional, defaults, required)
+    return tables
+
+
+_READER = _reader_tables()
+
+
+def _read_argv(argv) -> Optional[argparse.Namespace]:
+    """The Namespace build_parser().parse_args(argv) returns, for plain
+    argv: a subcommand, then, in any order, flags of its table, each
+    given once, exactly, and followed by a value that does not start
+    with "-" and is one of the flag's choices, and at most one file that
+    does not start with "-"; every required flag is there.
+
+    None for any other argv, which argparse then reads: -h, --,
+    --flag=value, an abbreviated, unknown or repeated flag, a value or
+    file that starts with "-", a bad choice or a missing required flag.
+    Within the plain shape argparse matches a flag only exactly and
+    takes any other string as a value or the positional, so both read
+    plain argv alike.
+    """
+    if not argv:
+        return None
+    table = _READER.get(argv[0])
+    if table is None:
+        return None
+    func, flags, positional, defaults, required = table
+    values = {}
+    args = iter(argv[1:])
+    for arg in args:
+        if arg[:1] != "-":
+            if positional in values:
+                return None
+            values[positional] = arg
+            continue
+        entry = flags.get(arg)
+        if entry is None or entry[0] in values:
+            return None
+        dest, choices, switch = entry
+        if switch:
+            values[dest] = True
+            continue
+        value = next(args, None)
+        if value is None or value[:1] == "-" or choices is not None and value not in choices:
+            return None
+        values[dest] = value
+    if not required <= values.keys():
+        return None
+    return argparse.Namespace(command=argv[0], func=func, **{**defaults, **values})
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = parser.parse_args(argv)
+        args = _read_argv(argv)
+        if args is None:
+            args = build_parser().parse_args(argv)
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

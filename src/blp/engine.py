@@ -92,7 +92,7 @@ _NAMED = 5  # atoms named in an invariant failure; the rest are counted
 def _atom_names(base, mask: int) -> str:
     """The atoms of mask in base order: the first _NAMED by name, then
     how many more there are."""
-    names = [str(a) for i, a in enumerate(base.atoms) if mask >> i & 1]
+    names = [name for i, name in enumerate(base.names) if mask >> i & 1]
     shown = ", ".join(names[:_NAMED])
     if len(names) > _NAMED:
         shown += f" and {len(names) - _NAMED} more"

@@ -17,7 +17,9 @@ a quantifier is a loop over the domain and an equality a test on the
 environment.  Instantiating the template for one substitution appends
 integer codes to its head's body, over atom ids interned from
 (predicate, constant names) pairs; once the base is sorted the ids are
-renumbered to base order.
+renumbered to base order.  The atom texts the sort keys on are kept on
+the base as Base.names, which the output and the ground dump read, so
+each text is made once per base.
 
 The result is the ground IR, GroundProgram.ir: one (head index, code)
 pair per head, in base order.  code is the merged body in postfix, a
@@ -108,22 +110,27 @@ class BaseMismatchError(ValueError):
 class Base:
     """Immutable, lexicographically ordered universe of ground atoms.
 
-    Atom i is atoms[i].  The index is keyed by (predicate, constant
+    Atom i is atoms[i] and names[i] its text, str(atoms[i]), which is
+    also its sort key; the text is derived once per base, and output
+    reads it from here.  The index is keyed by (predicate, constant
     names) pairs, so locate finds the atom of a ground literal node
     without building a GroundAtom.
     """
 
-    __slots__ = ("atoms", "_index")
+    __slots__ = ("atoms", "names", "_index")
 
     def __init__(self, atoms: Iterable[GroundAtom]) -> None:
         self.atoms = tuple(sorted(set(atoms), key=str))
+        self.names = tuple(map(str, self.atoms))
         self._index = {(a.pred, a.args): i for i, a in enumerate(self.atoms)}
 
     @classmethod
-    def _sorted(cls, atoms: tuple) -> "Base":
-        """The base of atoms that are distinct and already in order."""
+    def _sorted(cls, atoms: tuple, names: tuple) -> "Base":
+        """The base of atoms that are distinct and already in order,
+        with names their texts."""
         base = object.__new__(cls)
         base.atoms = atoms
+        base.names = names
         base._index = {(a.pred, a.args): i for i, a in enumerate(atoms)}
         return base
 
@@ -166,7 +173,7 @@ class Base:
         return hash(self.atoms)
 
     def __repr__(self) -> str:
-        return f"Base({[str(a) for a in self.atoms]})"
+        return f"Base({list(self.names)})"
 
 
 class GroundProgram:
@@ -226,7 +233,7 @@ class GroundProgram:
     def render(self) -> str:
         """Concrete-syntax dump, one rule per ground atom that has one:
         render_program(self.to_program()), written straight from the IR."""
-        return _render(self.base.atoms, self.ir)
+        return _render(self.base.names, self.ir)
 
     def __repr__(self) -> str:
         return f"GroundProgram({len(self.ir)} rules, {len(self.base)} atoms)"
@@ -301,7 +308,7 @@ _OP_PREC = (None,) * 4 + tuple(_PREC[op] for op in OPS)
 _LEAF_PREC = max(_PREC.values()) + 1  # a leaf is never parenthesized
 
 
-def _render(atoms: tuple, ir: tuple) -> str:
+def _render(names: tuple, ir: tuple) -> str:
     """render_program's text for the clauses "head <- body." of ir.
 
     syntax.render_formula parenthesizes a left operand whose connective
@@ -312,7 +319,6 @@ def _render(atoms: tuple, ir: tuple) -> str:
     connective after it, and each connective fills them in for its two
     operands; the pieces are joined once at the end.
     """
-    names = [str(a) for a in atoms]
     text = list(_TEXT)
     for name in names:
         text += (name, "~" + name)
@@ -417,7 +423,7 @@ def _program(atoms: list, bodies: dict) -> GroundProgram:
     found = [atoms[i] for i in order]
     base = Base._sorted(tuple([
         GroundAtom(pred, (key,) if type(key) is str else key) for pred, key in found
-    ]))
+    ]), tuple([texts[i] for i in order]))
     position = [0] * len(order)
     for k, i in enumerate(order):
         position[i] = k

@@ -67,7 +67,8 @@ class ConventionalityError(ValueError):
 
 
 class EnumerationCapError(ValueError):
-    """The base is too large for brute-force model enumeration."""
+    """The well-founded semantics leaves too many atoms open for the
+    brute-force model search."""
 
 
 class ThreeValuation:
@@ -112,7 +113,14 @@ class ThreeValuation:
             raise BaseMismatchError(f"atom {atom} is outside the base") from None
 
     def to_valuation(self) -> Valuation:
-        return Valuation(self.base, tuple(_TO_TV[i] for i in self.ints))
+        """The same values in FOUR: T sets the belief bit, F the doubt bit."""
+        belief = doubt = 0
+        for i, x in enumerate(self.ints):
+            if x == _T3:
+                belief |= 1 << i
+            elif x == _F3:
+                doubt |= 1 << i
+        return Valuation.from_masks(self.base, belief, doubt)
 
     def __eq__(self, other) -> bool:
         return (
@@ -350,8 +358,8 @@ def enumerate_stable_models(gp: GroundProgram, cap: int = 10) -> list:
     reaches its knowledge-least fixpoint, which is the well-founded
     semantics.  Every fixpoint sits above that one in the knowledge
     order, so every fixpoint agrees with it on the atoms it makes T or
-    F (Przymusinski 1990).  The cap bounds the size of the base, not
-    the number of atoms left open.
+    F (Przymusinski 1990).  The cap bounds k, the number of atoms left
+    open, since the search spans 3^k candidates; the base may be larger.
 
     The 3^k candidates over the k open atoms are transformed at once,
     by one run of _least in 3^k lanes: lane L is candidate L in
@@ -363,13 +371,14 @@ def enumerate_stable_models(gp: GroundProgram, cap: int = 10) -> list:
     """
     rules, positive, _ = _pinned(gp)  # a non-conventional program fails here, before the cap
     n = len(gp.base)
-    if n > cap:
-        raise EnumerationCapError(
-            f"base has {n} atoms; enumeration is capped at {cap}"
-        )
     cells = list(well_founded(gp).ints)
     open_at = [i for i, x in enumerate(cells) if x == _U3]
     k = len(open_at)
+    if k > cap:
+        raise EnumerationCapError(
+            f"the well-founded semantics leaves {k} atoms open; "
+            f"enumeration is capped at {cap}"
+        )
     lanes = 3**k
     full = (1 << lanes) - 1
     # atom i of the candidates: T-lanes in the low half, not-F-lanes in

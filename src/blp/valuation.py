@@ -5,7 +5,11 @@ in base order: the belief mask holds the atoms valued T or I, the doubt
 mask the atoms valued F or I.  This is the (belief, doubt) encoding of
 FOUR in `bilattice`, so every pointwise operation is two bitwise
 operations on the masks, the orderings are subset tests, and equality
-is an integer compare.
+is an integer compare.  Output reads the masks too: symbols() maps them
+to one truth symbol per atom through a four-character table, without a
+TruthValue per atom, and to_lines and to_json_dict pair those symbols
+with the atom texts the base keeps (Base.names).  items(), values and
+item lookup build TruthValues; they are library API, not output paths.
 
 Formula evaluation comes in two independently coded flavors.
 CompiledBodies compiles the ground IR of rule bodies (see grounder)
@@ -40,6 +44,9 @@ from .syntax import (
 
 # A value as the two characters "<belief bit><doubt bit>".
 _OF_BIT_CHARS = {"00": U, "10": T, "01": F, "11": I}
+# The symbol of each knowledge code belief | doubt << 1, written as a
+# hex digit, for str.translate.
+_SYMBOL_OF_DIGIT = str.maketrans("0123", "UTFI")
 
 
 def value_masks(value: TruthValue, mask: int):
@@ -107,6 +114,21 @@ class Valuation:
         doubts = format(self.doubt, f"0{n}b")[::-1][:n]
         return tuple(_OF_BIT_CHARS[b + d] for b, d in zip(beliefs, doubts))
 
+    def symbols(self) -> str:
+        """The values as one symbol per atom, in base order: character
+        i is the symbol of atom i.
+
+        Read in base 16, the binary text of a mask puts bit i at hex
+        digit i; so belief spread that way, plus doubt spread and
+        doubled, has atom i's knowledge code, 0-3, at hex digit i.  Its
+        hex text, reversed into base order, maps through the table
+        "UTFI" of the four codes' symbols; [:n] drops the one digit an
+        empty base still prints.
+        """
+        n = len(self.base)
+        codes = int(format(self.belief, "b"), 16) | int(format(self.doubt, "b"), 16) << 1
+        return format(codes, f"0{n}x")[::-1][:n].translate(_SYMBOL_OF_DIGIT)
+
     def __getitem__(self, atom: GroundAtom) -> TruthValue:
         try:
             i = self.base.index(atom)
@@ -171,10 +193,12 @@ class Valuation:
 
     def to_lines(self) -> str:
         """One atom<TAB>value line per atom, lexicographically sorted."""
-        return "".join(f"{a}\t{v}\n" for a, v in self.items())
+        if not self.base.names:
+            return ""
+        return "\n".join(map("\t".join, zip(self.base.names, self.symbols()))) + "\n"
 
     def to_json_dict(self) -> dict:
-        return {str(a): str(v) for a, v in self.items()}
+        return dict(zip(self.base.names, self.symbols()))
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{a}={v}" for a, v in self.items())

@@ -165,6 +165,20 @@ def test_ground_atom_ordering_and_text():
     assert str(GroundAtom("q", ("x", "y"))) == "q(x,y)"
 
 
+def test_base_names_are_the_atom_texts(colleague_single_gp):
+    program = parse_program(
+        "p(X) <- exists Y: q(X,Y) & ~r. q(a,b). s(b,c,a) <- #f. t. u(X) <- u(X)."
+    )
+    bases = [Base([GroundAtom("p", ("b",)), GroundAtom("p", ("a",)), GroundAtom("a"),
+                   GroundAtom("q", ("x", "y"))]), Base([]), colleague_single_gp.base]
+    for mode in ("occurring", "full"):
+        for extra in ((), ("c1", "b", "z9")):
+            bases.append(ground(program, extra, mode).base)
+    assert len(bases[-1]) > len(bases[-3]) > 1
+    for base in bases:
+        assert base.names == tuple(map(str, base.atoms))
+
+
 def test_base_rejects_unknown_mode():
     with pytest.raises(ValueError):
         ground(parse_program("a."), base_mode="weird")

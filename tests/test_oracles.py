@@ -372,12 +372,24 @@ def test_folded_code_still_rejects_what_it_absorbs(text, message):
     assert gp.oracle_code is None
 
 
+def test_enumeration_cap_counts_open_atoms_not_the_base():
+    # 11 facts and an 11-atom chain: the WFS settles every atom, so the
+    # search has one candidate and the base size does not matter
+    for text in (" ".join(f"p{i}." for i in range(11)),
+                 "a0. " + " ".join(f"a{i} <- a{i - 1}." for i in range(1, 11))):
+        gp = ground(parse_program(text))
+        assert [m.ints for m in enumerate_stable_models(gp)] == [(1,) * 11]
+
+
 def test_enumeration_cap():
-    clauses = " ".join(f"p{i}." for i in range(11))
-    gp = ground(parse_program(clauses))
-    with pytest.raises(EnumerationCapError):
+    # 11 atoms in odd loops p_i <- ~p_i, each left open by the WFS
+    gp = ground(parse_program(" ".join(f"p{i} <- ~p{i}." for i in range(11))))
+    with pytest.raises(EnumerationCapError) as caught:
         enumerate_stable_models(gp)
-    assert len(enumerate_stable_models(gp, cap=11)) == 1
+    assert str(caught.value) == (
+        "the well-founded semantics leaves 11 atoms open; enumeration is capped at 10"
+    )
+    assert [m.ints for m in enumerate_stable_models(gp, cap=11)] == [(0,) * 11]
 
 
 def test_non_conventional_inputs_rejected():
