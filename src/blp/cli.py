@@ -34,7 +34,6 @@ from typing import NamedTuple, Optional
 from . import engine, oracles
 from .bilattice import TruthValue
 from .grounder import GroundProgram, ground
-from .oracles import ThreeValuation
 from .syntax import ParseError, is_conventional, parse_program
 from .valuation import Valuation, value_masks
 
@@ -128,7 +127,7 @@ def _emit_model_set(names, models, fmt: str) -> None:
     """The models' columns, sorted as their to_lines texts: over one
     base those first differ at the first atom whose values differ, as
     their symbols do."""
-    columns = sorted(m.to_valuation().symbols() for m in models)
+    columns = sorted(m.symbols() for m in models)
     if fmt == "json":
         print(json.dumps([dict(zip(names, c)) for c in columns], indent=2, sort_keys=True))
         return
@@ -161,9 +160,9 @@ def cmd_eval(args) -> int:
     elif name == "consensus":
         result = engine.consensus_semantics(gp).valuation
     elif name == "wfs":
-        result = oracles.well_founded(gp).to_valuation()
+        result = oracles.well_founded(gp)
     elif name == "kk":
-        result = oracles.kripke_kleene(gp).to_valuation()
+        result = oracles.kripke_kleene(gp)
     else:
         _emit_model_set(gp.base.names, oracles.enumerate_stable_models(gp), args.format)
         return 0
@@ -241,11 +240,9 @@ def cmd_check(args) -> int:
     v = _parse_model_file(args.model, gp)
     fixed = engine.is_alpha_fixed_model(gp, alpha, v)
     operator_model = engine.immediate_consequence(gp, alpha, v, v) == v
-    stable = None
     try:
-        three = ThreeValuation.from_valuation(v)
-        stable = oracles.gl_transform(gp, three) == three
-    except ValueError:  # includes ConventionalityError
+        stable = oracles.gl_transform(gp, v) == v
+    except ValueError:  # a value I, or a ConventionalityError
         stable = None
     results = [
         ("alpha-fixed-model", _yn(fixed)),

@@ -249,9 +249,9 @@ class SemanticsResult:
     iteration_counts: Mapping[str, tuple]
 
 
-def semantics(gp: GroundProgram, alpha: Alpha, self_check: bool = True) -> SemanticsResult:
-    """Compute all four extremal fixpoints; verify the decomposition
-    identities connecting them unless self_check is disabled."""
+def semantics(gp: GroundProgram, alpha: Alpha) -> SemanticsResult:
+    """Compute all four extremal fixpoints and verify the decomposition
+    identities connecting them."""
     ku, outer_u, inner_u = _fix_from(gp, alpha, U)
     ki, outer_i, inner_i = _fix_from(gp, alpha, I)
     low, high, counts_low, counts_high = _oscillation_pair(gp, alpha)
@@ -268,8 +268,7 @@ def semantics(gp: GroundProgram, alpha: Alpha, self_check: bool = True) -> Seman
             "fix_t": counts_high,
         },
     )
-    if self_check:
-        _check_decomposition(result)
+    _check_decomposition(result)
     return result
 
 

@@ -4,19 +4,23 @@ Implements the extended Gelfond-Lifschitz transform (and with it the
 well-founded semantics and the three-valued stable models) and the
 Kripke-Kleene semantics.  These are cross-validation oracles for the
 four-valued engine: they share the parser and grounder but none of the
-engine's evaluation code.  Their public valuations (ThreeValuation)
-hold the integers -1, 0, 1 for F, U, T, Kleene's values; the oracles
-convert them only on entry and exit, and build their results unchecked.
+engine's evaluation code.  Their public valuations are ThreeValuations:
+Valuations whose belief and doubt masks never share an atom, so a
+result compares and hashes equal to the engine's valuation with the
+same values.  ThreeValuation.ints, Kleene's integers -1, 0, 1 for F,
+U, T, is only a view of the masks.
 
 Inside, a value is a lane code: valuation L is bit lane L of a Python
 int, and an atom's value in it a pair of bits (is it T?, is it not F?),
 stored as (not-F lanes) << lanes | (T lanes).  On these bits Kleene's
 conjunction and disjunction (min and max) are & and |, and negation
-swaps the halves and complements them.  gl_transform, well_founded and
-kripke_kleene iterate one valuation, one lane, where F, U and T are 0,
-2 and 3.  A lane's bits depend only on that lane's bits, so the stable
-search transforms every candidate at once, one lane each (see
-enumerate_stable_models).
+swaps the halves and complements them.  gl_transform, well_founded
+and kripke_kleene iterate one valuation, one lane, where F, U and T
+are 0, 2 and 3; these one-lane codes go in and out of the masks
+through Valuation.symbols and its inverse from_symbols, one symbol per
+code (_NEGATED and _SYMBOL).  A lane's bits depend only on that lane's
+bits, so the stable search transforms every candidate at once, one
+lane each (see enumerate_stable_models).
 
 One interpreter, _run, evaluates the ground IR (GroundProgram.ir, see
 grounder) on lane codes, reading each leaf from a table indexed by IR
@@ -40,20 +44,24 @@ from __future__ import annotations
 from operator import itemgetter
 from typing import Iterable
 
-from .bilattice import F, T, TruthValue, U
+from .bilattice import F, T
 from .grounder import CONSTS, LIT, OPS, Base, BaseMismatchError, GroundProgram
 from .syntax import BinOp
 from .valuation import Valuation
 
-_F3, _U3, _T3 = -1, 0, 1
-_TO_TV = {_F3: F, _U3: U, _T3: T}
-_OF_TV = {F: _F3, U: _U3, T: _T3}
+# one-lane codes, and bytes.translate tables from each symbol to the
+# code of its negation and from each code to its symbol (code 1, T but
+# F, is no value); _ORDER has the values in the truth order
+_F1, _U1 = 0, 2
+_NEGATED = bytes.maketrans(b"FUT", b"\3\2\0")
+_SYMBOL = bytes.maketrans(b"\0\2\3", b"FUT")
+_ORDER = "FUT"
 
-# one-lane codes; _LANE[x] is the code of Kleene int x (-1 indexes the
-# last item) and _KLEENE[c] the Kleene int of code c
-_F1, _U1, _T1 = 0, 2, 3
-_LANE = (_U1, _T1, _F1)
-_KLEENE = (_F3, None, _U3, _T3)
+# the most atoms the well-founded semantics may leave open for the
+# stable-model search, which spans 3 to that power candidates
+ENUMERATION_CAP = 10
+
+_HAS_I = "valuation contains I and has no three-valued counterpart"
 
 # IR codes of the conventional fragment, and the codes outside it
 _T, _F = CONSTS.index(T), CONSTS.index(F)
@@ -71,70 +79,47 @@ class EnumerationCapError(ValueError):
     brute-force model search."""
 
 
-class ThreeValuation:
-    """Total map Base -> {F, U, T}; embeds into the four-valued space."""
+class ThreeValuation(Valuation):
+    """A valuation with no atom at I: a total map Base -> {F, U, T}.
 
-    __slots__ = ("base", "ints")
+    It is a Valuation whose belief and doubt masks never share an atom,
+    so it compares, hashes and reads like one; ints is a view of the
+    masks as Kleene's integers -1, 0, 1 for F, U, T."""
+
+    __slots__ = ()
 
     def __init__(self, base: Base, ints: Iterable[int]) -> None:
-        self.base = base
-        self.ints = tuple(ints)
-        if len(self.ints) != len(base):
-            raise ValueError(f"expected {len(base)} values, got {len(self.ints)}")
-        if any(i not in (_F3, _U3, _T3) for i in self.ints):
+        ints = tuple(ints)
+        if len(ints) != len(base):
+            raise ValueError(f"expected {len(base)} values, got {len(ints)}")
+        if any(x not in (-1, 0, 1) for x in ints):
             raise ValueError("three-valued valuations take values in {F, U, T}")
+        v = Valuation.from_symbols(base, "".join([_ORDER[x + 1] for x in ints]))
+        self.base, self.belief, self.doubt = base, v.belief, v.doubt
 
-    @classmethod
-    def _of(cls, base: Base, ints) -> "ThreeValuation":
-        """The valuation of ints, unchecked: one Kleene int per atom of
-        base, as the oracles compute them."""
-        v = object.__new__(cls)
-        v.base = base
-        v.ints = tuple(ints)
-        return v
+    @property
+    def ints(self) -> tuple:
+        """The values as Kleene's integers, in base order."""
+        return tuple(_ORDER.index(s) - 1 for s in self.symbols())
 
     @classmethod
     def all_unknown(cls, base: Base) -> "ThreeValuation":
-        return cls._of(base, (_U3,) * len(base))
+        return cls.from_masks(base, 0, 0)
 
     @classmethod
     def from_valuation(cls, v: Valuation) -> "ThreeValuation":
-        try:
-            return cls(v.base, (_OF_TV[val] for val in v.values))
-        except KeyError:
-            raise ValueError(
-                "valuation contains I and has no three-valued counterpart"
-            ) from None
-
-    def __getitem__(self, atom) -> TruthValue:
-        try:
-            return _TO_TV[self.ints[self.base.index(atom)]]
-        except KeyError:
-            raise BaseMismatchError(f"atom {atom} is outside the base") from None
+        if v.belief & v.doubt:
+            raise ValueError(_HAS_I)
+        return cls.from_masks(v.base, v.belief, v.doubt)
 
     def to_valuation(self) -> Valuation:
-        """The same values in FOUR: T sets the belief bit, F the doubt bit."""
-        belief = doubt = 0
-        for i, x in enumerate(self.ints):
-            if x == _T3:
-                belief |= 1 << i
-            elif x == _F3:
-                doubt |= 1 << i
-        return Valuation.from_masks(self.base, belief, doubt)
+        """The same values as a plain Valuation."""
+        return Valuation.from_masks(self.base, self.belief, self.doubt)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ThreeValuation)
-            and self.base == other.base
-            and self.ints == other.ints
-        )
 
-    def __hash__(self) -> int:
-        return hash((self.base, self.ints))
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{a}={_TO_TV[i]}" for a, i in zip(self.base.atoms, self.ints))
-        return f"<ThreeValuation {inner}>"
+def _of_codes(base: Base, codes: list) -> ThreeValuation:
+    """The valuation of one-lane codes, one per atom of base."""
+    return ThreeValuation.from_symbols(base, bytes(codes).translate(_SYMBOL).decode())
 
 
 def _check(ir: tuple) -> None:
@@ -148,9 +133,9 @@ def _check(ir: tuple) -> None:
 def _pinned(gp: GroundProgram) -> tuple:
     """(rules, positive, negated): the rules of the program's IR, with
     every positive literal of an atom that heads no rule read as F and
-    the T and F constants folded away, and the base positions the folded
-    code reads positively and negated, each as a function giving the
-    values of a list at those positions.  Checked and folded on first
+    the T and F constants folded away; a function giving the values of a
+    list at the base positions the folded code reads positively; and the
+    mask of the positions it reads negated.  Checked and folded on first
     use and cached on the program as gp.oracle_code; a program outside
     the conventional fragment raises ConventionalityError and is not
     cached, so every call on it raises.
@@ -173,7 +158,7 @@ def _pinned(gp: GroundProgram) -> tuple:
         gp.oracle_code = (
             rules,
             _reader(i for i in range(n) if LIT + 2 * i in read),
-            _reader(i for i in range(n) if LIT + 2 * i + 1 in read),
+            sum(1 << i for i in range(n) if LIT + 2 * i + 1 in read),
         )
     return gp.oracle_code
 
@@ -294,20 +279,22 @@ def _least(rules: tuple, positive, table: list, n: int) -> list:
     raise RuntimeError("positive consequence iteration failed to converge")
 
 
-def gl_transform(gp: GroundProgram, v: ThreeValuation) -> ThreeValuation:
+def gl_transform(gp: GroundProgram, v: Valuation) -> ThreeValuation:
     """Extended Gelfond-Lifschitz transform: freeze negated atoms to their
     values under v, then take the truth-least fixpoint of the positive
     consequence operator (non-heads pinned false).  Reading negated atoms
     from v while iterating is the same as freezing them first.  The
-    iteration is _least, in one lane."""
+    iteration is _least, in one lane.  v may be any valuation with no
+    atom at I."""
     rules, positive, _ = _pinned(gp)
     if v.base != gp.base:
         raise BaseMismatchError("valuation does not match the program's base")
-    n = len(v.ints)
+    if v.belief & v.doubt:
+        raise ValueError(_HAS_I)
+    n = len(gp.base)
     table = _table(n, 1)
-    table[LIT + 1::2] = [_LANE[-x] for x in v.ints]  # Kleene negation is -x
-    out = _least(rules, positive, table, n)
-    return ThreeValuation._of(gp.base, [_KLEENE[c] for c in out])
+    table[LIT + 1::2] = v.symbols().encode().translate(_NEGATED)
+    return _of_codes(gp.base, _least(rules, positive, table, n))
 
 
 def well_founded(gp: GroundProgram) -> ThreeValuation:
@@ -315,14 +302,14 @@ def well_founded(gp: GroundProgram) -> ThreeValuation:
     valuation; this is the well-founded semantics.
 
     The transform reads its argument only at the positions the pinned
-    code reads negated, so once a transform leaves those unchanged the
-    next would return the same valuation, and the iteration stops
-    there."""
+    code reads negated, so once a transform leaves the masks unchanged
+    there the next would return the same valuation, and the iteration
+    stops."""
     negated = _pinned(gp)[2]
     cur = ThreeValuation.all_unknown(gp.base)
     for _ in range(2 * len(gp.base) + 1):
         nxt = gl_transform(gp, cur)
-        if negated(nxt.ints) == negated(cur.ints):
+        if not ((nxt.belief ^ cur.belief) | (nxt.doubt ^ cur.doubt)) & negated:
             return nxt
         cur = nxt
     raise RuntimeError("well-founded iteration failed to converge")
@@ -342,12 +329,12 @@ def kripke_kleene(gp: GroundProgram) -> ThreeValuation:
         nxt = [_U1] * n
         _run(gp.ir, table, nxt)
         if nxt == cur:
-            return ThreeValuation._of(gp.base, [_KLEENE[c] for c in cur])
+            return _of_codes(gp.base, cur)
         cur = nxt
     raise RuntimeError("Kripke-Kleene iteration failed to converge")
 
 
-def enumerate_stable_models(gp: GroundProgram, cap: int = 10) -> list:
+def enumerate_stable_models(gp: GroundProgram) -> list:
     """All three-valued stable models (fixpoints of the transform), in
     lexicographic order over the base positions with F < U < T.
 
@@ -358,8 +345,9 @@ def enumerate_stable_models(gp: GroundProgram, cap: int = 10) -> list:
     reaches its knowledge-least fixpoint, which is the well-founded
     semantics.  Every fixpoint sits above that one in the knowledge
     order, so every fixpoint agrees with it on the atoms it makes T or
-    F (Przymusinski 1990).  The cap bounds k, the number of atoms left
-    open, since the search spans 3^k candidates; the base may be larger.
+    F (Przymusinski 1990).  ENUMERATION_CAP bounds k, the number of atoms
+    left open, since the search spans 3^k candidates; the base may be
+    larger.
 
     The 3^k candidates over the k open atoms are transformed at once,
     by one run of _least in 3^k lanes: lane L is candidate L in
@@ -371,19 +359,19 @@ def enumerate_stable_models(gp: GroundProgram, cap: int = 10) -> list:
     """
     rules, positive, _ = _pinned(gp)  # a non-conventional program fails here, before the cap
     n = len(gp.base)
-    cells = list(well_founded(gp).ints)
-    open_at = [i for i, x in enumerate(cells) if x == _U3]
+    cells = list(well_founded(gp).symbols())
+    open_at = [i for i, s in enumerate(cells) if s == "U"]
     k = len(open_at)
-    if k > cap:
+    if k > ENUMERATION_CAP:
         raise EnumerationCapError(
             f"the well-founded semantics leaves {k} atoms open; "
-            f"enumeration is capped at {cap}"
+            f"enumeration is capped at {ENUMERATION_CAP}"
         )
     lanes = 3**k
     full = (1 << lanes) - 1
     # atom i of the candidates: T-lanes in the low half, not-F-lanes in
     # the high half; settled atoms hold their value in every lane
-    cand = [(0, full << lanes, full | full << lanes)[x + 1] for x in cells]
+    cand = [(0, full << lanes, full | full << lanes)[_ORDER.index(s)] for s in cells]
     for j, i in enumerate(open_at):
         # digit j of lane L: blocks of 3^(k-1-j) lanes of F, U and T in
         # turn, the period of three blocks repeated 3^j times
@@ -407,6 +395,6 @@ def enumerate_stable_models(gp: GroundProgram, cap: int = 10) -> list:
         fixed ^= low
         for i in reversed(open_at):
             lane, digit = divmod(lane, 3)
-            cells[i] = digit - 1
-        models.append(ThreeValuation._of(gp.base, cells))
+            cells[i] = _ORDER[digit]
+        models.append(ThreeValuation.from_symbols(gp.base, "".join(cells)))
     return models

@@ -5,11 +5,14 @@ in base order: the belief mask holds the atoms valued T or I, the doubt
 mask the atoms valued F or I.  This is the (belief, doubt) encoding of
 FOUR in `bilattice`, so every pointwise operation is two bitwise
 operations on the masks, the orderings are subset tests, and equality
-is an integer compare.  Output reads the masks too: symbols() maps them
-to one truth symbol per atom through a four-character table, without a
-TruthValue per atom, and to_lines and to_json_dict pair those symbols
-with the atom texts the base keeps (Base.names).  items(), values and
-item lookup build TruthValues; they are library API, not output paths.
+is an integer compare.  symbols() and its inverse from_symbols are the
+one per-atom conversion of the masks: symbols() maps them to one truth
+symbol per atom through the four-character table "UTFI", and
+from_symbols builds them back from such a string.  Output reads the
+symbols, which to_lines and to_json_dict pair with the atom texts the
+base keeps (Base.names), and the oracles read and write their lane
+codes through them.  items(), values and item lookup build TruthValues;
+they are library API, not output paths.
 
 Formula evaluation comes in two independently coded flavors.
 CompiledBodies compiles the ground IR of rule bodies (see grounder)
@@ -42,11 +45,12 @@ from .syntax import (
     TruthConst,
 )
 
-# A value as the two characters "<belief bit><doubt bit>".
-_OF_BIT_CHARS = {"00": U, "10": T, "01": F, "11": I}
 # The symbol of each knowledge code belief | doubt << 1, written as a
-# hex digit, for str.translate.
+# hex digit, for str.translate; and back, each symbol's belief bit and
+# doubt bit as a binary digit, for bytes.translate.
 _SYMBOL_OF_DIGIT = str.maketrans("0123", "UTFI")
+_BELIEF_OF_SYMBOL = bytes.maketrans(b"UTFI", b"0101")
+_DOUBT_OF_SYMBOL = bytes.maketrans(b"UTFI", b"0011")
 
 
 def value_masks(value: TruthValue, mask: int):
@@ -91,6 +95,19 @@ class Valuation:
         return v
 
     @classmethod
+    def from_symbols(cls, base: Base, symbols: str) -> "Valuation":
+        """The valuation whose symbols() is symbols, one of "UTFI" per
+        atom of base: the inverse of symbols().  Reversed, so that atom
+        i is the i-th binary digit from the right, each symbol's belief
+        and doubt digits read in base 2 are the masks."""
+        text = b"0" + symbols[::-1].encode()
+        return cls.from_masks(
+            base,
+            int(text.translate(_BELIEF_OF_SYMBOL), 2),
+            int(text.translate(_DOUBT_OF_SYMBOL), 2),
+        )
+
+    @classmethod
     def constant(cls, base: Base, alpha: TruthValue) -> "Valuation":
         return cls.from_masks(base, *value_masks(alpha, (1 << len(base)) - 1))
 
@@ -109,10 +126,7 @@ class Valuation:
     @property
     def values(self) -> tuple:
         """The values in base order."""
-        n = len(self.base)
-        beliefs = format(self.belief, f"0{n}b")[::-1][:n]
-        doubts = format(self.doubt, f"0{n}b")[::-1][:n]
-        return tuple(_OF_BIT_CHARS[b + d] for b, d in zip(beliefs, doubts))
+        return tuple(map(TruthValue, self.symbols()))
 
     def symbols(self) -> str:
         """The values as one symbol per atom, in base order: character
@@ -202,7 +216,7 @@ class Valuation:
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{a}={v}" for a, v in self.items())
-        return f"<Valuation {inner}>"
+        return f"<{type(self).__name__} {inner}>"
 
 
 def const_valuation(base: Base, alpha: TruthValue) -> Valuation:

@@ -226,7 +226,7 @@ def test_self_check_fires_when_the_oscillation_pair_is_off(suspect_gp, monkeypat
     monkeypatch.setattr(engine, "_oscillation_pair", moved)
     with pytest.raises(engine.InternalInvariantError, match="decomposition"):
         engine.semantics(suspect_gp, F)
-    assert engine.semantics(suspect_gp, F, self_check=False).fix_f != real(suspect_gp, F)[0]
+    assert engine._oscillation_pair(suspect_gp, F)[0] != real(suspect_gp, F)[0]
 
 
 # -- the stability-closure memo ---------------------------------------------

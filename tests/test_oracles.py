@@ -11,7 +11,7 @@ import pytest
 import proggen
 from blp import engine, oracles
 from blp.bilattice import F, T, U
-from blp.grounder import GroundAtom, ground
+from blp.grounder import Base, GroundAtom, ground
 from blp.oracles import (
     ConventionalityError,
     EnumerationCapError,
@@ -22,7 +22,7 @@ from blp.oracles import (
     well_founded,
 )
 from blp.syntax import parse_program
-from blp.valuation import Interpretation, PseudoInterpretation, pseudo_eval
+from blp.valuation import Interpretation, PseudoInterpretation, Valuation, pseudo_eval
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "blpbench"))
 import workloads  # noqa: E402
@@ -381,7 +381,7 @@ def test_enumeration_cap_counts_open_atoms_not_the_base():
         assert [m.ints for m in enumerate_stable_models(gp)] == [(1,) * 11]
 
 
-def test_enumeration_cap():
+def test_enumeration_cap(monkeypatch):
     # 11 atoms in odd loops p_i <- ~p_i, each left open by the WFS
     gp = ground(parse_program(" ".join(f"p{i} <- ~p{i}." for i in range(11))))
     with pytest.raises(EnumerationCapError) as caught:
@@ -389,7 +389,8 @@ def test_enumeration_cap():
     assert str(caught.value) == (
         "the well-founded semantics leaves 11 atoms open; enumeration is capped at 10"
     )
-    assert [m.ints for m in enumerate_stable_models(gp, cap=11)] == [(0,) * 11]
+    monkeypatch.setattr(oracles, "ENUMERATION_CAP", 11)
+    assert [m.ints for m in enumerate_stable_models(gp)] == [(0,) * 11]
 
 
 def test_non_conventional_inputs_rejected():
@@ -441,3 +442,56 @@ def test_three_valuation_constructor_checks_its_values():
     gp = ground(parse_program("a <- ~b. b <- ~a. c <- a & ~c."))
     for v in [well_founded(gp), kripke_kleene(gp)] + enumerate_stable_models(gp):
         assert v == ThreeValuation(v.base, v.ints)
+
+
+# -- three-valued results are Valuations -------------------------------------
+
+
+def test_oracle_results_are_the_engine_valuations(conventional_corpus):
+    winmove = [
+        ground(parse_program(prog.text))
+        for seed in (0, 1)
+        for prog in workloads.build("winmove", seed).programs.values()
+    ]
+    for gp in list(conventional_corpus) + winmove:
+        for got, want in ((well_founded(gp), engine.fix_u(gp, F)),
+                          (kripke_kleene(gp), engine.fix_u(gp, U))):
+            assert isinstance(got, Valuation)
+            assert got == want and want == got
+            assert hash(got) == hash(want)
+
+
+def test_gl_transform_takes_any_valuation_without_i(conventional_corpus):
+    rng = random.Random(5)
+    for gp in conventional_corpus:
+        full = (1 << len(gp.base)) - 1
+        for _ in range(3):
+            belief = rng.getrandbits(len(gp.base)) & full
+            doubt = rng.getrandbits(len(gp.base)) & full & ~belief
+            v = Valuation.from_masks(gp.base, belief, doubt)
+            three = ThreeValuation.from_valuation(v)
+            assert type(three) is ThreeValuation and three == v
+            assert gl_transform(gp, v) == gl_transform(gp, three)
+
+
+def test_a_valuation_with_i_has_no_three_valued_counterpart(suspect_gp):
+    text = "valuation contains I and has no three-valued counterpart"
+    v = Valuation.from_symbols(suspect_gp.base, "TIFU")
+    with pytest.raises(ValueError) as caught:
+        ThreeValuation.from_valuation(v)
+    assert str(caught.value) == text
+    with pytest.raises(ValueError) as caught:
+        gl_transform(suspect_gp, v)
+    assert str(caught.value) == text
+
+
+def test_three_valuation_ints_view_and_repr():
+    assert ThreeValuation(Base(()), ()).ints == ()
+    assert ThreeValuation.all_unknown(Base(())).ints == ()
+    base = ground(parse_program("a. b. c.")).base
+    for ints in product((-1, 0, 1), repeat=3):
+        v = ThreeValuation(base, ints)
+        assert v.ints == ints
+        assert v.to_valuation() == v and type(v.to_valuation()) is Valuation
+    assert repr(ThreeValuation(base, (1, -1, 0))) == "<ThreeValuation a=T, b=F, c=U>"
+    assert repr(ThreeValuation(base, (1, -1, 0)).to_valuation()) == "<Valuation a=T, b=F, c=U>"

@@ -275,3 +275,23 @@ def test_serialization_forms():
     v = Valuation(BASE, (I, U, T))
     assert v.to_lines() == "a\tI\nb\tU\nc\tT\n"
     assert json.loads(json.dumps(v.to_json_dict())) == {"a": "I", "b": "U", "c": "T"}
+
+
+def test_from_symbols_inverts_symbols():
+    # every valuation over up to 4 atoms, read back through item lookup
+    for n in range(5):
+        base = Base(GroundAtom(f"p{i}") for i in range(n))
+        for v in all_valuations(base):
+            text = v.symbols()
+            assert text == "".join(str(v[a]) for a in base.atoms)
+            w = Valuation.from_symbols(base, text)
+            assert (w.belief, w.doubt) == (v.belief, v.doubt)
+            assert w.symbols() == text
+    # and seeded random masks over 300 atoms
+    rng = random.Random(12)
+    base = Base(GroundAtom("p", (f"c{i}",)) for i in range(300))
+    for _ in range(50):
+        belief, doubt = rng.getrandbits(300), rng.getrandbits(300)
+        v = Valuation.from_masks(base, belief, doubt)
+        w = Valuation.from_symbols(base, v.symbols())
+        assert (w.belief, w.doubt) == (belief, doubt)
