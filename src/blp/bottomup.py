@@ -23,16 +23,16 @@ def alpha_fixed_semantics(gp: GroundProgram, alpha: TruthValue) -> Interpretatio
     """Compute the knowledge-least fixpoint as a (true-set, false-set) pair."""
     atoms = frozenset(gp.base.atoms)
     empty = frozenset()
-    not_heads = gp.not_heads
+    rest = atoms.difference(gp.rules)  # the atoms that head no rule
     if alpha is T:
         init_true, init_false = atoms, empty
-        nh_true, nh_false = not_heads, empty
+        nh_true, nh_false = rest, empty
     elif alpha is F:
         init_true, init_false = empty, atoms
-        nh_true, nh_false = empty, not_heads
+        nh_true, nh_false = empty, rest
     elif alpha is I:
         init_true, init_false = atoms, atoms
-        nh_true, nh_false = not_heads, not_heads
+        nh_true, nh_false = rest, rest
     elif alpha is U:
         init_true = init_false = empty
         nh_true = nh_false = empty

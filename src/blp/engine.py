@@ -297,17 +297,14 @@ def is_alpha_fixed_model(gp: GroundProgram, alpha: Alpha, v: Valuation) -> bool:
     return stability(gp, alpha, v) == v
 
 
-def is_model(gp: GroundProgram, v: Valuation, reverse: bool = False) -> bool:
-    """Rule-wise truth bound: by default checks head <=t body for every
-    rule; reverse=True checks body <=t head instead."""
+def is_model(gp: GroundProgram, v: Valuation) -> bool:
+    """Rule-wise truth bound: head <=t body for every rule."""
     if v.base != gp.base:
         raise BaseMismatchError("valuation does not match the program's base")
     compiled = _compiled(gp)
     belief, doubt = compiled.evaluate(v, v)
     heads = compiled.out_mask
     head_belief, head_doubt = v.belief & heads, v.doubt & heads
-    if reverse:
-        return belief & ~head_belief == 0 and head_doubt & ~doubt == 0
     return head_belief & ~belief == 0 and doubt & ~head_doubt == 0
 
 

@@ -29,9 +29,10 @@ constants U, T, F, I (CONSTS, in the knowledge code belief | doubt << 1),
 atom i and LIT + 2i + 1 its negation.  It is the one input of the
 engine's CompiledBodies, the oracles' interpreter and
 GroundProgram.render.  GroundProgram.rules is an AST view of it, built
-on demand for bottomup and other readers of formulas.  A ground program
-built by hand from formulas gets its IR from formula_code, which finds
-each literal's atom through Base.locate.
+on demand for bottomup and other readers of formulas.
+`GroundProgram(base, ir)` is the one constructor, and `formula_code`
+gives a hand-built formula's IR, finding each literal's atom through
+Base.locate.
 
 The atom universe defaults to the atoms that occur in the instantiated
 rules; the full predicate-by-constant Herbrand base is available via
@@ -42,7 +43,7 @@ from __future__ import annotations
 
 from itertools import product
 from operator import itemgetter
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .bilattice import F, I, T, U
 from .syntax import (
@@ -74,33 +75,20 @@ _T, _F = CONSTS.index(T), CONSTS.index(F)
 _AND, _OR = 4 + OPS.index(BinOp.AND), 4 + OPS.index(BinOp.OR)
 
 
-class GroundAtom:
-    """A predicate applied to constants; hashable, ordered by its text form."""
+class GroundAtom(NamedTuple):
+    """A predicate applied to constant names.  Equality and hashing are
+    the tuple's, so an atom is the same dict key as its (pred, args)
+    pair."""
 
-    __slots__ = ("pred", "args", "_hash")
-
-    def __init__(self, pred: str, args: Iterable[str] = ()) -> None:
-        self.pred = pred
-        self.args = tuple(args)
-        self._hash = hash((pred, self.args))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, GroundAtom)
-            and self.pred == other.pred
-            and self.args == other.args
-        )
-
-    def __hash__(self) -> int:
-        return self._hash
+    pred: str
+    args: tuple = ()
 
     def __str__(self) -> str:
         if not self.args:
             return self.pred
         return f"{self.pred}({','.join(self.args)})"
 
-    def __repr__(self) -> str:
-        return str(self)
+    __repr__ = __str__
 
 
 class BaseMismatchError(ValueError):
@@ -112,33 +100,33 @@ class Base:
 
     Atom i is atoms[i] and names[i] its text, str(atoms[i]), which is
     also its sort key; the text is derived once per base, and output
-    reads it from here.  The index is keyed by (predicate, constant
-    names) pairs, so locate finds the atom of a ground literal node
-    without building a GroundAtom.
+    reads it from here.  The index is keyed by the atoms themselves,
+    which are (predicate, constant names) pairs, so locate finds the
+    atom of a ground literal node by the pair it builds from the node.
     """
 
     __slots__ = ("atoms", "names", "_index")
 
     def __init__(self, atoms: Iterable[GroundAtom]) -> None:
-        self.atoms = tuple(sorted(set(atoms), key=str))
-        self.names = tuple(map(str, self.atoms))
-        self._index = {(a.pred, a.args): i for i, a in enumerate(self.atoms)}
+        atoms = tuple(sorted(set(atoms), key=str))
+        self._set(atoms, tuple(map(str, atoms)))
 
     @classmethod
     def _sorted(cls, atoms: tuple, names: tuple) -> "Base":
         """The base of atoms that are distinct and already in order,
         with names their texts."""
         base = object.__new__(cls)
-        base.atoms = atoms
-        base.names = names
-        base._index = {(a.pred, a.args): i for i, a in enumerate(atoms)}
+        base._set(atoms, names)
         return base
+
+    def _set(self, atoms: tuple, names: tuple) -> None:
+        self.atoms = atoms
+        self.names = names
+        self._index = dict(zip(atoms, range(len(atoms))))
 
     def index(self, atom: GroundAtom) -> int:
         """The position of atom; KeyError when it is not in the base."""
-        if not isinstance(atom, GroundAtom):
-            raise KeyError(atom)
-        return self._index[atom.pred, atom.args]
+        return self._index[atom]
 
     def locate(self, leaf) -> int:
         """The position of the atom a ground Atom or NegAtom node reads.
@@ -156,7 +144,7 @@ class Base:
         return i
 
     def __contains__(self, atom) -> bool:
-        return isinstance(atom, GroundAtom) and (atom.pred, atom.args) in self._index
+        return atom in self._index
 
     def __len__(self) -> int:
         return len(self.atoms)
@@ -180,48 +168,25 @@ class GroundProgram:
     """A ground program: one merged rule body per head, over a fixed base.
 
     ir holds the bodies as ground IR (see the module docstring) and
-    rules as formulas, {head atom: body} in base order.  A program from
-    ground() builds rules from its IR on first use; one built by hand
-    from rules gets its IR from them at once, through formula_code.
-    compiled is None until the engine first evaluates the program; it
-    then holds the rule bodies compiled against the base.  oracle_code
-    is None until the oracles' transform first checks the program; it
-    then holds the IR the transform runs, folded (see oracles._pinned).
+    rules as formulas, {head atom: body} in base order, built from the
+    IR on first use.  compiled is None until the engine first evaluates
+    the program; it then holds the rule bodies compiled against the
+    base.  oracle_code is None until the oracles' transform first checks
+    the program; it then holds the IR the transform runs, folded (see
+    oracles._pinned).
     """
 
-    __slots__ = ("base", "ir", "not_heads", "compiled", "oracle_code", "_rules")
+    __slots__ = ("base", "ir", "compiled", "oracle_code", "_rules")
 
-    def __init__(self, base: Base, rules: dict, not_heads) -> None:
-        self._rules = {a: rules[a] for a in base.atoms if a in rules}
-        self.not_heads = frozenset(not_heads)
-        if len(self._rules) != len(rules):
-            raise ValueError("rule head outside the base")
-        if self.not_heads | set(self._rules) != set(base.atoms) or (
-            self.not_heads & set(self._rules)
-        ):
-            raise ValueError("rules and not_heads must partition the base")
-        self.base = base
-        self.ir = tuple(
-            (base.index(head), formula_code(base, body)) for head, body in self._rules.items()
-        )
-        self.compiled = self.oracle_code = None
-
-    @classmethod
-    def _of_ir(cls, base: Base, ir: tuple, not_heads: frozenset) -> "GroundProgram":
-        gp = object.__new__(cls)
-        gp.base, gp.ir, gp.not_heads = base, ir, not_heads
-        gp.compiled = gp.oracle_code = gp._rules = None
-        return gp
+    def __init__(self, base: Base, ir: tuple) -> None:
+        self.base, self.ir = base, ir
+        self.compiled = self.oracle_code = self._rules = None
 
     @property
     def rules(self) -> dict:
         if self._rules is None:
             self._rules = _formulas(self.base.atoms, self.ir)
         return self._rules
-
-    @property
-    def heads(self):
-        return self.rules.keys()
 
     def to_program(self) -> Program:
         clauses = [
@@ -434,9 +399,7 @@ def _program(atoms: list, bodies: dict) -> GroundProgram:
     ir = tuple(sorted(
         (position[t >> 1], tuple(map(recode, body))) for t, body in bodies.items()
     ))
-    heads = {head for head, _ in ir}
-    not_heads = frozenset(a for k, a in enumerate(base.atoms) if k not in heads)
-    return GroundProgram._of_ir(base, ir, not_heads)
+    return GroundProgram(base, ir)
 
 
 # Template instructions, each a tuple whose first item is its kind:

@@ -514,13 +514,13 @@ def render_atom_text(pred: str, args) -> str:
     return f"{pred}({','.join(render_term(t) for t in args)})"
 
 
-def render_formula(f: Formula, min_prec: int = 0) -> str:
-    """Concrete syntax for f, parenthesized where the precedence of its
-    context (min_prec) needs it.  Renders with an explicit stack of text
-    still to emit and (formula, min_prec) pairs still to expand; a
-    node's left operand is expanded at once."""
+def render_formula(f: Formula) -> str:
+    """Concrete syntax for f, parenthesized where precedence needs it.
+    Renders with an explicit stack of text still to emit and (formula,
+    min_prec) pairs still to expand, min_prec being the precedence its
+    context needs; a node's left operand is expanded at once."""
     out = []
-    todo = [(f, min_prec)]
+    todo = [(f, 0)]
     while todo:
         item = todo.pop()
         if type(item) is str:

@@ -1,5 +1,7 @@
 """The set-based path against the valuation engine."""
 
+import pathlib
+
 from blp import engine
 from blp.bilattice import F, I, T, U
 from blp.bottomup import alpha_fixed_semantics
@@ -8,6 +10,7 @@ from blp.syntax import parse_program
 from blp.valuation import from_interpretation
 
 ALPHAS = (F, T, U, I)
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 def test_suspect_pessimistic_sets(suspect_gp):
@@ -60,3 +63,18 @@ def test_long_flat_body_evaluates_without_recursion():
     for alpha in ALPHAS:
         result = from_interpretation(alpha_fixed_semantics(gp, alpha))
         assert result == engine.fix_u(gp, alpha)
+
+
+def test_agrees_with_engine_on_full_bases():
+    # a full base with extra constants has many atoms that head no rule,
+    # the atoms bottomup pins to alpha
+    texts = [path.read_text() for path in sorted(DATA.glob("*.blp"))]
+    texts.append("p(X) <- exists Y: e(X,Y) & ~p(Y). e(a,b). e(b,a). q <- forall X: ~r(X).")
+    pinned = 0
+    for text in texts:
+        gp = ground(parse_program(text), extra_constants=("z1", "z2"), base_mode="full")
+        pinned += len(gp.base) - len(gp.ir)
+        for alpha in ALPHAS:
+            assert from_interpretation(alpha_fixed_semantics(gp, alpha)) == \
+                engine.fix_u(gp, alpha)
+    assert pinned > 20

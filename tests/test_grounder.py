@@ -23,14 +23,14 @@ from blp.valuation import Valuation, contrajoin_eval
 def test_suspect_program_grounds_to_four_rules(suspect_gp):
     assert len(suspect_gp.base) == 4
     assert set(suspect_gp.rules) == set(suspect_gp.base.atoms)
-    assert suspect_gp.not_heads == frozenset()
+    assert set(suspect_gp.base).difference(suspect_gp.rules) == set()
 
 
 def test_single_rule_base_and_not_heads():
     gp = ground(parse_program("a <- b."))
     assert set(map(str, gp.base)) == {"a", "b"}
     assert gp.rules[GroundAtom("a")] == Atom("b")
-    assert gp.not_heads == {GroundAtom("b")}
+    assert set(gp.base).difference(gp.rules) == {GroundAtom("b")}
 
 
 def test_exists_expands_to_disjunction_over_domain():
@@ -110,7 +110,7 @@ def test_full_vs_occurring_base():
     full = ground(program, base_mode="full")
     assert len(occ.base) == 1
     assert len(full.base) == 4
-    assert full.not_heads == frozenset(
+    assert set(full.base).difference(full.rules) == set(
         a for a in full.base if str(a) != "likes(a,b)"
     )
 
@@ -154,7 +154,7 @@ def test_ground_is_idempotent_through_rendering(colleague_single_gp, suspect_gp)
     for gp in (colleague_single_gp, suspect_gp):
         regrounded = ground(parse_program(gp.render()))
         assert regrounded.base == gp.base
-        assert regrounded.not_heads == gp.not_heads
+        assert set(regrounded.rules) == set(gp.rules)
         assert regrounded.rules == gp.rules
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from blp import oracles
 from blp.bilattice import T
-from blp.grounder import CONSTS, LIT, GroundAtom, GroundProgram, formula_code, ground
+from blp.grounder import CONSTS, LIT, GroundAtom, formula_code, ground
 from blp.oracles import ConventionalityError
 from blp.syntax import (
     Binary,
@@ -41,7 +41,6 @@ def assert_one_ir(gp):
     rules = gp.rules
     index = gp.base.index
     assert gp.ir == tuple((index(h), formula_code(gp.base, b)) for h, b in rules.items())
-    assert GroundProgram(gp.base, rules, gp.not_heads).ir == gp.ir
     assert gp.render() == render_program(gp.to_program())
 
 
