@@ -7,6 +7,10 @@ The package also provides the consensus of the pessimistic and
 optimistic semantics, an independent set-based computation path, and
 classical three-valued oracles (well-founded, Kripke-Kleene, stable
 models) for cross-validation on conventional programs.
+
+The names of the oracles and of the set-based path are resolved on
+first use (PEP 562), so that importing the package, or the command line
+front end, loads neither module until something asks for it.
 """
 
 from .bilattice import (
@@ -26,7 +30,6 @@ from .bilattice import (
     truth_join,
     truth_meet,
 )
-from .bottomup import alpha_fixed_semantics
 from .engine import (
     InternalInvariantError,
     SemanticsResult,
@@ -42,14 +45,6 @@ from .engine import (
     stability,
 )
 from .grounder import Base, GroundAtom, GroundProgram, ground, herbrand_base
-from .oracles import (
-    ConventionalityError,
-    ThreeValuation,
-    enumerate_stable_models,
-    gl_transform,
-    kripke_kleene,
-    well_founded,
-)
 from .syntax import ParseError, Program, is_conventional, parse_program, render_program
 from .valuation import (
     BaseMismatchError,
@@ -64,3 +59,33 @@ from .valuation import (
 )
 
 __version__ = "0.1.0"
+
+# name: the module that defines it, resolved on first use; the two
+# modules themselves are among the names
+_LAZY = {
+    "bottomup": "bottomup",
+    "alpha_fixed_semantics": "bottomup",
+    "oracles": "oracles",
+    "ConventionalityError": "oracles",
+    "ThreeValuation": "oracles",
+    "enumerate_stable_models": "oracles",
+    "gl_transform": "oracles",
+    "kripke_kleene": "oracles",
+    "well_founded": "oracles",
+}
+
+
+def __getattr__(name: str):
+    owner = _LAZY.get(name)
+    if owner is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    module = import_module(f"{__name__}.{owner}")
+    value = module if name == owner else getattr(module, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(globals().keys() | _LAZY.keys())

@@ -16,10 +16,9 @@ evaluation engine itself never runs on products.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from itertools import product as _pairs
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 
 class TruthValue(Enum):
@@ -303,8 +302,7 @@ class _FourOps:
 FOUR_BILATTICE = _FourOps()
 
 
-@dataclass(frozen=True)
-class LawReport:
+class LawReport(NamedTuple):
     """Outcome of an exhaustive bilattice law check, one entry per law."""
 
     results: tuple

@@ -13,10 +13,14 @@ input.
 Each subcommand's options are one table, COMMANDS: flag, choices,
 default, whether required, help.  build_parser builds argparse from it,
 and _read_argv reads the plain argv, the subcommand and then its flags,
-each once with a value, and the file, in any order, into the Namespace
-argparse would return, without building the parser.  Any other argv,
-help and every error included, goes to argparse, which is therefore the
-one source of usage and error text.
+each once with a value, and the file, in any order, into a namespace
+with the attributes argparse would set, without building the parser.
+Any other argv, help and every error included, goes to argparse, which
+is therefore the one source of usage and error text; argparse is
+imported only then.
+
+A command imports what only it needs when it runs: the oracles for
+wfs, kk, stable-enum and check, json for --format json.
 
 Output is written from the masks: Valuation.symbols gives one symbol per
 atom, and the atom texts come from Base.names.
@@ -24,14 +28,13 @@ atom, and the atom texts come from Base.names.
 
 from __future__ import annotations
 
-import argparse
 import functools
-import json
 import re
 import sys
+from types import SimpleNamespace
 from typing import NamedTuple, Optional
 
-from . import engine, oracles
+from . import engine
 from .bilattice import TruthValue
 from .grounder import GroundProgram, ground
 from .syntax import ParseError, is_conventional, parse_program
@@ -54,11 +57,6 @@ _ATOM_RE = re.compile(r"([a-z][A-Za-z0-9_]*)(?:\(([^()]*)\))?\Z")
 
 class CliError(Exception):
     """User-level error; reported on stderr with exit status 1."""
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # route argparse failures to exit status 1
-        raise CliError(f"{self.prog}: {message}")
 
 
 def _read_input(path: str) -> str:
@@ -114,9 +112,15 @@ def _print_tsv(rows, header) -> None:
     sys.stdout.write("\n".join(lines) + "\n")
 
 
+def _print_json(payload) -> None:
+    import json
+
+    print(json.dumps(payload, indent=2, sort_keys=True))
+
+
 def _emit_valuation(v: Valuation, fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps(v.to_json_dict(), indent=2, sort_keys=True))
+        _print_json(v.to_json_dict())
     elif fmt == "tsv":
         sys.stdout.write(v.to_lines())
     else:
@@ -129,7 +133,7 @@ def _emit_model_set(names, models, fmt: str) -> None:
     their symbols do."""
     columns = sorted(m.symbols() for m in models)
     if fmt == "json":
-        print(json.dumps([dict(zip(names, c)) for c in columns], indent=2, sort_keys=True))
+        _print_json([dict(zip(names, c)) for c in columns])
         return
     if not columns:
         return
@@ -159,13 +163,16 @@ def cmd_eval(args) -> int:
                   "fixF": r.fix_f, "fixT": r.fix_t}[name]
     elif name == "consensus":
         result = engine.consensus_semantics(gp).valuation
-    elif name == "wfs":
-        result = oracles.well_founded(gp)
-    elif name == "kk":
-        result = oracles.kripke_kleene(gp)
     else:
-        _emit_model_set(gp.base.names, oracles.enumerate_stable_models(gp), args.format)
-        return 0
+        from . import oracles
+
+        if name == "wfs":
+            result = oracles.well_founded(gp)
+        elif name == "kk":
+            result = oracles.kripke_kleene(gp)
+        else:
+            _emit_model_set(gp.base.names, oracles.enumerate_stable_models(gp), args.format)
+            return 0
     _emit_valuation(result, args.format)
     return 0
 
@@ -175,8 +182,7 @@ def cmd_compare(args) -> int:
     report = engine.compare_semantics(gp)
     names = ["F", "T", "U", "I", "consensus"]
     if args.format == "json":
-        payload = {n: report.valuations[n].to_json_dict() for n in names}
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        _print_json({n: report.valuations[n].to_json_dict() for n in names})
         return 0
     rows = zip(gp.base.names, *[report.valuations[n].symbols() for n in names])
     if args.format == "tsv":
@@ -235,6 +241,8 @@ def _parse_model_file(path: str, gp: GroundProgram) -> Valuation:
 
 
 def cmd_check(args) -> int:
+    from . import oracles
+
     gp = _load_ground_program(args)
     alpha = TruthValue.from_symbol(args.alpha)
     v = _parse_model_file(args.model, gp)
@@ -250,12 +258,11 @@ def cmd_check(args) -> int:
         ("three-valued-stable", "n/a" if stable is None else _yn(stable)),
     ]
     if args.format == "json":
-        payload = {
+        _print_json({
             "alpha_fixed_model": fixed,
             "operator_model": operator_model,
             "three_valued_stable": stable,
-        }
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        })
     elif args.format == "tsv":
         for key, val in results:
             print(f"{key}\t{val}")
@@ -320,6 +327,12 @@ def _dest(flag: str) -> str:
 
 @functools.cache  # built on first use, then shared by every call of main
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):  # route argparse failures to exit status 1
+            raise CliError(f"{self.prog}: {message}")
+
     parser = _Parser(prog="blp", description="Four-valued logic program semantics")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, func, options) in COMMANDS.items():
@@ -353,12 +366,13 @@ def _reader_tables() -> dict:
 _READER = _reader_tables()
 
 
-def _read_argv(argv) -> Optional[argparse.Namespace]:
-    """The Namespace build_parser().parse_args(argv) returns, for plain
-    argv: a subcommand, then, in any order, flags of its table, each
-    given once, exactly, and followed by a value that does not start
-    with "-" and is one of the flag's choices, and at most one file that
-    does not start with "-"; every required flag is there.
+def _read_argv(argv) -> Optional[SimpleNamespace]:
+    """The attributes of the Namespace build_parser().parse_args(argv)
+    returns, for plain argv: a subcommand, then, in any order, flags of
+    its table, each given once, exactly, and followed by a value that
+    does not start with "-" and is one of the flag's choices, and at
+    most one file that does not start with "-"; every required flag is
+    there.
 
     None for any other argv, which argparse then reads: -h, --,
     --flag=value, an abbreviated, unknown or repeated flag, a value or
@@ -394,7 +408,7 @@ def _read_argv(argv) -> Optional[argparse.Namespace]:
         values[dest] = value
     if not required <= values.keys():
         return None
-    return argparse.Namespace(command=argv[0], func=func, **{**defaults, **values})
+    return SimpleNamespace(command=argv[0], func=func, **{**defaults, **values})
 
 
 def main(argv=None) -> int:

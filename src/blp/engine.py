@@ -42,8 +42,7 @@ naive iteration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Tuple
+from typing import Mapping, NamedTuple, Tuple
 
 from .bilattice import F, I, T, TruthValue, U
 from .grounder import GroundProgram
@@ -233,8 +232,7 @@ def fix_f_t(gp: GroundProgram, alpha: Alpha) -> Tuple[Valuation, Valuation]:
     return low, high
 
 
-@dataclass(frozen=True)
-class SemanticsResult:
+class SemanticsResult(NamedTuple):
     """The four extremal fixpoints for one default value alpha.
 
     iteration_counts maps each fixpoint name to (outer applications,
@@ -308,8 +306,7 @@ def is_model(gp: GroundProgram, v: Valuation) -> bool:
     return head_belief & ~belief == 0 and doubt & ~head_doubt == 0
 
 
-@dataclass(frozen=True)
-class ConsensusResult:
+class ConsensusResult(NamedTuple):
     """The consensus of the pessimistic and optimistic semantics, with
     flags saying how model-like the combination turned out to be."""
 
@@ -335,8 +332,7 @@ def _consensus(gp: GroundProgram, pess: Valuation, opt: Valuation) -> ConsensusR
     )
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(NamedTuple):
     """Side-by-side knowledge-least fixpoints for all four defaults plus
     the consensus, and every pointwise ordering that holds among them."""
 

@@ -37,6 +37,13 @@ Base.locate.
 The atom universe defaults to the atoms that occur in the instantiated
 rules; the full predicate-by-constant Herbrand base is available via
 base_mode="full".
+
+Before anything is expanded, ground counts what it would make: for each
+clause, its instances (|constants| to the number of head variables)
+times the codes of one instance, each quantifier multiplying its body
+by |constants|, plus the atoms of the full base.  A program whose count
+passes GROUND_CAP is rejected with a ValueError naming the largest
+part, rather than filling memory for minutes.
 """
 
 from __future__ import annotations
@@ -64,6 +71,7 @@ from .syntax import (
     Quantified,
     TruthConst,
     Var,
+    render_atom_text,
     walk,
 )
 
@@ -73,6 +81,12 @@ OPS = (BinOp.AND, BinOp.OR, BinOp.CONSENSUS, BinOp.GULLIBILITY)
 LIT = 8
 _T, _F = CONSTS.index(T), CONSTS.index(F)
 _AND, _OR = 4 + OPS.index(BinOp.AND), 4 + OPS.index(BinOp.OR)
+
+# Codes and atoms one call of ground may make (see the module docstring).
+# The engine's compiled bodies hold a mask as wide as the base per node,
+# so a program at the cap whose every atom heads a rule takes about
+# 200 MB to evaluate; the tests' and benchmarks' largest makes 6001.
+GROUND_CAP = 20_000
 
 
 class GroundAtom(NamedTuple):
@@ -351,8 +365,9 @@ def ground(
     tables: dict = {}
     atoms: list = []
     bodies: dict = {}  # 2 * head id -> merged body code
-    for clause in program.clauses:
-        table, head_key, k, block, env = _template(clause, tables)
+    templates = [_template(clause, tables) for clause in program.clauses]
+    _check_size(program, templates, len(constants), base_mode)
+    for clause, (table, head_key, k, block, env) in zip(program.clauses, templates):
         for combo in product(constants, repeat=k):
             env[:k] = combo
             key = head_key(env)
@@ -375,6 +390,37 @@ def ground(
                 table[key] = 2 * len(atoms)
                 atoms.append((atom.pred, key))
     return _program(atoms, bodies)
+
+
+def _check_size(program: Program, templates: list, n: int, base_mode: str) -> None:
+    """Raise ValueError when grounding over n constants would make more
+    than GROUND_CAP codes and atoms, naming the largest part."""
+    counts = [n ** k * _codes(block, n) for _, _, k, block, _ in templates]
+    if base_mode == "full":
+        counts.append(sum(n ** arity for arity in _signatures(program).values()))
+    total = sum(counts)
+    if total > GROUND_CAP:
+        i = counts.index(max(counts))
+        if i == len(templates):
+            part = "the full base"
+        else:
+            head = program.clauses[i].head
+            part = f"clause {i + 1} ({render_atom_text(head.pred, head.args)})"
+        raise ValueError(
+            f"grounding would make {total} codes and atoms, more than the limit "
+            f"of {GROUND_CAP}; {part} alone makes {counts[i]}"
+        )
+
+
+def _codes(block: list, n: int) -> int:
+    """The codes one instance of block emits over n constants."""
+    count = 0
+    for ins in block:
+        if ins[0] == _LOOP:
+            count += n * _codes(ins[2], n) + n - 1 if n else 1
+        else:
+            count += 1
+    return count
 
 
 def _program(atoms: list, bodies: dict) -> GroundProgram:

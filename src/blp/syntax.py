@@ -43,8 +43,8 @@ operator follows.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 from typing import Iterator, Union
 
 from .bilattice import F, T, TruthValue, negation
@@ -72,76 +72,141 @@ class Quant(Enum):
     FORALL = "forall"
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+_set = object.__setattr__
 
 
-@dataclass(frozen=True)
-class Const:
-    name: str
+class _Node:
+    """An immutable AST node whose fields are its __slots__, in order.
+
+    Equality, hashing, repr and pickling are those of a frozen dataclass
+    with the same fields: two nodes are equal when they are of the same
+    class and their field tuples are equal, and the hash is the field
+    tuple's.  Each class writes its own __init__, which sets the fields
+    through object.__setattr__, since assigning one raises.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        names = cls.__match_args__ = cls.__slots__
+        get = attrgetter(*names)  # the tuple of the fields, or the one field
+        cls._fields = staticmethod(get if len(names) > 1 else lambda node: (get(node),))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            fields = self._fields
+            return fields(self) == fields(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields(self))
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._fields(self)
+
+
+class Var(_Node):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        _set(self, "name", name)
+
+
+class Const(_Node):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        _set(self, "name", name)
 
 
 Term = Union[Var, Const]
 
 
-@dataclass(frozen=True)
-class Atom:
-    pred: str
-    args: tuple = ()
+class Atom(_Node):
+    __slots__ = ("pred", "args")
+
+    def __init__(self, pred: str, args: tuple = ()) -> None:
+        _set(self, "pred", pred)
+        _set(self, "args", args)
 
 
-@dataclass(frozen=True)
-class NegAtom:
-    pred: str
-    args: tuple = ()
+class NegAtom(_Node):
+    __slots__ = ("pred", "args")
+
+    def __init__(self, pred: str, args: tuple = ()) -> None:
+        _set(self, "pred", pred)
+        _set(self, "args", args)
 
 
-@dataclass(frozen=True)
-class TruthConst:
-    value: TruthValue
+class TruthConst(_Node):
+    __slots__ = ("value",)
+
+    def __init__(self, value: TruthValue) -> None:
+        _set(self, "value", value)
 
 
-@dataclass(frozen=True)
-class Equal:
-    left: Term
-    right: Term
+class Equal(_Node):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Term, right: Term) -> None:
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
-@dataclass(frozen=True)
-class NotEqual:
+class NotEqual(_Node):
     # Only produced by pushing "~" through a guard; resolved at ground time.
-    left: Term
-    right: Term
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Term, right: Term) -> None:
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
-@dataclass(frozen=True)
-class Binary:
-    op: BinOp
-    left: "Formula"
-    right: "Formula"
+class Binary(_Node):
+    __slots__ = ("op", "left", "right")
+
+    def __init__(self, op: BinOp, left: "Formula", right: "Formula") -> None:
+        _set(self, "op", op)
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
-@dataclass(frozen=True)
-class Quantified:
-    kind: Quant
-    var: str
-    body: "Formula"
+class Quantified(_Node):
+    __slots__ = ("kind", "var", "body")
+
+    def __init__(self, kind: Quant, var: str, body: "Formula") -> None:
+        _set(self, "kind", kind)
+        _set(self, "var", var)
+        _set(self, "body", body)
 
 
 Formula = Union[Atom, NegAtom, TruthConst, Equal, NotEqual, Binary, Quantified]
 
 
-@dataclass(frozen=True)
-class Clause:
-    head: Atom
-    body: Formula
+class Clause(_Node):
+    __slots__ = ("head", "body")
+
+    def __init__(self, head: Atom, body: Formula) -> None:
+        _set(self, "head", head)
+        _set(self, "body", body)
 
 
-@dataclass(frozen=True)
-class Program:
-    clauses: tuple
-    constants: frozenset
+class Program(_Node):
+    __slots__ = ("clauses", "constants")
+
+    def __init__(self, clauses: tuple, constants: frozenset) -> None:
+        _set(self, "clauses", clauses)
+        _set(self, "constants", constants)
 
     @classmethod
     def from_clauses(cls, clauses) -> "Program":

@@ -410,3 +410,15 @@ def test_invalid_utf8_is_a_located_read_error(capsys, tmp_path, monkeypatch):
     # valid input on stdin still reads
     monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"p.\n"), encoding="utf-8"))
     assert run(capsys, "ground", "-") == (0, "p.\n", "")
+
+
+def test_oversized_grounding_is_a_user_error(capsys, tmp_path):
+    program = tmp_path / "wide.blp"
+    program.write_text("p(A,B,C,D,E,F2) <- q(A).\n" + "".join(f"q(c{i}).\n" for i in range(20)))
+    for argv in (["ground"], ["eval", "--alpha", "F", "--semantics", "fixU"], ["compare"]):
+        code, out, err = run(capsys, *argv, str(program))
+        assert code == 1 and out == ""
+        assert err == (
+            "error: grounding would make 64000020 codes and atoms, more than the limit "
+            "of 20000; clause 1 (p(A,B,C,D,E,F2)) alone makes 64000000\n"
+        )

@@ -405,15 +405,13 @@ def test_iterate_names_the_atoms_still_moving_at_the_bound():
 
 
 def test_self_check_names_the_atoms_of_each_failed_identity(suspect_gp):
-    import dataclasses
-
     # one atom off in one field: innocent(john), F everywhere, made I in fixU
     r = engine.semantics(suspect_gp, F)
     atom = suspect_gp.base.atoms[2]
     assert {r.fix_u[atom], r.fix_i[atom], r.fix_f[atom], r.fix_t[atom]} == {F}
     moved = {a: r.fix_u[a] for a in suspect_gp.base}
     moved[atom] = I
-    bad = dataclasses.replace(r, fix_u=Valuation.from_mapping(suspect_gp.base, moved))
+    bad = r._replace(fix_u=Valuation.from_mapping(suspect_gp.base, moved))
     with pytest.raises(engine.InternalInvariantError) as caught:
         engine._check_decomposition(bad)
     assert str(caught.value) == (
@@ -438,8 +436,8 @@ def test_self_check_names_the_atoms_of_each_failed_identity(suspect_gp):
     ):
         moved = {a: getattr(r, field)[a] for a in suspect_gp.base}
         moved[at] = U
-        bad = dataclasses.replace(
-            r, **{field: Valuation.from_mapping(suspect_gp.base, moved)})
+        bad = r._replace(
+            **{field: Valuation.from_mapping(suspect_gp.base, moved)})
         with pytest.raises(engine.InternalInvariantError) as caught:
             engine._check_decomposition(bad)
         assert str(caught.value) == "fixpoint decomposition identities violated: " + (
@@ -447,7 +445,7 @@ def test_self_check_names_the_atoms_of_each_failed_identity(suspect_gp):
     # every atom off: five named, the rest counted
     gp = ground(parse_program("".join(f"a{i}. " for i in range(8))))
     r = engine.semantics(gp, F)
-    bad = dataclasses.replace(r, fix_t=const_valuation(gp.base, F))
+    bad = r._replace(fix_t=const_valuation(gp.base, F))
     with pytest.raises(engine.InternalInvariantError) as caught:
         engine._check_decomposition(bad)
     atoms = "a0, a1, a2, a3, a4 and 3 more"

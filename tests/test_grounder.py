@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from blp import grounder
 from blp.bilattice import F, T, TruthValue, U, big_join_t, big_meet_t
 from blp.grounder import Base, GroundAtom, ground, herbrand_base
 from blp.syntax import (
@@ -264,3 +265,69 @@ def test_instantiate_matches_structural_recursion():
             want = _instantiated_reference(f, {"X": c}, constants, occurring)
             assert gp.rules[GroundAtom("h", (c,))] == want
         assert set(gp.base) == heads | {GroundAtom(*key) for key in occurring}
+
+
+# -- the size estimate made before anything is expanded
+
+def test_oversized_head_is_rejected_before_expanding():
+    # 20^6 instances of p: grounding them would run for minutes
+    text = "p(A,B,C,D,E,F2) <- q(A).\n" + "".join(f"q(c{i}).\n" for i in range(20))
+    with pytest.raises(ValueError) as caught:
+        ground(parse_program(text))
+    assert str(caught.value) == (
+        "grounding would make 64000020 codes and atoms, more than the limit of "
+        f"{grounder.GROUND_CAP}; clause 1 (p(A,B,C,D,E,F2)) alone makes 64000000"
+    )
+
+
+def test_nested_quantifiers_are_counted_before_expanding():
+    # 60 nested exists over 2 constants: 2^60 instances of q(X59)
+    text = "p <- " + "".join(f"exists X{i}: " for i in range(60)) + "q(X59).\nq(a). q(b).\n"
+    with pytest.raises(ValueError) as caught:
+        ground(parse_program(text))
+    leaves = 2 ** 60
+    assert str(caught.value) == (
+        f"grounding would make {2 * leaves - 1 + 2} codes and atoms, more than the "
+        f"limit of {grounder.GROUND_CAP}; clause 1 (p) alone makes {2 * leaves - 1}"
+    )
+
+
+def test_full_base_is_counted_before_expanding():
+    constants = ",".join(f"c{i}" for i in range(8))
+    program = parse_program(f"s({constants[:14]}).\n")
+    assert len(ground(program, constants.split(",")).base) == 1
+    with pytest.raises(ValueError) as caught:
+        ground(program, constants.split(","), "full")
+    assert str(caught.value) == (
+        f"grounding would make {8 ** 5 + 1} codes and atoms, more than the limit of "
+        f"{grounder.GROUND_CAP}; the full base alone makes {8 ** 5}"
+    )
+
+
+def test_size_estimate_is_exactly_what_grounding_makes(monkeypatch):
+    # h(X) <- f. over a, b has one instance per head, so nothing merges
+    # and the estimate is the length of the IR, plus the atoms of the
+    # full base; the cap admits exactly that many
+    rng = random.Random(14)
+    leaves = ["p(X)", "~q(X,a)", "#u", "X = b", "~(X = a)", "r"]
+
+    def formula(depth):
+        if depth == 0 or rng.random() < 0.3:
+            return rng.choice(leaves)
+        if rng.random() < 0.2:
+            return f"({rng.choice(['exists', 'forall'])} X: {formula(depth - 1)})"
+        op = rng.choice(" & | * + ".split())
+        return "(" + f" {op} ".join(formula(depth - 1) for _ in range(rng.randint(2, 4))) + ")"
+
+    for _ in range(100):
+        program = parse_program(f"h(X) <- {formula(4)}.\nh(b).\nr.\n")
+        for mode, extra in (("occurring", 0), ("full", len(herbrand_base(program, "a")))):
+            gp = ground(program, ("a",), mode)
+            merges = 1  # h(b) has two bodies
+            size = sum(len(code) for _, code in gp.ir) - merges + extra
+            monkeypatch.setattr(grounder, "GROUND_CAP", size)
+            assert ground(program, ("a",), mode).ir == gp.ir
+            monkeypatch.setattr(grounder, "GROUND_CAP", size - 1)
+            with pytest.raises(ValueError, match=f"would make {size} codes"):
+                ground(program, ("a",), mode)
+            monkeypatch.undo()
