@@ -23,7 +23,10 @@ A command imports what only it needs when it runs: the oracles for
 wfs, kk, stable-enum and check, json for --format json.
 
 Output is written from the masks: Valuation.symbols gives one symbol per
-atom, and the atom texts come from Base.names.
+atom, and the atom texts come from Base.names.  Every table goes through
+one writer, _write, which branches only on the format; eval's tsv and
+json go through Valuation.to_lines and to_json_dict.  A model file is
+read into one symbol per atom and built with Valuation.from_symbols.
 """
 
 from __future__ import annotations
@@ -37,8 +40,8 @@ from typing import NamedTuple, Optional
 from . import engine
 from .bilattice import TruthValue
 from .grounder import GroundProgram, ground
-from .syntax import ParseError, is_conventional, parse_program
-from .valuation import Valuation, value_masks
+from .syntax import _KEYWORDS, ParseError, is_conventional, parse_program
+from .valuation import Valuation
 
 SEMANTICS_CHOICES = (
     "fixU",
@@ -78,7 +81,7 @@ def _read_input(path: str) -> str:
 def _extra_constants(raw: str):
     names = [c for c in raw.split(",") if c]
     for name in names:
-        if not _CONST_RE.match(name):
+        if not _CONST_RE.match(name) or name in _KEYWORDS:
             raise CliError(f"invalid constant name {name!r}")
     return tuple(names)
 
@@ -93,61 +96,36 @@ def _load_ground_program(args) -> GroundProgram:
     return ground(program, _extra_constants(args.const), args.base)
 
 
-def _print_columns(rows, header=None) -> None:
-    """Left-aligned columns of strings, one space apart."""
+def _write(fmt: str, payload, rows, header=None, footer: str = "") -> None:
+    """Write one table to stdout in format fmt: json dumps payload; tsv
+    writes header, if any, and rows as tab-separated lines; table writes
+    them as left-aligned columns, one space apart, followed by footer.
+    Rows are sequences of strings."""
+    if fmt == "json":
+        import json
+
+        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        return
+    if fmt == "tsv":
+        lines = ["\t".join(header)] if header else []
+        lines += map("\t".join, rows)
+        if lines:
+            sys.stdout.write("\n".join(lines) + "\n")
+        return
     table = [header] if header else []
     table += rows
-    if not table:
-        return
-    widths = [max(len(r[i]) for r in table) for i in range(len(table[0]))]
-    sys.stdout.write("".join(
-        " ".join([c.ljust(w) for c, w in zip(row, widths)]).rstrip() + "\n"
-        for row in table
-    ))
-
-
-def _print_tsv(rows, header) -> None:
-    lines = ["\t".join(header)]
-    lines += map("\t".join, rows)
-    sys.stdout.write("\n".join(lines) + "\n")
-
-
-def _print_json(payload) -> None:
-    import json
-
-    print(json.dumps(payload, indent=2, sort_keys=True))
-
-
-def _emit_valuation(v: Valuation, fmt: str) -> None:
-    if fmt == "json":
-        _print_json(v.to_json_dict())
-    elif fmt == "tsv":
-        sys.stdout.write(v.to_lines())
-    else:
-        _print_columns(zip(v.base.names, v.symbols()))
-
-
-def _emit_model_set(names, models, fmt: str) -> None:
-    """The models' columns, sorted as their to_lines texts: over one
-    base those first differ at the first atom whose values differ, as
-    their symbols do."""
-    columns = sorted(m.symbols() for m in models)
-    if fmt == "json":
-        _print_json([dict(zip(names, c)) for c in columns])
-        return
-    if not columns:
-        return
-    header = ["atom"] + [f"model{i + 1}" for i in range(len(columns))]
-    rows = zip(names, *columns)
-    if fmt == "tsv":
-        _print_tsv(rows, header)
-    else:
-        _print_columns(rows, header)
+    if table:
+        widths = [max(len(r[i]) for r in table) for i in range(len(table[0]))]
+        sys.stdout.write("".join(
+            " ".join([c.ljust(w) for c, w in zip(row, widths)]).rstrip() + "\n"
+            for row in table
+        ))
+    sys.stdout.write(footer)
 
 
 def cmd_eval(args) -> int:
     gp = _load_ground_program(args)
-    name = args.semantics
+    name, fmt = args.semantics, args.format
     if name in _ALPHA_FREE:
         if args.alpha is not None:
             raise CliError(f"--semantics {name} does not take --alpha")
@@ -171,9 +149,21 @@ def cmd_eval(args) -> int:
         elif name == "kk":
             result = oracles.kripke_kleene(gp)
         else:
-            _emit_model_set(gp.base.names, oracles.enumerate_stable_models(gp), args.format)
+            # sorted as the models' to_lines texts: over one base those
+            # first differ at the first atom whose values differ, as
+            # their symbols do
+            columns = sorted(m.symbols() for m in oracles.enumerate_stable_models(gp))
+            names = gp.base.names
+            payload = [dict(zip(names, c)) for c in columns] if fmt == "json" else None
+            header = ["atom"] + [f"model{i + 1}" for i in range(len(columns))]
+            _write(fmt, payload, zip(names, *columns) if columns else (),
+                   header if columns else None)
             return 0
-    _emit_valuation(result, args.format)
+    if fmt == "tsv":
+        sys.stdout.write(result.to_lines())
+    else:
+        _write(fmt, result.to_json_dict() if fmt == "json" else None,
+               zip(result.base.names, result.symbols()))
     return 0
 
 
@@ -181,22 +171,20 @@ def cmd_compare(args) -> int:
     gp = _load_ground_program(args)
     report = engine.compare_semantics(gp)
     names = ["F", "T", "U", "I", "consensus"]
-    if args.format == "json":
-        _print_json({n: report.valuations[n].to_json_dict() for n in names})
-        return 0
-    rows = zip(gp.base.names, *[report.valuations[n].symbols() for n in names])
-    if args.format == "tsv":
-        _print_tsv(rows, ["atom"] + names)
-        return 0
-    _print_columns(rows, header=["atom"] + names)
-    print()
-    print("orderings between semantics (columns named by default value):")
-    for rel in report.relations:
-        print(f"  {rel}")
+    valuations = [report.valuations[n] for n in names]
     cons = report.consensus
-    print(f"consensus fixed under pessimistic default: {_yn(cons.fixed_under_pessimistic)}")
-    print(f"consensus fixed under optimistic default: {_yn(cons.fixed_under_optimistic)}")
-    print(f"consensus satisfies the rule truth bound: {_yn(cons.rule_bound_holds)}")
+    footer = "".join(line + "\n" for line in (
+        "",
+        "orderings between semantics (columns named by default value):",
+        *[f"  {rel}" for rel in report.relations],
+        f"consensus fixed under pessimistic default: {_yn(cons.fixed_under_pessimistic)}",
+        f"consensus fixed under optimistic default: {_yn(cons.fixed_under_optimistic)}",
+        f"consensus satisfies the rule truth bound: {_yn(cons.rule_bound_holds)}",
+    ))
+    payload = ({n: v.to_json_dict() for n, v in zip(names, valuations)}
+               if args.format == "json" else None)
+    rows = zip(gp.base.names, *[v.symbols() for v in valuations])
+    _write(args.format, payload, rows, ["atom"] + names, footer)
     return 0
 
 
@@ -208,7 +196,7 @@ def _parse_model_file(path: str, gp: GroundProgram) -> Valuation:
     text = _read_input(path)
     names = gp.base.names
     by_name = {name: i for i, name in enumerate(names)}
-    belief = doubt = seen = 0
+    symbols = [None] * len(names)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("%"):
@@ -223,21 +211,15 @@ def _parse_model_file(path: str, gp: GroundProgram) -> Valuation:
         if i is None:
             raise CliError(f"{path}:{lineno}: unknown atom {atom_text}")
         try:
-            value = TruthValue.from_symbol(value_text)
+            symbol = TruthValue.from_symbol(value_text).value
         except ValueError as exc:
             raise CliError(f"{path}:{lineno}: {exc}") from None
-        bit = 1 << i
-        if seen & bit:
+        if symbols[i] is not None:
             raise CliError(f"{path}:{lineno}: duplicate atom {atom_text}")
-        seen |= bit
-        b, d = value_masks(value, bit)
-        belief |= b
-        doubt |= d
-    missing = ~seen & ((1 << len(names)) - 1)
-    if missing:
-        first = (missing & -missing).bit_length() - 1
-        raise CliError(f"model file is missing atom {names[first]}")
-    return Valuation.from_masks(gp.base, belief, doubt)
+        symbols[i] = symbol
+    if None in symbols:
+        raise CliError(f"model file is missing atom {names[symbols.index(None)]}")
+    return Valuation.from_symbols(gp.base, "".join(symbols))
 
 
 def cmd_check(args) -> int:
@@ -252,22 +234,15 @@ def cmd_check(args) -> int:
         stable = oracles.gl_transform(gp, v) == v
     except ValueError:  # a value I, or a ConventionalityError
         stable = None
-    results = [
+    _write(args.format, {
+        "alpha_fixed_model": fixed,
+        "operator_model": operator_model,
+        "three_valued_stable": stable,
+    }, [
         ("alpha-fixed-model", _yn(fixed)),
         ("operator-model", _yn(operator_model)),
         ("three-valued-stable", "n/a" if stable is None else _yn(stable)),
-    ]
-    if args.format == "json":
-        _print_json({
-            "alpha_fixed_model": fixed,
-            "operator_model": operator_model,
-            "three_valued_stable": stable,
-        })
-    elif args.format == "tsv":
-        for key, val in results:
-            print(f"{key}\t{val}")
-    else:
-        _print_columns(results)
+    ])
     return 0
 
 
@@ -419,14 +394,11 @@ def main(argv=None) -> int:
         if args is None:
             args = build_parser().parse_args(argv)
         return args.func(args)
-    except CliError as exc:
+    except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 1
     except engine.InternalInvariantError as exc:
         print(f"internal invariant violated: {exc}", file=sys.stderr)

@@ -85,7 +85,7 @@ _AND, _OR = 4 + OPS.index(BinOp.AND), 4 + OPS.index(BinOp.OR)
 # Codes and atoms one call of ground may make (see the module docstring).
 # The engine's compiled bodies hold a mask as wide as the base per node,
 # so a program at the cap whose every atom heads a rule takes about
-# 200 MB to evaluate; the tests' and benchmarks' largest makes 6001.
+# 105 MB to evaluate; the tests' and benchmarks' largest makes 6001.
 GROUND_CAP = 20_000
 
 

@@ -357,16 +357,16 @@ class CompiledBodies:
         for bit in self.outputs:
             self.out_mask |= bit
         self.rest = ((1 << n) - 1) & ~self.out_mask
-        bits = [0] * LIT  # bits[c] is the literal bit of IR code c
+        at = [0] * LIT  # 1 << at[c] is the literal bit of IR code c
         for i in range(n):
-            bits += (1 << i, 1 << (n + i))
+            at += (i, n + i)
         init = [0] * len(bodies)
         nodes = []
         for out, (_, code) in enumerate(bodies):
             stack = []
             for c in code:
                 if c >= LIT:
-                    stack.append(bits[c])
+                    stack.append(1 << at[c])
                 elif c < 4:
                     stack.append(~c)
                 else:

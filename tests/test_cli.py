@@ -422,3 +422,50 @@ def test_oversized_grounding_is_a_user_error(capsys, tmp_path):
             "error: grounding would make 64000020 codes and atoms, more than the limit "
             "of 20000; clause 1 (p(A,B,C,D,E,F2)) alone makes 64000000\n"
         )
+
+
+MODEL_OK = "charge(john)\tT\nfree(john)\tF\ninnocent(john)\tF\nsuspect(john)\tT\n"
+
+
+def test_model_file_skips_comments_and_blank_lines(capsys, tmp_path):
+    model = tmp_path / "model.tsv"
+    model.write_text("% a comment\n\n" + MODEL_OK.replace("\n", "\n   \n", 1) + "%\n")
+    code, out, err = run(capsys, "check", "--alpha", "F", "--model", str(model),
+                         "--format", "tsv", str(DATA / "suspect.blp"))
+    assert (code, err) == (0, "")
+    assert out == "alpha-fixed-model\tyes\noperator-model\tyes\nthree-valued-stable\tyes\n"
+
+
+def test_model_file_errors_are_located(capsys, tmp_path):
+    model = tmp_path / "model.tsv"
+    cases = [
+        # a wrong field count, then a malformed atom: each on line 2
+        ("charge(john)\tT\nfree(john) F x\n", "2: expected 'atom<TAB>value', "
+         "got 'free(john) F x'"),
+        ("charge(john)\tT\n\tfree(john)\n", "2: expected 'atom<TAB>value', got '\\tfree(john)'"),
+        ("charge(john)\tT\nfree(john\tF\n", "2: malformed atom 'free(john'"),
+        ("charge(john)\tT\nFree\tF\n", "2: malformed atom 'Free'"),
+        # the checks run in order: malformed, unknown, bad value, duplicate
+        ("% c\nghost\tX\n", "2: unknown atom ghost"),
+        ("charge(john)\tT\n\ncharge(john)\tF\n", "3: duplicate atom charge(john)"),
+        ("charge(john)\tT\ncharge(john)\tX\n",
+         "2: unknown truth symbol 'X' (expected one of F, T, U, I)"),
+    ]
+    for text, message in cases:
+        model.write_text(text)
+        code, out, err = run(capsys, "check", "--alpha", "F", "--model", str(model),
+                             str(DATA / "suspect.blp"))
+        assert (code, out, err) == (1, "", f"error: {model}:{message}\n"), text
+    # a missing atom is reported last, by the first one in base order
+    model.write_text("suspect(john)\tT\ncharge(john)\tT\n")
+    assert run(capsys, "check", "--alpha", "F", "--model", str(model),
+               str(DATA / "suspect.blp")) == (1, "", "error: model file is missing atom "
+                                                     "free(john)\n")
+
+
+def test_const_rejects_reserved_words(capsys, tmp_path):
+    src = tmp_path / "p.blp"
+    src.write_text("q(a). p(X) <- q(X).\n")
+    for raw, name in (("exists,forall", "exists"), ("c,forall", "forall")):
+        assert run(capsys, "ground", "--const", raw, str(src)) == (
+            1, "", f"error: invalid constant name {name!r}\n")

@@ -5,6 +5,7 @@ import contextlib
 import io
 import json
 import sys
+from types import SimpleNamespace
 
 from hypothesis import given, seed, settings, strategies as st
 
@@ -159,7 +160,20 @@ def _printed(emit, *args) -> str:
     return out.getvalue()
 
 
-def test_output_matches_items_reference(mixed_corpus, mixed_results, conventional_corpus):
+def _eval_printed(monkeypatch, semantics, fmt, base, result) -> str:
+    """What cmd_eval prints for --semantics consensus or stable-enum
+    when that semantics gives result, the valuation or the model list,
+    over base."""
+    monkeypatch.setattr(cli, "_load_ground_program", lambda args: SimpleNamespace(base=base))
+    monkeypatch.setattr(engine, "consensus_semantics",
+                        lambda gp: SimpleNamespace(valuation=result))
+    monkeypatch.setattr(oracles, "enumerate_stable_models", lambda gp: result)
+    args = SimpleNamespace(semantics=semantics, alpha=None, format=fmt)
+    return _printed(cli.cmd_eval, args)
+
+
+def test_output_matches_items_reference(mixed_corpus, mixed_results, conventional_corpus,
+                                        monkeypatch):
     empty = Base([])
     valuations = [Valuation(empty, [])]
     for results in mixed_results:
@@ -167,14 +181,15 @@ def test_output_matches_items_reference(mixed_corpus, mixed_results, conventiona
             valuations += (r.fix_u, r.fix_i, r.fix_f, r.fix_t)
     for gp in mixed_corpus:
         valuations.append(engine.consensus_semantics(gp).valuation)
-    for fmt in ("table", "tsv", "json"):
-        for v in valuations:
-            assert _printed(cli._emit_valuation, v, fmt) == _reference(v, fmt)
     model_sets = [(empty, [])] + [
         (gp.base, oracles.enumerate_stable_models(gp)) for gp in conventional_corpus
     ]
     assert any(len(models) > 2 for _, models in model_sets)
     for fmt in ("table", "tsv", "json"):
+        for v in valuations:
+            assert (_eval_printed(monkeypatch, "consensus", fmt, v.base, v)
+                    == _reference(v, fmt))
+    for fmt in ("table", "tsv", "json"):
         for base, models in model_sets:
-            assert (_printed(cli._emit_model_set, base.names, models, fmt)
+            assert (_eval_printed(monkeypatch, "stable-enum", fmt, base, models)
                     == _reference_models(models, fmt))
