@@ -67,7 +67,6 @@ _LAZY = {
     "alpha_fixed_semantics": "bottomup",
     "oracles": "oracles",
     "ConventionalityError": "oracles",
-    "ThreeValuation": "oracles",
     "enumerate_stable_models": "oracles",
     "gl_transform": "oracles",
     "kripke_kleene": "oracles",

@@ -225,6 +225,8 @@ def _parse_model_file(path: str, gp: GroundProgram) -> Valuation:
 def cmd_check(args) -> int:
     from . import oracles
 
+    if args.model == "-" and args.file == "-":
+        raise CliError("--model - and the program cannot both be read from standard input")
     gp = _load_ground_program(args)
     alpha = TruthValue.from_symbol(args.alpha)
     v = _parse_model_file(args.model, gp)

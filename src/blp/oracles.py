@@ -4,11 +4,10 @@ Implements the extended Gelfond-Lifschitz transform (and with it the
 well-founded semantics and the three-valued stable models) and the
 Kripke-Kleene semantics.  These are cross-validation oracles for the
 four-valued engine: they share the parser and grounder but none of the
-engine's evaluation code.  Their public valuations are ThreeValuations:
-Valuations whose belief and doubt masks never share an atom, so a
-result compares and hashes equal to the engine's valuation with the
-same values.  ThreeValuation.ints, Kleene's integers -1, 0, 1 for F,
-U, T, is only a view of the masks.
+engine's evaluation code.  They take and return plain Valuations; a
+result never has an atom at I, so its belief and doubt masks never
+share an atom, and it compares and hashes equal to the engine's
+valuation with the same values.
 
 Inside, a value is a lane code: valuation L is bit lane L of a Python
 int, and an atom's value in it a pair of bits (is it T?, is it not F?),
@@ -61,8 +60,6 @@ _ORDER = "FUT"
 # stable-model search, which spans 3 to that power candidates
 ENUMERATION_CAP = 10
 
-_HAS_I = "valuation contains I and has no three-valued counterpart"
-
 # IR codes of the conventional fragment, and the codes outside it
 _T, _F = CONSTS.index(T), CONSTS.index(F)
 _AND, _OR = 4 + OPS.index(BinOp.AND), 4 + OPS.index(BinOp.OR)
@@ -79,47 +76,9 @@ class EnumerationCapError(ValueError):
     brute-force model search."""
 
 
-class ThreeValuation(Valuation):
-    """A valuation with no atom at I: a total map Base -> {F, U, T}.
-
-    It is a Valuation whose belief and doubt masks never share an atom,
-    so it compares, hashes and reads like one; ints is a view of the
-    masks as Kleene's integers -1, 0, 1 for F, U, T."""
-
-    __slots__ = ()
-
-    def __init__(self, base: Base, ints: Iterable[int]) -> None:
-        ints = tuple(ints)
-        if len(ints) != len(base):
-            raise ValueError(f"expected {len(base)} values, got {len(ints)}")
-        if any(x not in (-1, 0, 1) for x in ints):
-            raise ValueError("three-valued valuations take values in {F, U, T}")
-        v = Valuation.from_symbols(base, "".join([_ORDER[x + 1] for x in ints]))
-        self.base, self.belief, self.doubt = base, v.belief, v.doubt
-
-    @property
-    def ints(self) -> tuple:
-        """The values as Kleene's integers, in base order."""
-        return tuple(_ORDER.index(s) - 1 for s in self.symbols())
-
-    @classmethod
-    def all_unknown(cls, base: Base) -> "ThreeValuation":
-        return cls.from_masks(base, 0, 0)
-
-    @classmethod
-    def from_valuation(cls, v: Valuation) -> "ThreeValuation":
-        if v.belief & v.doubt:
-            raise ValueError(_HAS_I)
-        return cls.from_masks(v.base, v.belief, v.doubt)
-
-    def to_valuation(self) -> Valuation:
-        """The same values as a plain Valuation."""
-        return Valuation.from_masks(self.base, self.belief, self.doubt)
-
-
-def _of_codes(base: Base, codes: list) -> ThreeValuation:
+def _of_codes(base: Base, codes: list) -> Valuation:
     """The valuation of one-lane codes, one per atom of base."""
-    return ThreeValuation.from_symbols(base, bytes(codes).translate(_SYMBOL).decode())
+    return Valuation.from_symbols(base, bytes(codes).translate(_SYMBOL).decode())
 
 
 def _check(ir: tuple) -> None:
@@ -279,7 +238,7 @@ def _least(rules: tuple, positive, table: list, n: int) -> list:
     raise RuntimeError("positive consequence iteration failed to converge")
 
 
-def gl_transform(gp: GroundProgram, v: Valuation) -> ThreeValuation:
+def gl_transform(gp: GroundProgram, v: Valuation) -> Valuation:
     """Extended Gelfond-Lifschitz transform: freeze negated atoms to their
     values under v, then take the truth-least fixpoint of the positive
     consequence operator (non-heads pinned false).  Reading negated atoms
@@ -290,14 +249,14 @@ def gl_transform(gp: GroundProgram, v: Valuation) -> ThreeValuation:
     if v.base != gp.base:
         raise BaseMismatchError("valuation does not match the program's base")
     if v.belief & v.doubt:
-        raise ValueError(_HAS_I)
+        raise ValueError("valuation contains I and has no three-valued counterpart")
     n = len(gp.base)
     table = _table(n, 1)
     table[LIT + 1::2] = v.symbols().encode().translate(_NEGATED)
     return _of_codes(gp.base, _least(rules, positive, table, n))
 
 
-def well_founded(gp: GroundProgram) -> ThreeValuation:
+def well_founded(gp: GroundProgram) -> Valuation:
     """Least fixpoint of the transform, reached from the all-unknown
     valuation; this is the well-founded semantics.
 
@@ -306,7 +265,7 @@ def well_founded(gp: GroundProgram) -> ThreeValuation:
     there the next would return the same valuation, and the iteration
     stops."""
     negated = _pinned(gp)[2]
-    cur = ThreeValuation.all_unknown(gp.base)
+    cur = Valuation.from_masks(gp.base, 0, 0)
     for _ in range(2 * len(gp.base) + 1):
         nxt = gl_transform(gp, cur)
         if not ((nxt.belief ^ cur.belief) | (nxt.doubt ^ cur.doubt)) & negated:
@@ -315,7 +274,7 @@ def well_founded(gp: GroundProgram) -> ThreeValuation:
     raise RuntimeError("well-founded iteration failed to converge")
 
 
-def kripke_kleene(gp: GroundProgram) -> ThreeValuation:
+def kripke_kleene(gp: GroundProgram) -> Valuation:
     """Knowledge-least fixpoint of the single-valuation consequence
     operator: heads take their body's Kleene value, non-heads stay unknown.
     It runs the program's IR as it is, in one lane."""
@@ -396,5 +355,5 @@ def enumerate_stable_models(gp: GroundProgram) -> list:
         for i in reversed(open_at):
             lane, digit = divmod(lane, 3)
             cells[i] = _ORDER[digit]
-        models.append(ThreeValuation.from_symbols(gp.base, "".join(cells)))
+        models.append(Valuation.from_symbols(gp.base, "".join(cells)))
     return models

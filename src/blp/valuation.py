@@ -99,17 +99,19 @@ class Valuation:
         """The valuation whose symbols() is symbols, one of "UTFI" per
         atom of base: the inverse of symbols().  Reversed, so that atom
         i is the i-th binary digit from the right, each symbol's belief
-        and doubt digits read in base 2 are the masks."""
+        and doubt digits read in base 2 are the masks.  A text of the
+        wrong length, or with any other character, is a ValueError."""
+        if len(symbols) != len(base):
+            raise ValueError(f"expected {len(base)} values, got {len(symbols)}")
         text = b"0" + symbols[::-1].encode()
+        if text.translate(None, b"UTFI") != b"0":  # more than the leading 0 is left
+            for symbol in symbols:
+                TruthValue.from_symbol(symbol)  # raises at the first bad one
         return cls.from_masks(
             base,
             int(text.translate(_BELIEF_OF_SYMBOL), 2),
             int(text.translate(_DOUBT_OF_SYMBOL), 2),
         )
-
-    @classmethod
-    def constant(cls, base: Base, alpha: TruthValue) -> "Valuation":
-        return cls.from_masks(base, *value_masks(alpha, (1 << len(base)) - 1))
 
     @classmethod
     def from_mapping(cls, base: Base, mapping: Mapping) -> "Valuation":
@@ -148,7 +150,7 @@ class Valuation:
             i = self.base.index(atom)
         except KeyError:
             raise BaseMismatchError(f"atom {atom} is outside the base") from None
-        return _OF_KCODE[(self.belief >> i & 1) | (self.doubt >> i & 1) << 1]
+        return CONSTS[(self.belief >> i & 1) | (self.doubt >> i & 1) << 1]
 
     def _check(self, other: "Valuation") -> None:
         if self.base != other.base:
@@ -221,7 +223,7 @@ class Valuation:
 
 def const_valuation(base: Base, alpha: TruthValue) -> Valuation:
     """The valuation assigning alpha to every atom of the base."""
-    return Valuation.constant(base, alpha)
+    return Valuation.from_masks(base, *value_masks(alpha, (1 << len(base)) - 1))
 
 
 class Interpretation:
@@ -292,7 +294,6 @@ def from_interpretation(i: Interpretation) -> Valuation:
 _AND, _OR, _CONS, _GULL = range(4)
 _FLIP = (2, 2, 0, 0)  # xor that turns a knowledge code into the kind's own code
 _MEET = (True, False, True, False)  # folds with bitwise and, else or
-_OF_KCODE = CONSTS
 _START = (1 ^ 2, 2 ^ 2, 3, 0)  # each kind's identity T, F, I, U in its own code
 
 
@@ -456,7 +457,7 @@ def contrajoin_eval(v: Valuation, w: Valuation, body: Formula) -> TruthValue:
     if v.base != w.base:
         raise BaseMismatchError("contrajoin requires both valuations over one base")
     belief, doubt = CompiledBodies(v.base, [(0, formula_code(v.base, body))]).evaluate(v, w)
-    return _OF_KCODE[belief | doubt << 1]
+    return CONSTS[belief | doubt << 1]
 
 
 # pseudo_eval works on (in-true-set, in-false-set) bit pairs end to end and

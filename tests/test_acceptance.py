@@ -135,10 +135,10 @@ def test_c05_fixpoint_decomposition_identities(mixed_corpus, mixed_results):
 def test_c06_conventional_oracle_correspondence(conventional_corpus):
     assert len(conventional_corpus) >= 200
     for gp in conventional_corpus:
-        assert well_founded(gp).to_valuation() == engine.fix_u(gp, F)
-        assert kripke_kleene(gp).to_valuation() == engine.fix_u(gp, U)
+        assert well_founded(gp) == engine.fix_u(gp, F)
+        assert kripke_kleene(gp) == engine.fix_u(gp, U)
         for model in enumerate_stable_models(gp):
-            assert engine.is_alpha_fixed_model(gp, F, model.to_valuation())
+            assert engine.is_alpha_fixed_model(gp, F, model)
 
 
 def test_c07_knowledge_ordering_bounds(mixed_results, positive_corpus):

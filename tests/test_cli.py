@@ -469,3 +469,25 @@ def test_const_rejects_reserved_words(capsys, tmp_path):
     for raw, name in (("exists,forall", "exists"), ("c,forall", "forall")):
         assert run(capsys, "ground", "--const", raw, str(src)) == (
             1, "", f"error: invalid constant name {name!r}\n")
+
+
+def test_check_refuses_model_and_program_both_on_stdin(capsys, tmp_path, monkeypatch):
+    import io
+    import sys
+
+    refused = (1, "", "error: --model - and the program cannot both be read "
+                      "from standard input\n")
+    for text in (b"a. b <- ~a.\n", b""):
+        for file_args in ((), ("-",)):
+            stdin = io.BytesIO(text)
+            monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(stdin, encoding="utf-8"))
+            assert run(capsys, "check", "--alpha", "F", "--model", "-", *file_args) == refused
+            assert stdin.tell() == 0  # nothing was read
+    # the model alone on standard input still reads
+    program = tmp_path / "p.blp"
+    program.write_text("a. b <- ~a.\n")
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"a\tT\nb\tF\n"),
+                                                       encoding="utf-8"))
+    assert run(capsys, "check", "--alpha", "F", "--model", "-", "--format", "tsv",
+               str(program)) == (0, "alpha-fixed-model\tyes\noperator-model\tyes\n"
+                                    "three-valued-stable\tyes\n", "")

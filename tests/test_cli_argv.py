@@ -139,8 +139,7 @@ def _reference(v: Valuation, fmt: str) -> str:
 
 
 def _reference_models(models, fmt: str) -> str:
-    valuations = sorted((m.to_valuation() for m in models),
-                        key=lambda v: "".join(f"{a}\t{x}\n" for a, x in v.items()))
+    valuations = sorted(models, key=lambda v: "".join(f"{a}\t{x}\n" for a, x in v.items()))
     if fmt == "json":
         return json.dumps([{str(a): str(x) for a, x in v.items()} for v in valuations],
                           indent=2, sort_keys=True) + "\n"

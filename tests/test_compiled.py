@@ -26,6 +26,7 @@ from blp.valuation import (
     CompiledBodies,
     PseudoInterpretation,
     Valuation,
+    const_valuation,
     pseudo_eval,
     to_interpretation,
 )
@@ -182,5 +183,5 @@ def test_values_decode_in_base_order():
     v = Valuation(Base(GroundAtom(f"x{i}") for i in range(10)), [I, U, T, F] * 2 + [T, U])
     assert v.values == (I, U, T, F, I, U, T, F, T, U)
     assert [v[a] for a in v.base] == list(v.values)
-    assert Valuation.constant(v.base, I).values == (I,) * 10
+    assert const_valuation(v.base, I).values == (I,) * 10
     assert Valuation(Base(()), ()).values == ()

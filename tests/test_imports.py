@@ -15,7 +15,7 @@ DEFERRED = ("argparse", "blp.bottomup", "blp.oracles", "dataclasses", "inspect",
 PUBLIC = (
     "Base BaseMismatchError ConventionalityError GroundAtom GroundProgram "
     "InternalInvariantError Interpretation ParseError Program PseudoInterpretation "
-    "SemanticsResult ThreeValuation TruthValue Valuation alpha_fixed_semantics "
+    "SemanticsResult TruthValue Valuation alpha_fixed_semantics "
     "big_join_k big_join_t big_meet_k big_meet_t bilattice bottomup "
     "check_bilattice_laws compare_semantics conflation consensus_semantics "
     "const_valuation contrajoin_eval engine enumerate_stable_models fix_f_t fix_i "

@@ -11,11 +11,10 @@ import pytest
 import proggen
 from blp import engine, oracles
 from blp.bilattice import F, T, U
-from blp.grounder import Base, GroundAtom, ground
+from blp.grounder import GroundAtom, ground
 from blp.oracles import (
     ConventionalityError,
     EnumerationCapError,
-    ThreeValuation,
     enumerate_stable_models,
     gl_transform,
     kripke_kleene,
@@ -33,10 +32,18 @@ def by_name(tv):
 
 
 def three(gp, mapping):
-    ints = {"F": -1, "U": 0, "T": 1}
-    return ThreeValuation(
-        gp.base, (ints[mapping[str(a)]] for a in gp.base.atoms)
-    )
+    return Valuation.from_symbols(gp.base, "".join(mapping[str(a)] for a in gp.base.atoms))
+
+
+def every_three_valued(base):
+    """Every valuation over base with no atom at I, in lexicographic
+    order over the base positions with F < U < T."""
+    return [Valuation.from_symbols(base, "".join(combo))
+            for combo in product("FUT", repeat=len(base))]
+
+
+# str.translate table under which symbols texts sort with F < U < T
+TRUTH_ORDER = str.maketrans("FUT", "012")
 
 
 def test_gl_transform_two_steps(suspect_gp):
@@ -55,11 +62,7 @@ def test_gl_transform_two_steps(suspect_gp):
 
 def test_gl_transform_constant_on_negation_free_programs():
     gp = ground(parse_program("a <- b | c. b. c <- #f."))
-    seen = set()
-    import itertools
-
-    for combo in itertools.product((-1, 0, 1), repeat=len(gp.base)):
-        seen.add(gl_transform(gp, ThreeValuation(gp.base, combo)))
+    seen = {gl_transform(gp, v) for v in every_three_valued(gp.base)}
     assert len(seen) == 1
 
 
@@ -102,15 +105,13 @@ def test_kripke_kleene_self_loop():
 
 def test_oracles_match_engine_on_corpus(conventional_corpus):
     for gp in conventional_corpus:
-        assert well_founded(gp).to_valuation() == engine.fix_u(gp, F)
-        assert kripke_kleene(gp).to_valuation() == engine.fix_u(gp, U)
+        assert well_founded(gp) == engine.fix_u(gp, F)
+        assert kripke_kleene(gp) == engine.fix_u(gp, U)
 
 
 def test_kripke_kleene_below_well_founded(conventional_corpus):
     for gp in conventional_corpus:
-        assert kripke_kleene(gp).to_valuation().leq_k(
-            well_founded(gp).to_valuation()
-        )
+        assert kripke_kleene(gp).leq_k(well_founded(gp))
 
 
 def test_stable_models_suspect(suspect_gp):
@@ -128,14 +129,14 @@ def test_stable_models_even_loop():
     assert rows == [("F", "T"), ("T", "F"), ("U", "U")]
     wf = well_founded(gp)
     assert wf in models
-    assert all(wf.to_valuation().leq_k(m.to_valuation()) for m in models)
+    assert all(wf.leq_k(m) for m in models)
 
 
 def test_stable_models_empty_program():
     gp = ground(parse_program(""))
     models = enumerate_stable_models(gp)
     assert len(models) == 1
-    assert models[0].ints == ()
+    assert models[0].symbols() == ""
 
 
 # shaped like the benchmark's stable programs: one atom true by a fact,
@@ -151,11 +152,7 @@ STABLE_SHAPED = (
 
 
 def brute_force_stable_models(gp):
-    candidates = (
-        ThreeValuation(gp.base, combo)
-        for combo in product((-1, 0, 1), repeat=len(gp.base))
-    )
-    return [c for c in candidates if gl_transform(gp, c) == c]
+    return [c for c in every_three_valued(gp.base) if gl_transform(gp, c) == c]
 
 
 def test_search_transforms_only_open_candidates(monkeypatch):
@@ -170,12 +167,12 @@ def test_search_transforms_only_open_candidates(monkeypatch):
     monkeypatch.setattr(oracles, "gl_transform", counting)
     wf = well_founded(gp)
     wfs_steps = len(calls)
-    assert wf.ints.count(0) == 4 and wfs_steps == 2
+    assert wf.symbols().count("U") == 4 and wfs_steps == 2
     del calls[:]
     models = enumerate_stable_models(gp)
     # the 3^4 candidates are transformed as lanes, not one call each
     assert len(calls) == wfs_steps
-    assert models and all(m.ints[3:5] == wf.ints[3:5] == (-1, 1) for m in models)
+    assert models and all(m.symbols()[3:5] == wf.symbols()[3:5] == "FT" for m in models)
 
 
 def test_lane_search_matches_brute_force_on_stable_workload():
@@ -192,24 +189,25 @@ def test_lane_search_matches_brute_force_on_stable_workload():
 def test_lane_search_at_the_cap_with_every_atom_open():
     text = " ".join(f"a{i} <- ~b{i}. b{i} <- ~a{i}." for i in range(5))
     gp = ground(parse_program(text))
-    assert len(gp.base) == 10 and well_founded(gp).ints == (0,) * 10
+    assert len(gp.base) == 10 and well_founded(gp).symbols() == "U" * 10
     models = enumerate_stable_models(gp)
     assert len(models) == 3**5
-    assert [m.ints for m in models] == sorted(m.ints for m in models)
+    # lexicographic with F < U < T, not the alphabetical F < T < U
+    texts = [m.symbols() for m in models]
+    assert texts == sorted(texts, key=lambda s: s.translate(TRUTH_ORDER))
+    assert texts != sorted(texts)
     assert models == brute_force_stable_models(gp)
 
 
 # -- an independent reference for the transform ------------------------------
 
-_KLEENE = {F: -1, U: 0, T: 1}
 
-
-def _interpretation(base, ints):
+def _interpretation(base, symbols):
     atoms = base.atoms
     return Interpretation(
         base,
-        [a for a, x in zip(atoms, ints) if x == 1],
-        [a for a, x in zip(atoms, ints) if x == -1],
+        [a for a, s in zip(atoms, symbols) if s == "T"],
+        [a for a, s in zip(atoms, symbols) if s == "F"],
     )
 
 
@@ -220,20 +218,20 @@ def reference_transform(gp, v):
     valuation and negated ones from v, and every atom that heads no
     rule stays F, until nothing changes."""
     atoms, rules = gp.base.atoms, gp.rules
-    neg = _interpretation(gp.base, v.ints)
-    cur = [-1] * len(atoms)
+    neg = _interpretation(gp.base, v.symbols())
+    cur = "F" * len(atoms)
     for _ in range(2 * len(atoms) + 1):
         j = PseudoInterpretation(_interpretation(gp.base, cur), neg)
-        nxt = [_KLEENE[pseudo_eval(j, rules[a])] if a in rules else -1 for a in atoms]
+        nxt = "".join(pseudo_eval(j, rules[a]).value if a in rules else "F" for a in atoms)
         if nxt == cur:
-            return ThreeValuation(gp.base, cur)
+            return Valuation.from_symbols(gp.base, cur)
         cur = nxt
     raise AssertionError("the reference transform did not converge")
 
 
 def reference_well_founded(gp):
     """The reference transform iterated from all-U until it repeats."""
-    chain = [ThreeValuation.all_unknown(gp.base)]
+    chain = [Valuation.from_symbols(gp.base, "U" * len(gp.base))]
     while len(chain) <= 2 * len(gp.base) + 1:
         nxt = reference_transform(gp, chain[-1])
         if nxt == chain[-1]:
@@ -249,13 +247,13 @@ def reference_kripke_kleene(gp):
     current valuation, and every atom that heads no rule stays U, until
     nothing changes."""
     atoms, rules = gp.base.atoms, gp.rules
-    cur = [0] * len(atoms)
+    cur = "U" * len(atoms)
     for _ in range(2 * len(atoms) + 1):
         i = _interpretation(gp.base, cur)
         j = PseudoInterpretation(i, i)
-        nxt = [_KLEENE[pseudo_eval(j, rules[a])] if a in rules else 0 for a in atoms]
+        nxt = "".join(pseudo_eval(j, rules[a]).value if a in rules else "U" for a in atoms)
         if nxt == cur:
-            return ThreeValuation(gp.base, cur)
+            return Valuation.from_symbols(gp.base, cur)
         cur = nxt
     raise AssertionError("the reference Kripke-Kleene iteration did not converge")
 
@@ -281,7 +279,7 @@ def test_restricted_search_matches_brute_force(conventional_corpus):
     # every candidate, transformed by the reference as well
     shaped = [ground(parse_program(text)) for text in STABLE_SHAPED]
     for gp in list(conventional_corpus) + shaped:
-        every = [ThreeValuation(gp.base, c) for c in product((-1, 0, 1), repeat=len(gp.base))]
+        every = every_three_valued(gp.base)
         assert enumerate_stable_models(gp) == _reference_checks(gp, every)
 
 
@@ -291,9 +289,9 @@ def test_oracles_match_the_reference_on_the_stable_workload():
     stable model does (see enumerate_stable_models)."""
     for prog in workloads.build("stable", 0).programs.values():
         gp = ground(parse_program(prog.text))
-        wf = reference_well_founded(gp)[-1].ints
-        choices = [(-1, 0, 1) if x == 0 else (x,) for x in wf]
-        candidates = [ThreeValuation(gp.base, c) for c in product(*choices)]
+        wf = reference_well_founded(gp)[-1].symbols()
+        choices = ["FUT" if s == "U" else s for s in wf]
+        candidates = [Valuation.from_symbols(gp.base, "".join(c)) for c in product(*choices)]
         assert enumerate_stable_models(gp) == _reference_checks(gp, candidates)
 
 
@@ -307,7 +305,7 @@ def test_oracles_match_the_reference_on_the_winmove_workload():
     assert len(gps) == 32
     for gp in gps:
         candidates = [
-            ThreeValuation(gp.base, (rng.choice((-1, 0, 1)) for _ in gp.base.atoms))
+            Valuation.from_symbols(gp.base, "".join(rng.choice("FUT") for _ in gp.base.atoms))
             for _ in range(2)
         ]
         _reference_checks(gp, candidates)
@@ -357,7 +355,7 @@ def test_folded_code_still_rejects_what_it_absorbs(text, message):
     # q heads no rule, so the transform reads it as F, which absorbs the
     # conjunction exactly as #f does; the node under it still counts
     gp = ground(parse_program(text))
-    v = ThreeValuation.all_unknown(gp.base)
+    v = Valuation.from_symbols(gp.base, "U" * len(gp.base))
     calls = (
         lambda: gl_transform(gp, v),
         lambda: well_founded(gp),
@@ -378,7 +376,7 @@ def test_enumeration_cap_counts_open_atoms_not_the_base():
     for text in (" ".join(f"p{i}." for i in range(11)),
                  "a0. " + " ".join(f"a{i} <- a{i - 1}." for i in range(1, 11))):
         gp = ground(parse_program(text))
-        assert [m.ints for m in enumerate_stable_models(gp)] == [(1,) * 11]
+        assert [m.symbols() for m in enumerate_stable_models(gp)] == ["T" * 11]
 
 
 def test_enumeration_cap(monkeypatch):
@@ -390,13 +388,13 @@ def test_enumeration_cap(monkeypatch):
         "the well-founded semantics leaves 11 atoms open; enumeration is capped at 10"
     )
     monkeypatch.setattr(oracles, "ENUMERATION_CAP", 11)
-    assert [m.ints for m in enumerate_stable_models(gp)] == [(0,) * 11]
+    assert [m.symbols() for m in enumerate_stable_models(gp)] == ["U" * 11]
 
 
 def test_non_conventional_inputs_rejected():
     # mixed_ops.blp, ground afresh so that the first calls here are its first
     gp = ground(parse_program("a <- b & c. d <- ~b + #t. e <- a * ~d. b <- #t."))
-    v = ThreeValuation.all_unknown(gp.base)
+    v = Valuation.from_symbols(gp.base, "U" * len(gp.base))
     for _ in range(2):
         with pytest.raises(ConventionalityError, match="'\\+'"):
             gl_transform(gp, v)
@@ -419,29 +417,27 @@ def test_conventionality_checked_before_cap():
             enumerate_stable_models(gp)
 
 
-def test_three_valuation_embedding_rejects_inconsistency(excluded_middle_gp):
-    from blp.valuation import const_valuation
-    from blp.bilattice import I
-
-    with pytest.raises(ValueError):
-        ThreeValuation.from_valuation(
-            const_valuation(excluded_middle_gp.base, I)
-        )
-
-
-def test_three_valuation_constructor_checks_its_values():
-    base = ground(parse_program("a. b.")).base
-    assert ThreeValuation(base, (1, -1)).ints == (1, -1)
-    with pytest.raises(ValueError, match=r"values in \{F, U, T\}"):
-        ThreeValuation(base, (1, 2))
-    with pytest.raises(ValueError, match="expected 2 values, got 1"):
-        ThreeValuation(base, (1,))
-    with pytest.raises(ValueError, match="expected 2 values, got 3"):
-        ThreeValuation(base, (1, 0, -1))
-    # the oracles' own results, built unchecked, equal checked ones
+def test_from_symbols_checks_its_text():
+    # the checks the tests' three-valued inputs rely on: a text of the
+    # wrong length or with a character outside "UTFI" is refused
+    base = ground(parse_program("a. b. c.")).base
+    assert Valuation.from_symbols(base, "TFU").symbols() == "TFU"
+    for text, message in (
+        ("TT", "expected 3 values, got 2"),
+        ("TTTT", "expected 3 values, got 4"),
+        ("", "expected 3 values, got 0"),
+        ("T0F", "unknown truth symbol '0' (expected one of F, T, U, I)"),
+        ("T1F", "unknown truth symbol '1' (expected one of F, T, U, I)"),
+        ("TXF", "unknown truth symbol 'X' (expected one of F, T, U, I)"),
+        ("tXF", "unknown truth symbol 't' (expected one of F, T, U, I)"),
+    ):
+        with pytest.raises(ValueError) as caught:
+            Valuation.from_symbols(base, text)
+        assert str(caught.value) == message, text
+    # the oracles' results read back to themselves
     gp = ground(parse_program("a <- ~b. b <- ~a. c <- a & ~c."))
     for v in [well_founded(gp), kripke_kleene(gp)] + enumerate_stable_models(gp):
-        assert v == ThreeValuation(v.base, v.ints)
+        assert Valuation.from_symbols(v.base, v.symbols()) == v
 
 
 # -- three-valued results are Valuations -------------------------------------
@@ -469,29 +465,20 @@ def test_gl_transform_takes_any_valuation_without_i(conventional_corpus):
             belief = rng.getrandbits(len(gp.base)) & full
             doubt = rng.getrandbits(len(gp.base)) & full & ~belief
             v = Valuation.from_masks(gp.base, belief, doubt)
-            three = ThreeValuation.from_valuation(v)
-            assert type(three) is ThreeValuation and three == v
-            assert gl_transform(gp, v) == gl_transform(gp, three)
+            assert gl_transform(gp, v) == reference_transform(gp, v)
 
 
 def test_a_valuation_with_i_has_no_three_valued_counterpart(suspect_gp):
     text = "valuation contains I and has no three-valued counterpart"
     v = Valuation.from_symbols(suspect_gp.base, "TIFU")
     with pytest.raises(ValueError) as caught:
-        ThreeValuation.from_valuation(v)
-    assert str(caught.value) == text
-    with pytest.raises(ValueError) as caught:
         gl_transform(suspect_gp, v)
     assert str(caught.value) == text
 
 
-def test_three_valuation_ints_view_and_repr():
-    assert ThreeValuation(Base(()), ()).ints == ()
-    assert ThreeValuation.all_unknown(Base(())).ints == ()
-    base = ground(parse_program("a. b. c.")).base
-    for ints in product((-1, 0, 1), repeat=3):
-        v = ThreeValuation(base, ints)
-        assert v.ints == ints
-        assert v.to_valuation() == v and type(v.to_valuation()) is Valuation
-    assert repr(ThreeValuation(base, (1, -1, 0))) == "<ThreeValuation a=T, b=F, c=U>"
-    assert repr(ThreeValuation(base, (1, -1, 0)).to_valuation()) == "<Valuation a=T, b=F, c=U>"
+def test_oracle_results_are_plain_valuations(suspect_gp, conventional_corpus):
+    for gp in [suspect_gp] + conventional_corpus:
+        wf = well_founded(gp)
+        results = [wf, kripke_kleene(gp), gl_transform(gp, wf)]
+        results += enumerate_stable_models(gp)
+        assert all(type(x) is Valuation for x in results)
