@@ -62,6 +62,11 @@ class CliError(Exception):
     """User-level error; reported on stderr with exit status 1."""
 
 
+def _input_name(path: str) -> str:
+    """How messages name the input at path; "-" is standard input."""
+    return "standard input" if path == "-" else path
+
+
 def _read_input(path: str) -> str:
     try:
         if path == "-":
@@ -71,9 +76,8 @@ def _read_input(path: str) -> str:
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
-        name = "standard input" if path == "-" else path
         raise CliError(
-            f"cannot read {name}: not valid UTF-8 "
+            f"cannot read {_input_name(path)}: not valid UTF-8 "
             f"(byte 0x{exc.object[exc.start]:02x} at offset {exc.start})"
         ) from None
 
@@ -194,6 +198,7 @@ def _yn(flag: bool) -> str:
 
 def _parse_model_file(path: str, gp: GroundProgram) -> Valuation:
     text = _read_input(path)
+    where = _input_name(path)
     names = gp.base.names
     by_name = {name: i for i, name in enumerate(names)}
     symbols = [None] * len(names)
@@ -203,22 +208,23 @@ def _parse_model_file(path: str, gp: GroundProgram) -> Valuation:
             continue
         parts = line.split()
         if len(parts) != 2:
-            raise CliError(f"{path}:{lineno}: expected 'atom<TAB>value', got {raw!r}")
+            raise CliError(f"{where}:{lineno}: expected 'atom<TAB>value', got {raw!r}")
         atom_text, value_text = parts
         if not _ATOM_RE.match(atom_text):
-            raise CliError(f"{path}:{lineno}: malformed atom {atom_text!r}")
+            raise CliError(f"{where}:{lineno}: malformed atom {atom_text!r}")
         i = by_name.get(atom_text)
         if i is None:
-            raise CliError(f"{path}:{lineno}: unknown atom {atom_text}")
+            raise CliError(f"{where}:{lineno}: unknown atom {atom_text}")
         try:
             symbol = TruthValue.from_symbol(value_text).value
         except ValueError as exc:
-            raise CliError(f"{path}:{lineno}: {exc}") from None
+            raise CliError(f"{where}:{lineno}: {exc}") from None
         if symbols[i] is not None:
-            raise CliError(f"{path}:{lineno}: duplicate atom {atom_text}")
+            raise CliError(f"{where}:{lineno}: duplicate atom {atom_text}")
         symbols[i] = symbol
     if None in symbols:
-        raise CliError(f"model file is missing atom {names[symbols.index(None)]}")
+        source = "model file" if path != "-" else where
+        raise CliError(f"{source} is missing atom {names[symbols.index(None)]}")
     return Valuation.from_symbols(gp.base, "".join(symbols))
 
 

@@ -19,7 +19,8 @@ integer codes to its head's body, over atom ids interned from
 (predicate, constant names) pairs; once the base is sorted the ids are
 renumbered to base order.  The atom texts the sort keys on are kept on
 the base as Base.names, which the output and the ground dump read, so
-each text is made once per base.
+each text is made once per base; the base makes its GroundAtoms from the
+interned pairs only when they are first read.
 
 The result is the ground IR, GroundProgram.ir: one (head index, code)
 pair per head, in base order.  code is the merged body in postfix, a
@@ -117,30 +118,56 @@ class Base:
     reads it from here.  The index is keyed by the atoms themselves,
     which are (predicate, constant names) pairs, so locate finds the
     atom of a ground literal node by the pair it builds from the node.
+
+    A base made by ground keeps its interned (predicate, key) pairs and
+    makes the atoms from them on the first use of atoms, index, locate,
+    in, iteration, == or hash; the index is made on the first use of
+    index, locate or in, and len reads names.  The engine and the
+    oracles read positions and output reads names, so a CLI request
+    makes neither.
     """
 
-    __slots__ = ("atoms", "names", "_index")
+    __slots__ = ("names", "_pairs", "_atoms", "_index")
 
     def __init__(self, atoms: Iterable[GroundAtom]) -> None:
         atoms = tuple(sorted(set(atoms), key=str))
-        self._set(atoms, tuple(map(str, atoms)))
+        self.names = tuple(map(str, atoms))
+        self._pairs = self._index = None
+        self._atoms = atoms
 
     @classmethod
-    def _sorted(cls, atoms: tuple, names: tuple) -> "Base":
-        """The base of atoms that are distinct and already in order,
+    def _sorted(cls, pairs: list, names: tuple) -> "Base":
+        """The base of the atoms of pairs, (predicate, key) pairs in
+        ground's interning form that are distinct and already in order,
         with names their texts."""
         base = object.__new__(cls)
-        base._set(atoms, names)
+        base.names, base._pairs = names, pairs
+        base._atoms = base._index = None
         return base
 
-    def _set(self, atoms: tuple, names: tuple) -> None:
-        self.atoms = atoms
-        self.names = names
-        self._index = dict(zip(atoms, range(len(atoms))))
+    @property
+    def atoms(self) -> tuple:
+        atoms = self._atoms
+        if atoms is None:
+            atoms = self._atoms = tuple([
+                GroundAtom(pred, (key,) if type(key) is str else key)
+                for pred, key in self._pairs
+            ])
+            self._pairs = None
+        return atoms
+
+    @property
+    def _lookup(self) -> dict:
+        """The index, {atom: position}, made on first use."""
+        index = self._index
+        if index is None:
+            atoms = self.atoms
+            index = self._index = dict(zip(atoms, range(len(atoms))))
+        return index
 
     def index(self, atom: GroundAtom) -> int:
         """The position of atom; KeyError when it is not in the base."""
-        return self._index[atom]
+        return self._lookup[atom]
 
     def locate(self, leaf) -> int:
         """The position of the atom a ground Atom or NegAtom node reads.
@@ -149,7 +176,7 @@ class Base:
         BaseMismatchError when the atom is not in the base.
         """
         key = (leaf.pred, tuple([t.name for t in leaf.args]))
-        i = self._index.get(key)
+        i = self._lookup.get(key)
         if i is None or Var in map(type, leaf.args):
             for t in leaf.args:
                 if isinstance(t, Var):
@@ -158,10 +185,10 @@ class Base:
         return i
 
     def __contains__(self, atom) -> bool:
-        return atom in self._index
+        return atom in self._lookup
 
     def __len__(self) -> int:
-        return len(self.atoms)
+        return len(self.names)
 
     def __iter__(self):
         return iter(self.atoms)
@@ -431,10 +458,7 @@ def _program(atoms: list, bodies: dict) -> GroundProgram:
         for pred, key in atoms
     ]  # str of each atom's GroundAtom, its sort key in Base
     order = sorted(range(len(atoms)), key=texts.__getitem__)
-    found = [atoms[i] for i in order]
-    base = Base._sorted(tuple([
-        GroundAtom(pred, (key,) if type(key) is str else key) for pred, key in found
-    ]), tuple([texts[i] for i in order]))
+    base = Base._sorted([atoms[i] for i in order], tuple([texts[i] for i in order]))
     position = [0] * len(order)
     for k, i in enumerate(order):
         position[i] = k

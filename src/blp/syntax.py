@@ -32,18 +32,20 @@ leaves (sound in FOUR: negation inverts the truth order, so it swaps
 "*" and "+").  Negation over anything containing an atom other than a
 bare literal, or containing a quantifier, is rejected.
 
-The tokenizer is one regex match per token, blanks and comments skipped
-inside it, and a token is a (kind, text, offset) tuple; line and column
-are worked out from the offset only when a ParseError is raised.  The
-binary operators are parsed by precedence climbing (Pratt, POPL 1973):
-a chain of one operator is a loop, which recurses only where a tighter
-operator follows.
+The tokenizer is one regex findall, blanks and comments skipped inside
+it, and a token is its text: the parser reads its kind from the text.
+A token's offset, and from it the line and column, is found by scanning
+the text again only when a ParseError is raised.  The binary operators
+are parsed by precedence climbing (Pratt, POPL 1973): a chain of one
+operator is a loop, which recurses only where a tighter operator
+follows.
 """
 
 from __future__ import annotations
 
 import re
 from enum import Enum
+from itertools import islice
 from operator import attrgetter
 from typing import Iterator, Union
 
@@ -254,34 +256,43 @@ _TRUTH_TOKENS = {
 _PREC = {BinOp.GULLIBILITY: 1, BinOp.CONSENSUS: 2, BinOp.OR: 3, BinOp.AND: 4}
 _BINDING = {op.value: (prec, op) for op, prec in _PREC.items()}
 
-# One match per token, as (kind, text, offset) with the kind PUNCT for the
-# one-character tokens.  The prefix skips blanks and comments; BAD takes
-# the rest of the text from an unexpected character on, and EOF matches
-# only at the end (twice when blanks or a comment end the text).
+# The text of each token, the blanks and comments before it skipped in
+# the same match, from one findall: no match object is made per token.
+# The alternatives are tried in order, so where none of the others
+# matches, the next to last one takes the rest of the text from the
+# unexpected character on; the empty one matches only at the end, as the
+# end-of-input token "" (twice when blanks or a comment end the text).
 _SCAN = re.compile(
     r"""(?:[ \t\r\n]+|%[^\n]*)*
-        (?: (?P<ARROW><-)
-          | (?P<TRUTH>\#[tfui])
-          | (?P<LIDENT>[a-z][A-Za-z0-9_]*)
-          | (?P<UIDENT>[A-Z][A-Za-z0-9_]*)
-          | (?P<PUNCT>[().,~&|*+=:])
-          | (?P<BAD>[\s\S]+)
-          | (?P<EOF>) )""",
+        ( <- | \#[tfui] | [A-Za-z][A-Za-z0-9_]* | [().,~&|*+=:] | [\s\S]+ | )""",
     re.VERBOSE,
 )
 
+# The tokens that are not identifiers: a token is one of these, or an
+# identifier, which starts with an ASCII letter, or "" at the end.
+_FIXED = frozenset(["<-", *_TRUTH_TOKENS, *"().,~&|*+=:"])
+
 
 def _tokenize(text: str) -> list:
-    tokens = [
-        (m.lastgroup, m[m.lastindex], m.start(m.lastindex))
-        for m in _SCAN.finditer(text)
-    ]
-    if len(tokens) > 1 and tokens[-2][0] == "BAD":
-        offset = tokens[-2][2]
+    """The token texts of text, ending in "".  The parser reads a token's
+    kind from its text: "" ends the input, a lowercase first letter makes
+    a constant or predicate name ("a" <= text < "{"), an uppercase one a
+    variable ("A" <= text < "["), and a truth constant is a key of
+    _TRUTH_TOKENS; any other token is punctuation or "<-"."""
+    tokens = _SCAN.findall(text)
+    rest = tokens[-2] if len(tokens) > 1 else ""
+    if rest and rest not in _FIXED and not ("a" <= rest < "{" or "A" <= rest < "["):
+        offset = len(text) - len(rest)
         raise ParseError(
             f"unexpected character {text[offset]!r}", *_position(text, offset)
         )
     return tokens
+
+
+def _offset(text: str, i: int) -> int:
+    """The offset of token i of text, found by scanning it again: only an
+    error needs it."""
+    return next(islice(_SCAN.finditer(text), i, None)).start(1)
 
 
 def _position(text: str, offset: int) -> tuple:
@@ -293,48 +304,49 @@ def _position(text: str, offset: int) -> tuple:
 
 
 class _Parser:
-    """Recursive descent over the token list; punctuation is tested by its
-    text, which no other kind of token can have."""
+    """Recursive descent over the token texts; see _tokenize for how a
+    token's kind is read from its text.  An error names the index of the
+    token it is located at."""
 
     def __init__(self, text: str) -> None:
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
         self.depth = 0  # formulas open around the current token
-        self.arities: dict = {}  # predicate -> (arity, offset of first use)
+        self.arities: dict = {}  # predicate -> (arity, index of first use)
         self.constants: set = set()
 
-    def error(self, message: str, tok: tuple) -> ParseError:
-        return ParseError(message, *_position(self.text, tok[2]))
+    def error(self, message: str, at: int) -> ParseError:
+        return ParseError(message, *self.position(at))
+
+    def position(self, at: int) -> tuple:
+        return _position(self.text, _offset(self.text, at))
 
     def expected(self, what: str) -> ParseError:
-        tok = self.tokens[self.i]
-        found = tok[1] or "end of input"
-        return self.error(f"expected {what}, found {found!r}", tok)
+        found = self.tokens[self.i] or "end of input"
+        return self.error(f"expected {what}, found {found!r}", self.i)
 
     def expect(self, text: str, what: str) -> None:
-        if self.tokens[self.i][1] != text:
+        if self.tokens[self.i] != text:
             raise self.expected(what)
         self.i += 1
 
     def program(self) -> Program:
         clauses = []
-        while self.tokens[self.i][0] != "EOF":
+        while self.tokens[self.i]:
             clauses.append(self.clause())
         return Program(tuple(clauses), frozenset(self.constants))
 
     def clause(self) -> Clause:
-        head_tok = self.tokens[self.i]
+        at = self.i
         head = self.atom(scope=None)
         head_vars = set()
         for term in head.args:
             if type(term) is Var:
                 if term.name in head_vars:
-                    raise self.error(
-                        f"repeated variable {term.name} in clause head", head_tok
-                    )
+                    raise self.error(f"repeated variable {term.name} in clause head", at)
                 head_vars.add(term.name)
-        if self.tokens[self.i][1] == "<-":
+        if self.tokens[self.i] == "<-":
             self.i += 1
             body = self.formula(frozenset(head_vars))
         else:
@@ -343,47 +355,48 @@ class _Parser:
         return Clause(head, body)
 
     def atom(self, scope) -> Atom:
-        tok = self.tokens[self.i]
-        if tok[0] != "LIDENT":
+        at = self.i
+        pred = self.tokens[at]
+        if not "a" <= pred < "{":
             raise self.expected("a predicate name")
-        if tok[1] in _KEYWORDS:
-            raise self.error(f"{tok[1]!r} is a reserved word", tok)
+        if pred in _KEYWORDS:
+            raise self.error(f"{pred!r} is a reserved word", at)
         self.i += 1
         args = ()
-        if self.tokens[self.i][1] == "(":
+        if self.tokens[self.i] == "(":
             self.i += 1
             args = [self.term(scope)]
-            while self.tokens[self.i][1] == ",":
+            while self.tokens[self.i] == ",":
                 self.i += 1
                 args.append(self.term(scope))
             self.expect(")", "')'")
             args = tuple(args)
-        seen = self.arities.setdefault(tok[1], (len(args), tok[2]))
+        seen = self.arities.setdefault(pred, (len(args), at))
         if seen[0] != len(args):
-            line, column = _position(self.text, seen[1])
+            line, column = self.position(seen[1])
             raise self.error(
-                f"predicate {tok[1]} used with arity {len(args)} "
+                f"predicate {pred} used with arity {len(args)} "
                 f"but with arity {seen[0]} at line {line}, column {column}",
-                tok,
+                at,
             )
-        return Atom(tok[1], args)
+        return Atom(pred, args)
 
     def term(self, scope) -> Term:
-        tok = kind, text, _ = self.tokens[self.i]
-        if kind == "LIDENT":
+        text = self.tokens[self.i]
+        if "a" <= text < "{":
             if text in _KEYWORDS:
-                raise self.error(f"{text!r} is a reserved word", tok)
+                raise self.error(f"{text!r} is a reserved word", self.i)
             self.i += 1
             self.constants.add(text)
             return Const(text)
-        if kind == "UIDENT":
-            self.i += 1
+        if "A" <= text < "[":
             if scope is not None and text not in scope:
                 raise self.error(
                     f"variable {text} is free in the body "
                     "(not a head variable and not bound by a quantifier)",
-                    tok,
+                    self.i,
                 )
+            self.i += 1
             return Var(text)
         raise self.expected("a term")
 
@@ -392,8 +405,7 @@ class _Parser:
         # depth keeps the parser far from Python's recursion limit
         if self.depth == _MAX_NESTING:
             raise self.error(
-                f"formula nested more than {_MAX_NESTING} levels deep",
-                self.tokens[self.i - 1],
+                f"formula nested more than {_MAX_NESTING} levels deep", self.i - 1
             )
         self.depth += 1
         f = self.climb(self.unit(scope), scope, 1)
@@ -405,32 +417,32 @@ class _Parser:
         operator binding at least min_prec.  A chain of one operator is
         this loop; it recurses only to a tighter operator on the right."""
         tokens = self.tokens
-        binding = _BINDING.get(tokens[self.i][1])
+        binding = _BINDING.get(tokens[self.i])
         while binding is not None and binding[0] >= min_prec:
             prec, op = binding
             self.i += 1
             right = self.unit(scope)
-            binding = _BINDING.get(tokens[self.i][1])
+            binding = _BINDING.get(tokens[self.i])
             if binding is not None and binding[0] > prec:
                 right = self.climb(right, scope, prec + 1)
-                binding = _BINDING.get(tokens[self.i][1])
+                binding = _BINDING.get(tokens[self.i])
             left = Binary(op, left, right)
         return left
 
     def unit(self, scope) -> Formula:
-        tok = kind, text, _ = self.tokens[self.i]
-        if kind == "LIDENT":
+        text = self.tokens[self.i]
+        if "a" <= text < "{":
             if text in _KEYWORDS:
                 self.i += 1
-                var_tok = self.tokens[self.i]
-                if var_tok[0] != "UIDENT":
+                var = self.tokens[self.i]
+                if not "A" <= var < "[":
                     raise self.expected(f"a variable after {text!r}")
                 self.i += 1
                 self.expect(":", "':'")
-                body = self.formula(frozenset(scope) | {var_tok[1]})
+                body = self.formula(frozenset(scope) | {var})
                 kind = Quant.EXISTS if text == "exists" else Quant.FORALL
-                return Quantified(kind, var_tok[1], body)
-            if self.tokens[self.i + 1][1] == "=":
+                return Quantified(kind, var, body)
+            if self.tokens[self.i + 1] == "=":
                 left = self.term(scope)
                 self.i += 1
                 return Equal(left, self.term(scope))
@@ -440,10 +452,10 @@ class _Parser:
             return self.negated(scope)
         if text == "(":
             return self.parenthesized(scope)
-        if kind == "TRUTH":
+        if text in _TRUTH_TOKENS:
             self.i += 1
             return TruthConst(_TRUTH_TOKENS[text])
-        if kind == "UIDENT":
+        if "A" <= text < "[":
             left = self.term(scope)
             self.expect("=", "'=' after a variable")
             return Equal(left, self.term(scope))
@@ -456,26 +468,27 @@ class _Parser:
         return inner
 
     def negated(self, scope) -> Formula:
-        tok = kind, text, _ = self.tokens[self.i]
-        if kind == "TRUTH":
+        at = self.i
+        text = self.tokens[at]
+        if text in _TRUTH_TOKENS:
             self.i += 1
             return TruthConst(negation(_TRUTH_TOKENS[text]))
-        if kind == "LIDENT" and text not in _KEYWORDS:
+        if "a" <= text < "{" and text not in _KEYWORDS:
             atom = self.atom(scope)
-            if self.tokens[self.i][1] == "=":
+            if self.tokens[self.i] == "=":
                 raise self.error(
-                    "parenthesize an equality under '~', as in ~(x = y)", tok
+                    "parenthesize an equality under '~', as in ~(x = y)", at
                 )
             return NegAtom(atom.pred, atom.args)
         if text == "(":
-            return self._negate_guard(self.parenthesized(scope), tok)
+            return self._negate_guard(self.parenthesized(scope), at)
         raise self.error(
             "'~' must be followed by an atom, a truth constant, "
             "or a parenthesized guard",
-            tok,
+            at,
         )
 
-    def _negate_guard(self, f: Formula, tok: tuple) -> Formula:
+    def _negate_guard(self, f: Formula, at: int) -> Formula:
         if isinstance(f, Atom):
             return NegAtom(f.pred, f.args)
         for node in walk(f):
@@ -483,10 +496,10 @@ class _Parser:
                 raise self.error(
                     "'~' applies only to atoms or to guards built from "
                     "equalities and truth constants",
-                    tok,
+                    at,
                 )
             if isinstance(node, Quantified):
-                raise self.error("'~' may not apply to a quantified formula", tok)
+                raise self.error("'~' may not apply to a quantified formula", at)
         return _push_negation(f)
 
 

@@ -491,3 +491,54 @@ def test_check_refuses_model_and_program_both_on_stdin(capsys, tmp_path, monkeyp
     assert run(capsys, "check", "--alpha", "F", "--model", "-", "--format", "tsv",
                str(program)) == (0, "alpha-fixed-model\tyes\noperator-model\tyes\n"
                                     "three-valued-stable\tyes\n", "")
+
+
+def test_model_errors_on_stdin_name_standard_input(capsys, monkeypatch):
+    import io
+    import sys
+
+    cases = [
+        ("ghost\tT\n", "standard input:1: unknown atom ghost"),
+        ("charge(john)\tT\nfree(john\tF\n", "standard input:2: malformed atom 'free(john'"),
+        ("charge(john)\tT\n\ncharge(john)\tF\n",
+         "standard input:3: duplicate atom charge(john)"),
+        ("suspect(john)\tT\ncharge(john)\tT\n",
+         "standard input is missing atom free(john)"),
+    ]
+    for text, message in cases:
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(text.encode()),
+                                                           encoding="utf-8"))
+        assert run(capsys, "check", "--alpha", "F", "--model", "-",
+                   str(DATA / "suspect.blp")) == (1, "", f"error: {message}\n"), text
+
+
+def test_no_subcommand_makes_the_base_atoms_or_index(capsys, monkeypatch, tmp_path):
+    # output reads Base.names and the engine and oracles read positions,
+    # so a request never needs the GroundAtoms or the index of its base
+    from blp import cli
+
+    bases = []
+
+    def ground(*args):
+        gp = real_ground(*args)
+        bases.append(gp.base)
+        return gp
+
+    real_ground = cli.ground
+    monkeypatch.setattr(cli, "ground", ground)
+    model = tmp_path / "model.tsv"
+    model.write_text(MODEL_OK)
+    suspect = str(DATA / "suspect.blp")
+    argvs = [["eval", "--semantics", s, "--alpha", a]
+             for s in ("fixU", "fixI", "fixF", "fixT") for a in "FTUI"]
+    argvs += [["eval", "--semantics", s] for s in ("consensus", "wfs", "kk", "stable-enum")]
+    argvs += [["compare"], ["check", "--alpha", "F", "--model", str(model)]]
+    for argv in argvs:
+        for fmt in ("table", "tsv", "json"):
+            for base in ("occurring", "full"):
+                assert run(capsys, *argv, "--format", fmt, "--base", base, suspect)[0] == 0
+    for base in ("occurring", "full"):
+        assert run(capsys, "ground", "--base", base, suspect)[0] == 0
+    assert len(bases) == len(argvs) * 6 + 2
+    for base in bases:
+        assert base._atoms is None and base._index is None

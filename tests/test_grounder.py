@@ -180,6 +180,87 @@ def test_base_names_are_the_atom_texts(colleague_single_gp):
         assert base.names == tuple(map(str, base.atoms))
 
 
+_SIGNATURES = {"p": 0, "q": 1, "r": 2, "s": 1}
+
+
+def _random_program_text(rng) -> str:
+    """Clauses over p/0, q/1, r/2 and s/1 whose bodies read the head
+    variables, a quantified Z and the constants a, b and c1."""
+
+    def atom(names):
+        pred = rng.choice(list(_SIGNATURES))
+        args = [rng.choice(names) for _ in range(_SIGNATURES[pred])]
+        return f"{pred}({','.join(args)})" if args else pred
+
+    clauses = []
+    for _ in range(rng.randint(1, 4)):
+        pred = rng.choice(list(_SIGNATURES))
+        head_vars = ["X", "Y"][:_SIGNATURES[pred]]
+        names = head_vars + ["a", "b", "c1"]
+        head = f"{pred}({','.join(head_vars)})" if head_vars else pred
+        literals = [("~" if rng.random() < 0.3 else "") + atom(names)
+                    for _ in range(rng.randint(1, 3))]
+        body = " & ".join(literals)
+        if rng.random() < 0.3:
+            body = f"exists Z: {atom(names + ['Z'])} | {body}"
+        clauses.append(f"{head} <- {body}.\n")
+    return "".join(clauses)
+
+
+def test_lazy_base_agrees_with_an_eager_base():
+    # ground makes a base whose atoms and index wait for their first use;
+    # every member, used first on a fresh base, must read as Base(atoms)
+    from blp.grounder import BaseMismatchError
+    from blp.syntax import NegAtom, Var
+
+    outside = (GroundAtom("zz"), GroundAtom("q", ("a", "b")))
+
+    def literals(atoms):
+        return [kind(a.pred, tuple(map(Const, a.args)))
+                for a in atoms for kind in (Atom, NegAtom)]
+
+    def raised(call, *args):
+        try:
+            call(*args)
+        except (KeyError, ValueError) as exc:
+            return type(exc), str(exc)
+
+    members = {  # name: what the member reads on a base of atoms
+        "atoms": lambda base, atoms: base.atoms,
+        "names": lambda base, atoms: base.names,
+        "index": lambda base, atoms: [base.index(a) for a in atoms],
+        "index outside": lambda base, atoms: raised(base.index, outside[0]),
+        "locate": lambda base, atoms: [base.locate(f) for f in literals(atoms)],
+        "locate outside": lambda base, atoms: raised(base.locate, Atom("zz")),
+        "locate variable": lambda base, atoms: raised(
+            base.locate, Atom("q", (Var("X"),))),
+        "in": lambda base, atoms: [a in base for a in atoms + outside],
+        "in a pair": lambda base, atoms: [tuple(a) in base for a in atoms],
+        "==": lambda base, atoms: (base == Base(atoms), Base(atoms) == base,
+                                   base != Base(atoms), base == Base(outside)),
+        "hash": lambda base, atoms: hash(base),
+        "iteration": lambda base, atoms: list(base),
+        "repr": lambda base, atoms: repr(base),
+        "len": lambda base, atoms: len(base),
+    }
+    rng = random.Random(29)
+    for _ in range(60):
+        program = parse_program(_random_program_text(rng))
+        for mode in ("occurring", "full"):
+            atoms = list(ground(program, base_mode=mode).base.atoms)
+            rng.shuffle(atoms)
+            eager = Base(atoms)
+            atoms = eager.atoms
+            assert eager.names == tuple(map(str, atoms))
+            assert raised(eager.locate, Atom("zz"))[0] is BaseMismatchError
+            for name, member in members.items():
+                lazy = ground(program, base_mode=mode).base
+                assert lazy._atoms is None and lazy._index is None
+                assert member(lazy, atoms) == member(eager, atoms), (name, mode)
+            for name, member in members.items():  # and once all are made
+                assert member(lazy, atoms) == member(eager, atoms), (name, mode)
+
+
 def test_base_rejects_unknown_mode():
     with pytest.raises(ValueError):
         ground(parse_program("a."), base_mode="weird")

@@ -1,8 +1,11 @@
 """Parser, renderer, and conventionality checks."""
 
-import pytest
-from hypothesis import given, strategies as st
+import re
 
+import pytest
+from hypothesis import given, seed, settings, strategies as st
+
+from blp import syntax
 from blp.bilattice import F, I, T, TruthValue, U
 from blp.syntax import (
     Atom,
@@ -286,6 +289,86 @@ def test_parse_error_message_line_and_column(text, message):
     assert str(err.value) == message
     line, column = message.split(":", 1)[0].split(", ")
     assert (err.value.line, err.value.column) == (int(line[5:]), int(column[7:]))
+
+
+# The tokenizer as it was with one match object per token, each token a
+# (kind, text, offset) triple: the reference the findall tokenizer is
+# held to.
+_REFERENCE_SCAN = re.compile(
+    r"""(?:[ \t\r\n]+|%[^\n]*)*
+        (?: (?P<ARROW><-)
+          | (?P<TRUTH>\#[tfui])
+          | (?P<LIDENT>[a-z][A-Za-z0-9_]*)
+          | (?P<UIDENT>[A-Z][A-Za-z0-9_]*)
+          | (?P<PUNCT>[().,~&|*+=:])
+          | (?P<BAD>[\s\S]+)
+          | (?P<EOF>) )""",
+    re.VERBOSE,
+)
+
+
+def _reference_tokenize(text):
+    tokens = [
+        (m.lastgroup, m[m.lastindex], m.start(m.lastindex))
+        for m in _REFERENCE_SCAN.finditer(text)
+    ]
+    if len(tokens) > 1 and tokens[-2][0] == "BAD":
+        offset = tokens[-2][2]
+        raise ParseError(
+            f"unexpected character {text[offset]!r}", *syntax._position(text, offset)
+        )
+    return tokens
+
+
+def _kind(token):
+    """A token's kind, read from its text as the parser reads it."""
+    if not token:
+        return "EOF"
+    if "a" <= token < "{":
+        return "LIDENT"
+    if "A" <= token < "[":
+        return "UIDENT"
+    if token in syntax._TRUTH_TOKENS:
+        return "TRUTH"
+    return "ARROW" if token == "<-" else "PUNCT"
+
+
+# Pieces of text over the grammar's alphabet, and odd ones: characters no
+# token starts with, "#" and "<" that start none, and non-ASCII blanks and
+# letters.  Half the texts are drawn from the first kind only, so most of
+# them tokenize; the other half mostly fail, at varied positions.
+_PIECES = list("abfqtuzAXZ09_().,~&|*+=:") + [
+    " ", "\t", "\n", "\r", "\r\n", "<-", "#t", "#f", "#u", "#i", "exists", "forall",
+    "% c\n", "%", "% \xe9 #x\n",
+]
+_ODD = ["<", "#", "-", "#x", "<x", "\x0b", "\x0c", "\xa0", "\xe9", "\u2028", "\U0001f600"]
+_TEXTS = st.one_of(
+    st.lists(st.sampled_from(_PIECES), max_size=40),
+    st.lists(st.sampled_from(_PIECES + _ODD), max_size=40),
+).map("".join)
+
+
+@seed(20261019)
+@settings(max_examples=1500, deadline=None)
+@given(_TEXTS)
+def test_tokenizer_matches_the_reference(text):
+    try:
+        want = _reference_tokenize(text)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as err:
+            syntax._tokenize(text)
+        got = err.value
+        assert (str(got), got.reason, got.line, got.column) == (
+            str(exc), exc.reason, exc.line, exc.column)
+        return
+    tokens = syntax._tokenize(text)
+    assert [(_kind(t), t) for t in tokens] == [(kind, t) for kind, t, _ in want]
+    assert [syntax._offset(text, i) for i in range(len(tokens))] == [o for *_, o in want]
+    # the parser locates an error at a token, found by scanning again
+    try:
+        parse_program(text)
+    except ParseError as exc:
+        assert (exc.line, exc.column) in {syntax._position(text, o) for *_, o in want}
 
 
 def test_comments_ignored():
