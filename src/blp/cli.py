@@ -68,11 +68,16 @@ def _input_name(path: str) -> str:
 
 
 def _read_input(path: str) -> str:
+    r"""The text at path, its line ends made "\n" as in universal
+    newlines mode: a lone "\r" ends a % comment too."""
     try:
         if path == "-":
             return sys.stdin.read()
-        with open(path, "r", encoding="utf-8") as handle:
-            return handle.read()
+        with open(path, "rb", buffering=0) as handle:
+            text = handle.read().decode("utf-8")
+        if "\r" in text:
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        return text
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:

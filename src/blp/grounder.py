@@ -9,15 +9,20 @@ universal the conjunction; over an empty domain they collapse to the
 fold identities #f and #t.  Equalities compare constant names and are
 replaced by truth constants, so no equality survives grounding.
 
-Each clause is compiled once into a template (see _template): postfix
-instructions whose literal arguments are positions in an environment
-that holds the head variables, the quantifier variables and the
-clause's constants.  A chain of one connective is flat in the template,
-a quantifier is a loop over the domain and an equality a test on the
-environment.  Instantiating the template for one substitution appends
-integer codes to its head's body, over atom ids interned from
-(predicate, constant names) pairs; once the base is sorted the ids are
-renumbered to base order.  The atom texts the sort keys on are kept on
+A clause with no variable, such as a fact or a propositional rule, has
+one instance, and it is coded in one postfix walk of its body (see
+_direct): each atom is interned as its (predicate, constant names) pair
+and its code appended to the head's body; a fact's body is its one
+truth constant, with no walk.  Every other clause, and one whose walk
+meets a quantifier, is compiled once into a template (see _template):
+postfix instructions whose literal arguments are positions in an
+environment that holds the head variables, the quantifier variables and
+the clause's constants.  A chain of one connective is flat in the
+template, a quantifier is a loop over the domain and an equality a test
+on the environment.  Instantiating the template for one substitution
+appends integer codes to its head's body, over the same interned atom
+ids.  Bodies merge in clause order, and once the base is sorted the ids
+are renumbered to base order.  The atom texts the sort keys on are kept on
 the base as Base.names, which the output and the ground dump read, so
 each text is made once per base; the base makes its GroundAtoms from the
 interned pairs only when they are first read.
@@ -392,9 +397,29 @@ def ground(
     tables: dict = {}
     atoms: list = []
     bodies: dict = {}  # 2 * head id -> merged body code
-    templates = [_template(clause, tables) for clause in program.clauses]
-    _check_size(program, templates, len(constants), base_mode)
-    for clause, (table, head_key, k, block, env) in zip(program.clauses, templates):
+    parts = []  # per clause, (2 * head id, code) or its template
+    counts = []  # per clause, the codes its instances make
+    n = len(constants)
+    for clause in program.clauses:
+        part = _direct(clause, tables, atoms)
+        if part is None:
+            part = _template(clause, tables)
+            counts.append(n ** part[2] * _codes(part[3], n))
+        else:
+            counts.append(len(part[1]))
+        parts.append(part)
+    _check_size(program, counts, n, base_mode)
+    for clause, part in zip(program.clauses, parts):
+        if len(part) == 2:  # a variable-free clause, already coded
+            t, code = part
+            out = bodies.get(t)
+            if out is None:
+                bodies[t] = code
+            else:
+                out += code
+                out.append(_OR)
+            continue
+        table, head_key, k, block, env = part
         for combo in product(constants, repeat=k):
             env[:k] = combo
             key = head_key(env)
@@ -419,16 +444,16 @@ def ground(
     return _program(atoms, bodies)
 
 
-def _check_size(program: Program, templates: list, n: int, base_mode: str) -> None:
+def _check_size(program: Program, counts: list, n: int, base_mode: str) -> None:
     """Raise ValueError when grounding over n constants would make more
-    than GROUND_CAP codes and atoms, naming the largest part."""
-    counts = [n ** k * _codes(block, n) for _, _, k, block, _ in templates]
+    than GROUND_CAP codes and atoms, counts[i] of them for clause i,
+    naming the largest part."""
     if base_mode == "full":
-        counts.append(sum(n ** arity for arity in _signatures(program).values()))
+        counts = counts + [sum(n ** arity for arity in _signatures(program).values())]
     total = sum(counts)
     if total > GROUND_CAP:
         i = counts.index(max(counts))
-        if i == len(templates):
+        if i == len(program.clauses):
             part = "the full base"
         else:
             head = program.clauses[i].head
@@ -489,6 +514,57 @@ def _key(positions):
     """The function from an environment to the table key of the atom
     with arguments at positions."""
     return itemgetter(*positions) if positions else _no_args
+
+
+def _direct(clause: Clause, tables: dict, atoms: list):
+    """(2 * head id, body code) of a clause with no variable, its one
+    instance coded in a single postfix walk that interns each atom as
+    its (predicate, key) pair; None when the walk meets a variable or a
+    quantifier, for _template to compile the clause.
+
+    The head is walked last, as a literal whose code is then popped.
+    The parser lets no variable occur outside a quantifier in a clause
+    whose head has none, and such a clause has one instance, so the
+    atoms interned before a hand-over occur in it too.
+    """
+    if Var in map(type, clause.head.args):
+        return None
+    body = clause.body
+    if type(body) is TruthConst:  # a fact: only the head is walked
+        code, todo = [CONSTS.index(body.value)], [clause.head]
+    else:
+        code, todo = [], [clause.head, body]
+    while todo:
+        f = todo.pop()
+        kind = type(f)
+        if kind is Atom or kind is NegAtom:
+            args = f.args
+            if not args:
+                key = ()
+            elif Var in map(type, args):
+                return None
+            else:
+                key = args[0].name if len(args) == 1 else tuple([t.name for t in args])
+            table = tables.get((f.pred, len(args)))
+            if table is None:
+                table = tables[f.pred, len(args)] = {}
+            t = table.get(key)
+            if t is None:
+                t = table[key] = 2 * len(atoms)
+                atoms.append((f.pred, key))
+            code.append(t + LIT + (kind is NegAtom))
+        elif kind is Binary:
+            todo += (4 + OPS.index(f.op), f.right, f.left)
+        elif kind is int:  # a connective, once both operands are out
+            code.append(f)
+        elif kind is TruthConst:
+            code.append(CONSTS.index(f.value))
+        elif (kind is Equal or kind is NotEqual) and type(f.left) is type(f.right) is Const:
+            same = f.left.name == f.right.name
+            code.append(_T if same is (kind is Equal) else _F)
+        else:
+            return None
+    return code.pop() - LIT, code
 
 
 def _template(clause: Clause, tables: dict):

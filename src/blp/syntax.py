@@ -354,7 +354,8 @@ class _Parser:
         self.expect(".", "'.'")
         return Clause(head, body)
 
-    def atom(self, scope) -> Atom:
+    def atom(self, scope, kind=Atom) -> "Atom | NegAtom":
+        """An atom, built as kind: Atom, or NegAtom after a '~'."""
         at = self.i
         pred = self.tokens[at]
         if not "a" <= pred < "{":
@@ -371,15 +372,17 @@ class _Parser:
                 args.append(self.term(scope))
             self.expect(")", "')'")
             args = tuple(args)
-        seen = self.arities.setdefault(pred, (len(args), at))
-        if seen[0] != len(args):
+        seen = self.arities.get(pred)
+        if seen is None:
+            self.arities[pred] = (len(args), at)
+        elif seen[0] != len(args):
             line, column = self.position(seen[1])
             raise self.error(
                 f"predicate {pred} used with arity {len(args)} "
                 f"but with arity {seen[0]} at line {line}, column {column}",
                 at,
             )
-        return Atom(pred, args)
+        return kind(pred, args)
 
     def term(self, scope) -> Term:
         text = self.tokens[self.i]
@@ -474,12 +477,12 @@ class _Parser:
             self.i += 1
             return TruthConst(negation(_TRUTH_TOKENS[text]))
         if "a" <= text < "{" and text not in _KEYWORDS:
-            atom = self.atom(scope)
+            literal = self.atom(scope, NegAtom)
             if self.tokens[self.i] == "=":
                 raise self.error(
                     "parenthesize an equality under '~', as in ~(x = y)", at
                 )
-            return NegAtom(atom.pred, atom.args)
+            return literal
         if text == "(":
             return self._negate_guard(self.parenthesized(scope), at)
         raise self.error(

@@ -412,6 +412,44 @@ def test_invalid_utf8_is_a_located_read_error(capsys, tmp_path, monkeypatch):
     assert run(capsys, "ground", "-") == (0, "p.\n", "")
 
 
+def test_files_with_cr_line_ends_read_as_their_lf_version(capsys, tmp_path):
+    # CRLF, lone CR, and a % comment ended by a lone CR, which must not
+    # take the next line into the comment
+    def variants(text):
+        yield text
+        yield text.replace("\n", "\r\n")
+        yield text.replace("\n", "\r")
+        lines = text.split("\n")
+        yield "".join(line + ("\r" if line.startswith("%") or " %" in line else "\n")
+                      for line in lines[:-1]) + lines[-1]
+
+    program = ("% the suspect program\ncharge(X) <- ~innocent(X) & suspect(X).\n"
+               "free(X) <- innocent(X) & suspect(X). % a note\n"
+               "innocent(X) <- free(X).\n%\nsuspect(john).\n")
+    model = "% a model\n" + MODEL_OK.replace("\n", " \n%\n", 1)
+    bad_program = "p <- q. % a note\n%\nr <- q &\n  $ s.\n"
+    bad_model = "% a model\ncharge(john)\tT\n%\nfree(john\tF\n"
+    src, tsv = tmp_path / "p.blp", tmp_path / "m.tsv"
+    calls = [
+        ["eval", "--alpha", "F", "--semantics", "fixU", "--format", "tsv", str(src)],
+        ["ground", str(src)],
+        ["check", "--alpha", "F", "--model", str(tsv), "--format", "tsv", str(src)],
+    ]
+    for texts in ((program, model), (bad_program, model), (program, bad_model)):
+        outcomes = []
+        for program_text, model_text in zip(*map(variants, texts)):
+            src.write_bytes(program_text.encode())
+            tsv.write_bytes(model_text.encode())
+            outcomes.append([run(capsys, *argv) for argv in calls])
+        assert len(outcomes) == 4 and outcomes[1:] == outcomes[:1] * 3, texts
+    assert outcomes[0][2] == (1, "", f"error: {tsv}:4: malformed atom 'free(john'\n")
+    src.write_bytes(bad_program.encode())
+    assert run(capsys, "ground", str(src)) == (
+        1, "", "parse error: line 4, column 3: unexpected character '$'\n")
+    src.write_bytes(program.encode())
+    assert run(capsys, *calls[0])[1].endswith("suspect(john)\tT\n")
+
+
 def test_oversized_grounding_is_a_user_error(capsys, tmp_path):
     program = tmp_path / "wide.blp"
     program.write_text("p(A,B,C,D,E,F2) <- q(A).\n" + "".join(f"q(c{i}).\n" for i in range(20)))

@@ -304,12 +304,15 @@ def _instantiated_reference(f, subst, constants, occurring):
             _instantiated_reference(f.body, {**subst, f.var: c}, constants, occurring)
             for c in constants
         ]
+        if not pieces:  # over an empty domain, the fold's identity
+            return TruthConst(F if f.kind == Quant.EXISTS else T)
         folded = pieces[0]
         for piece in pieces[1:]:
             folded = Binary(op, folded, piece)
         return folded
-    if isinstance(f, Equal):
-        return TruthConst(T if subst[f.left.name] == f.right.name else F)
+    if isinstance(f, (Equal, NotEqual)):
+        names = [subst.get(t.name, t.name) for t in (f.left, f.right)]
+        return TruthConst(T if (names[0] == names[1]) is isinstance(f, Equal) else F)
     return f
 
 
@@ -346,6 +349,122 @@ def test_instantiate_matches_structural_recursion():
             want = _instantiated_reference(f, {"X": c}, constants, occurring)
             assert gp.rules[GroundAtom("h", (c,))] == want
         assert set(gp.base) == heads | {GroundAtom(*key) for key in occurring}
+
+
+def _ground_reference(program, constants=()):
+    """(ir, base names) of program by the structural-recursion reference:
+    each clause instance in clause order, then in the order of its head
+    variables' substitutions, folded into its head's body with |."""
+    from itertools import product
+
+    from blp.grounder import formula_code
+    from blp.syntax import Var
+
+    constants = sorted(set(program.constants) | set(constants))
+    occurring, bodies = set(), {}
+    for clause in program.clauses:
+        head_vars = [t.name for t in clause.head.args if isinstance(t, Var)]
+        for combo in product(constants, repeat=len(head_vars)):
+            subst = dict(zip(head_vars, combo))
+            head = GroundAtom(clause.head.pred,
+                              tuple(subst.get(t.name, t.name) for t in clause.head.args))
+            body = _instantiated_reference(clause.body, subst, constants, occurring)
+            bodies[head] = Binary(BinOp.OR, bodies[head], body) if head in bodies else body
+    base = Base(set(bodies) | {GroundAtom(*key) for key in occurring})
+    ir = tuple(sorted((base.index(head), formula_code(base, body))
+                      for head, body in bodies.items()))
+    return ir, base.names
+
+
+_VARIABLE_FREE_LEAVES = [
+    "p(a)", "p(b)", "~p(a)", "q(a,b)", "~q(a,b)", "~q(b,a)", "r", "~r", "s",
+    "#t", "#f", "#u", "#i", "~#u", "a = b", "b = b", "~(a = a)", "~(a = b)",
+]
+
+
+def _variable_free_formula(rng, depth):
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice(_VARIABLE_FREE_LEAVES)
+    # mostly chains of one operator, some nested in parentheses
+    ops = "& | * +".split()
+    op = rng.choice(ops)
+    parts = [_variable_free_formula(rng, depth - 1) for _ in range(rng.randint(2, 4))]
+    text = parts[0]
+    for part in parts[1:]:
+        text += f" {op if rng.random() < 0.8 else rng.choice(ops)} {part}"
+    return f"({text})"
+
+
+def test_variable_free_programs_match_structural_recursion():
+    # heads are drawn from a few atoms, so several rules share a head
+    rng = random.Random(19)
+    heads = ["h", "p(a)", "p(c)", "q(b,b)", "r", "t"]
+    for _ in range(300):
+        clauses = []
+        for _ in range(rng.randint(1, 6)):
+            head = rng.choice(heads)
+            if rng.random() < 0.2:
+                clauses.append(f"{head}.\n")
+            elif rng.random() < 0.1:
+                clauses.append(f"{head} <- {rng.choice(['#t', '#f', '#u', '#i'])}.\n")
+            else:
+                clauses.append(f"{head} <- {_variable_free_formula(rng, 3)}.\n")
+        program = parse_program("".join(clauses))
+        gp = ground(program)
+        assert (gp.ir, gp.base.names) == _ground_reference(program), clauses
+
+
+def test_variable_free_rules_merge_with_instances_in_clause_order():
+    texts = [
+        "h(a) <- p. h(X) <- q(X).",
+        "h(X) <- q(X). h(a) <- p.",
+        "h(a) <- p. h(X) <- q(X). h(a) <- ~r & #u. h(b).",
+        "h(b). h(X) <- q(X) & exists Y: q(Y). h(a) <- p. h(X) <- X = a.",
+    ]
+    for text in texts:
+        program = parse_program(text)
+        for extra in ((), ("b",), ("b", "c")):
+            gp = ground(program, extra)
+            assert (gp.ir, gp.base.names) == _ground_reference(program, extra), text
+    first, second = (ground(parse_program(text)).rules[GroundAtom("h", ("a",))]
+                     for text in texts[:2])
+    q_a = Atom("q", (Const("a"),))
+    assert first == Binary(BinOp.OR, Atom("p"), q_a)
+    assert second == Binary(BinOp.OR, q_a, Atom("p"))
+
+
+def test_quantifier_in_a_variable_free_rule_keeps_the_base():
+    # the walk may meet q before the quantifier: q is in the base, and
+    # r(X) has no instance over an empty domain
+    program = parse_program("p <- q & exists X: r(X).")
+    gp = ground(program)
+    assert gp.base.names == ("p", "q")
+    assert gp.rules[GroundAtom("p")] == Binary(BinOp.AND, Atom("q"), TruthConst(F))
+    gp = ground(program, ("c", "d"))
+    assert gp.base.names == ("p", "q", "r(c)", "r(d)")
+    assert gp.rules[GroundAtom("p")] == Binary(
+        BinOp.AND, Atom("q"),
+        Binary(BinOp.OR, Atom("r", (Const("c"),)), Atom("r", (Const("d"),))))
+    # a quantifier body extends right, so here q is inside it
+    assert ground(parse_program("p <- exists X: r(X) & q.")).base.names == ("p",)
+    # a head variable has no instance over an empty domain, so q is not
+    assert ground(parse_program("p(X) <- q & ~r(X) | s.")).base.names == ()
+    for text in ("p <- q & exists X: r(X).", "p <- (exists X: r(X)) & q.",
+                 "p <- exists X: r(X) & q.", "p <- ~q | forall X: ~r(X) * s(a)."):
+        program = parse_program(text)
+        for extra in ((), ("c",), ("c", "d")):
+            gp = ground(program, extra)
+            assert (gp.ir, gp.base.names) == _ground_reference(program, extra), text
+
+
+def test_free_variables_of_a_hand_built_clause_are_refused():
+    from blp.syntax import Clause, NegAtom, Program, Var
+
+    x = Var("X")
+    for body in (Atom("q", (x,)), NegAtom("q", (Const("a"), x)), Equal(x, Const("a")),
+                 Binary(BinOp.AND, Atom("q", (Const("a"),)), NotEqual(Const("a"), x))):
+        with pytest.raises(ValueError, match="^unbound variable X during grounding$"):
+            ground(Program.from_clauses([Clause(Atom("p"), body)]))
 
 
 # -- the size estimate made before anything is expanded
@@ -389,19 +508,24 @@ def test_size_estimate_is_exactly_what_grounding_makes(monkeypatch):
     # h(X) <- f. over a, b has one instance per head, so nothing merges
     # and the estimate is the length of the IR, plus the atoms of the
     # full base; the cap admits exactly that many
+    # g's rule has no variable outside its quantifiers
     rng = random.Random(14)
     leaves = ["p(X)", "~q(X,a)", "#u", "X = b", "~(X = a)", "r"]
+    free_leaves = ["p(a)", "~q(b,a)", "#i", "a = b", "~(b = a)", "r", "h(a)"]
 
-    def formula(depth):
+    def formula(depth, leaves):
         if depth == 0 or rng.random() < 0.3:
             return rng.choice(leaves)
         if rng.random() < 0.2:
-            return f"({rng.choice(['exists', 'forall'])} X: {formula(depth - 1)})"
+            return f"({rng.choice(['exists', 'forall'])} X: {formula(depth - 1, leaves)})"
         op = rng.choice(" & | * + ".split())
-        return "(" + f" {op} ".join(formula(depth - 1) for _ in range(rng.randint(2, 4))) + ")"
+        return "(" + f" {op} ".join(
+            formula(depth - 1, leaves) for _ in range(rng.randint(2, 4))) + ")"
 
     for _ in range(100):
-        program = parse_program(f"h(X) <- {formula(4)}.\nh(b).\nr.\n")
+        program = parse_program(
+            f"h(X) <- {formula(4, leaves)}.\nh(b).\nr.\ng <- {formula(4, free_leaves)}.\n"
+        )
         for mode, extra in (("occurring", 0), ("full", len(herbrand_base(program, "a")))):
             gp = ground(program, ("a",), mode)
             merges = 1  # h(b) has two bodies
