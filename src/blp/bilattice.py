@@ -7,11 +7,13 @@ sources agree on) and gullibility (everything either source claims).
 Negation inverts the truth ordering and preserves the knowledge
 ordering; conflation does the opposite.
 
-FOUR is implemented directly with four-case tables since it sits on the
-evaluation hot path.  The generic machinery (FiniteLattice,
-ProductBilattice, check_bilattice_laws) exists so the lattice and
-bilattice laws can be verified by exhaustion on small carriers; the
-evaluation engine itself never runs on products.
+FOUR is implemented directly with four-case tables.  No evaluator reads
+them: the engine and the oracles run on bit encodings of the values
+(see valuation and oracles), and the tables are the reference the tests
+hold those encodings to; the parser uses negation to read ~#t.  The
+generic machinery (FiniteLattice, ProductBilattice, check_bilattice_laws)
+exists so the lattice and bilattice laws can be verified by exhaustion
+on small carriers; the evaluation engine itself never runs on products.
 """
 
 from __future__ import annotations

@@ -68,18 +68,23 @@ def _input_name(path: str) -> str:
 
 
 def _read_input(path: str) -> str:
-    r"""The text at path, its line ends made "\n" as in universal
+    r"""The text at path, or on standard input for "-", decoded as
+    UTF-8 whatever the locale, its line ends made "\n" as in universal
     newlines mode: a lone "\r" ends a % comment too."""
     try:
-        if path == "-":
-            return sys.stdin.read()
-        with open(path, "rb", buffering=0) as handle:
-            text = handle.read().decode("utf-8")
+        if path != "-":
+            with open(path, "rb", buffering=0) as handle:
+                data = handle.read()
+        elif sys.stdin is None:
+            raise CliError("cannot read standard input: it is closed")
+        else:
+            data = sys.stdin.buffer.read()
+        text = data.decode("utf-8")
         if "\r" in text:
             text = text.replace("\r\n", "\n").replace("\r", "\n")
         return text
     except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc.strerror}") from None
+        raise CliError(f"cannot read {_input_name(path)}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
         raise CliError(
             f"cannot read {_input_name(path)}: not valid UTF-8 "

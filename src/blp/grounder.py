@@ -9,23 +9,26 @@ universal the conjunction; over an empty domain they collapse to the
 fold identities #f and #t.  Equalities compare constant names and are
 replaced by truth constants, so no equality survives grounding.
 
-A clause with no variable, such as a fact or a propositional rule, has
-one instance, and it is coded in one postfix walk of its body (see
-_direct): each atom is interned as its (predicate, constant names) pair
-and its code appended to the head's body; a fact's body is its one
-truth constant, with no walk.  Every other clause, and one whose walk
-meets a quantifier, is compiled once into a template (see _template):
-postfix instructions whose literal arguments are positions in an
-environment that holds the head variables, the quantifier variables and
-the clause's constants.  A chain of one connective is flat in the
-template, a quantifier is a loop over the domain and an equality a test
-on the environment.  Instantiating the template for one substitution
-appends integer codes to its head's body, over the same interned atom
-ids.  Bodies merge in clause order, and once the base is sorted the ids
-are renumbered to base order.  The atom texts the sort keys on are kept on
-the base as Base.names, which the output and the ground dump read, so
-each text is made once per base; the base makes its GroundAtoms from the
-interned pairs only when they are first read.
+Each clause is compiled once, by one compiler, into a template (see
+_template): a postfix block of codes and instructions whose literal
+arguments are positions in an environment that holds the head
+variables, the quantifier variables and the clause's constants.  A
+chain of one connective is flat in the block, a quantifier is a loop
+over the domain and an equality a test on the environment.  What needs
+no variable is settled while compiling: a truth constant or a
+connective is its code, and an equality between two constants its
+truth constant.  A clause whose head has no variable, such as a fact or
+a propositional rule, has one instance, so its head and each literal
+outside a quantifier are interned at once, as (predicate, constant
+names) pairs, and coded.  Its block, left with no instruction unless it
+has a quantifier, is then that instance's finished code and is appended
+to its head's body as it is.  Instantiating any other block for one
+substitution appends integer codes to its head's body, over the same
+interned atom ids.  Bodies merge in clause order, and once the base is
+sorted the ids are renumbered to base order.  The atom texts the sort
+keys on are kept on the base as Base.names, which the output and the
+ground dump read, so each text is made once per base; the base makes
+its GroundAtoms from the interned pairs only when they are first read.
 
 The result is the ground IR, GroundProgram.ir: one (head index, code)
 pair per head, in base order.  code is the merged body in postfix, a
@@ -397,29 +400,25 @@ def ground(
     tables: dict = {}
     atoms: list = []
     bodies: dict = {}  # 2 * head id -> merged body code
-    parts = []  # per clause, (2 * head id, code) or its template
+    parts = []  # per clause, its template
     counts = []  # per clause, the codes its instances make
     n = len(constants)
     for clause in program.clauses:
-        part = _direct(clause, tables, atoms)
-        if part is None:
-            part = _template(clause, tables)
-            counts.append(n ** part[2] * _codes(part[3], n))
-        else:
-            counts.append(len(part[1]))
+        part = _template(clause, tables, atoms)
+        _, k, block, env = part
+        counts.append(len(block) if env is None else n ** k * _codes(block, n))
         parts.append(part)
     _check_size(program, counts, n, base_mode)
-    for clause, part in zip(program.clauses, parts):
-        if len(part) == 2:  # a variable-free clause, already coded
-            t, code = part
-            out = bodies.get(t)
+    for clause, (head, k, block, env) in zip(program.clauses, parts):
+        if env is None:  # the finished code of the clause's one instance
+            out = bodies.get(head)
             if out is None:
-                bodies[t] = code
+                bodies[head] = block
             else:
-                out += code
+                out += block
                 out.append(_OR)
             continue
-        table, head_key, k, block, env = part
+        table, head_key = head
         for combo in product(constants, repeat=k):
             env[:k] = combo
             key = head_key(env)
@@ -468,7 +467,7 @@ def _codes(block: list, n: int) -> int:
     """The codes one instance of block emits over n constants."""
     count = 0
     for ins in block:
-        if ins[0] == _LOOP:
+        if type(ins) is tuple and ins[0] == _LOOP:
             count += n * _codes(ins[2], n) + n - 1 if n else 1
         else:
             count += 1
@@ -497,13 +496,14 @@ def _program(atoms: list, bodies: dict) -> GroundProgram:
     return GroundProgram(base, ir)
 
 
-# Template instructions, each a tuple whose first item is its kind:
+# A block is a list whose items are ints, codes it emits as they are,
+# and instructions, tuples whose first item is their kind:
 # (_LIT, LIT or LIT + 1, table, predicate, key of the environment) emits a
-# literal, interning its atom; (_EMIT, code) emits a constant or a
-# connective; (_TEST, i, j, code if env[i] == env[j], code otherwise)
-# resolves an equality; (_LOOP, position, block, connective, code for an
-# empty domain) runs block once per constant and folds the instances.
-_LIT, _EMIT, _TEST, _LOOP = range(4)
+# literal, interning its atom; (_TEST, i, j, code if env[i] == env[j],
+# code otherwise) resolves an equality; (_LOOP, position, block,
+# connective, code for an empty domain) runs block once per constant and
+# folds the instances.
+_LIT, _TEST, _LOOP = range(3)
 
 
 def _no_args(env) -> tuple:
@@ -516,33 +516,64 @@ def _key(positions):
     return itemgetter(*positions) if positions else _no_args
 
 
-def _direct(clause: Clause, tables: dict, atoms: list):
-    """(2 * head id, body code) of a clause with no variable, its one
-    instance coded in a single postfix walk that interns each atom as
-    its (predicate, key) pair; None when the walk meets a variable or a
-    quantifier, for _template to compile the clause.
+def _position(t, scope: dict, env: list) -> int:
+    """The environment position of term t: its variable's, from scope,
+    or its constant's, appended to env when new."""
+    if type(t) is Var:
+        if t.name not in scope:
+            raise ValueError(f"unbound variable {t.name} during grounding")
+        return scope[t.name]
+    if t.name not in env:
+        env.append(t.name)
+    return env.index(t.name)
 
-    The head is walked last, as a literal whose code is then popped.
-    The parser lets no variable occur outside a quantifier in a clause
-    whose head has none, and such a clause has one instance, so the
-    atoms interned before a hand-over occur in it too.
+
+def _template(clause: Clause, tables: dict, atoms: list):
+    """Compile a clause once: (head, number of head variables k, body
+    block, environment).  head is (head table, head key), and the
+    environment holds the head variables at positions 0..k-1, then the
+    clause's constants (their own names) and one position per
+    quantifier.  A variable bound neither in the head nor by a
+    quantifier raises ValueError.
+
+    The walk is iterative and emits the body in postfix, a quantifier
+    body into the block of its loop, and codes what needs no variable
+    (see the module docstring).  When the head has no variable it is
+    walked last, as a literal whose code is then popped, and a literal
+    under a quantifier stays an instruction, since an empty domain
+    drops it; a block left with no instruction is returned with head
+    2 * the head's id and environment None.
     """
-    if Var in map(type, clause.head.args):
-        return None
-    body = clause.body
-    if type(body) is TruthConst:  # a fact: only the head is walked
-        code, todo = [CONSTS.index(body.value)], [clause.head]
+    head = clause.head
+    once = Var not in map(type, head.args)  # the walk is in the one instance
+    block = out = []
+    if once:
+        head_vars, env, scope = (), [], {}
+        body = clause.body
+        if type(body) is TruthConst:  # a fact: only the head is walked
+            block.append(CONSTS.index(body.value))
+            todo = [head]
+        else:
+            todo = [head, body]
     else:
-        code, todo = [], [clause.head, body]
+        head_vars = list(dict.fromkeys([t.name for t in head.args if type(t) is Var]))
+        env = [None] * len(head_vars)
+        scope = {name: k for k, name in enumerate(head_vars)}
+        todo = [clause.body]
     while todo:
         f = todo.pop()
         kind = type(f)
         if kind is Atom or kind is NegAtom:
             args = f.args
+            if not once or args and Var in map(type, args):
+                # a template literal; in the one instance, a variable is
+                # unbound and _position says so
+                at = [_position(t, scope, env) for t in args]
+                table = tables.setdefault((f.pred, len(at)), {})
+                out.append((_LIT, LIT + (kind is NegAtom), table, f.pred, _key(at)))
+                continue
             if not args:
                 key = ()
-            elif Var in map(type, args):
-                return None
             else:
                 key = args[0].name if len(args) == 1 else tuple([t.name for t in args])
             table = tables.get((f.pred, len(args)))
@@ -552,81 +583,38 @@ def _direct(clause: Clause, tables: dict, atoms: list):
             if t is None:
                 t = table[key] = 2 * len(atoms)
                 atoms.append((f.pred, key))
-            code.append(t + LIT + (kind is NegAtom))
+            out.append(t + LIT + (kind is NegAtom))
         elif kind is Binary:
             todo += (4 + OPS.index(f.op), f.right, f.left)
         elif kind is int:  # a connective, once both operands are out
-            code.append(f)
+            out.append(f)
         elif kind is TruthConst:
-            code.append(CONSTS.index(f.value))
-        elif (kind is Equal or kind is NotEqual) and type(f.left) is type(f.right) is Const:
-            same = f.left.name == f.right.name
-            code.append(_T if same is (kind is Equal) else _F)
-        else:
-            return None
-    return code.pop() - LIT, code
-
-
-def _template(clause: Clause, tables: dict):
-    """Compile a clause once: (head table, head key, number of head
-    variables k, body block, environment).  The environment holds the
-    head variables at positions 0..k-1, then the clause's constants
-    (their own names) and one position per quantifier.
-
-    The walk is iterative and emits the body in postfix, so a chain of
-    one connective becomes a flat run of instructions.  A quantifier
-    body is compiled into the block of its loop, with the quantified
-    variable bound to the loop's position.  A variable bound neither in
-    the head nor by a quantifier raises ValueError.
-    """
-    head = clause.head
-    head_vars = list(dict.fromkeys(t.name for t in head.args if isinstance(t, Var)))
-    env = [None] * len(head_vars)
-    at_const: dict = {}
-
-    def position(t, scope):
-        if isinstance(t, Var):
-            if t.name not in scope:
-                raise ValueError(f"unbound variable {t.name} during grounding")
-            return scope[t.name]
-        if t.name not in at_const:
-            at_const[t.name] = len(env)
-            env.append(t.name)
-        return at_const[t.name]
-
-    scope = {name: k for k, name in enumerate(head_vars)}
-    head_key = _key([position(t, scope) for t in head.args])
-    head_table = tables.setdefault((head.pred, len(head.args)), {})
-    block = out = []
-    todo = [clause.body]
-    while todo:
-        f = todo.pop()
-        kind = type(f)
-        if kind is Atom or kind is NegAtom:
-            at = [position(t, scope) for t in f.args]
-            table = tables.setdefault((f.pred, len(at)), {})
-            out.append((_LIT, LIT + (kind is NegAtom), table, f.pred, _key(at)))
-        elif kind is Binary:
-            todo += (4 + OPS.index(f.op), f.right, f.left)
-        elif kind is int:  # a connective, once both operands are out
-            out.append((_EMIT, f))
-        elif kind is TruthConst:
-            out.append((_EMIT, CONSTS.index(f.value)))
+            out.append(CONSTS.index(f.value))
         elif kind is tuple:  # the end of a quantifier body
-            scope, out = f
+            scope, out, once = f
         elif kind is Equal or kind is NotEqual:
-            i, j = position(f.left, scope), position(f.right, scope)
+            left, right = f.left, f.right
+            if type(left) is type(right) is Const:
+                out.append(_T if (left.name == right.name) is (kind is Equal) else _F)
+                continue
+            i, j = _position(left, scope, env), _position(right, scope, env)
             out.append((_TEST, i, j, _T, _F) if kind is Equal else (_TEST, i, j, _F, _T))
         elif kind is Quantified:
             loop: list = []
             folds = (_OR, _F) if f.kind == Quant.EXISTS else (_AND, _T)
             out.append((_LOOP, len(env), loop) + folds)
-            todo += ((scope, out), f.body)
-            scope, out = {**scope, f.var: len(env)}, loop
+            todo += ((scope, out, once), f.body)
+            scope, out, once = {**scope, f.var: len(env)}, loop, False
             env.append(None)
         else:
             raise TypeError(f"cannot ground {type(f).__name__} node")
-    return head_table, head_key, len(head_vars), block, env
+    if not head_vars:
+        t = block.pop() - LIT
+        if not env:  # only a quantifier gives the environment a position
+            return t, 0, block, None
+    head_table = tables.setdefault((head.pred, len(head.args)), {})
+    head_key = _key([_position(t, scope, env) for t in head.args])
+    return (head_table, head_key), len(head_vars), block, env
 
 
 def _emit(block: list, env: list, out: list, atoms: list, constants: tuple) -> None:
@@ -634,6 +622,9 @@ def _emit(block: list, env: list, out: list, atoms: list, constants: tuple) -> N
     follows only nested quantifiers, which the parser's nesting limit
     bounds."""
     for ins in block:
+        if type(ins) is int:
+            out.append(ins)
+            continue
         kind = ins[0]
         if kind == _LIT:
             _, offset, table, pred, key_of = ins
@@ -643,8 +634,6 @@ def _emit(block: list, env: list, out: list, atoms: list, constants: tuple) -> N
                 t = table[key] = 2 * len(atoms)
                 atoms.append((pred, key))
             out.append(t + offset)
-        elif kind == _EMIT:
-            out.append(ins[1])
         elif kind == _LOOP:
             _, at, loop, fold, empty = ins
             if not constants:
@@ -656,4 +645,3 @@ def _emit(block: list, env: list, out: list, atoms: list, constants: tuple) -> N
                     out.append(fold)
         else:
             out.append(ins[3] if env[ins[1]] == env[ins[2]] else ins[4])
-

@@ -450,6 +450,66 @@ def test_files_with_cr_line_ends_read_as_their_lf_version(capsys, tmp_path):
     assert run(capsys, *calls[0])[1].endswith("suspect(john)\tT\n")
 
 
+def _run_on_stdin(data: bytes, *argv, **env):
+    """(exit code, stdout, stderr) of python -m blp with argv, run in a
+    fresh interpreter that finds this blp, with data on its real
+    standard input and env added to its environment."""
+    import os
+    import subprocess
+    import sys
+
+    base = {k: v for k, v in os.environ.items() if k not in ("PYTHONUTF8", "PYTHONIOENCODING")}
+    done = subprocess.run([sys.executable, "-m", "blp", *argv], input=data,
+                          capture_output=True, env={**base, **env,
+                                                    "PYTHONPATH": os.pathsep.join(sys.path)})
+    return done.returncode, done.stdout.decode(), done.stderr.decode()
+
+
+def test_standard_input_is_read_as_utf8_bytes_whatever_the_locale(capsys, tmp_path):
+    # the same bytes in a file and on standard input give the same
+    # message, under UTF-8 mode and under a Latin-1 standard input
+    src = tmp_path / "p.blp"
+    for data in (b"p.\n% \xff\n", b"p \xff.\n"):
+        src.write_bytes(data)
+        code, out, err = run(capsys, "ground", str(src))
+        assert code == 1 and out == "" and "not valid UTF-8" in err
+        want = (1, "", err.replace(str(src), "standard input"))
+        for env in ({"PYTHONUTF8": "1"}, {"PYTHONIOENCODING": "latin-1"}):
+            assert _run_on_stdin(data, "ground", "-", **env) == want, (data, env)
+
+
+def test_cr_line_ends_on_standard_input_read_as_their_lf_version():
+    program = ("% the suspect program\ncharge(X) <- ~innocent(X) & suspect(X).\n"
+               "% a note\nsuspect(john).\n")
+    want = _run_on_stdin(program.encode(), "ground", "-")
+    assert want[0] == 0 and want[1].count("\n") == 2
+    for end in ("\r\n", "\r"):
+        assert _run_on_stdin(program.replace("\n", end).encode(), "ground", "-") == want
+
+
+def test_closed_or_failing_standard_input_is_a_user_error(capsys, monkeypatch):
+    import errno
+    import io
+    import os
+    import sys
+
+    class Failing(io.RawIOBase):
+        def readable(self):
+            return True
+
+        def readinto(self, buffer):
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+    closed = "error: cannot read standard input: it is closed\n"
+    failing = f"error: cannot read standard input: {os.strerror(errno.EIO)}\n"
+    broken = io.TextIOWrapper(io.BufferedReader(Failing()))
+    for stdin, message in ((None, closed), (broken, failing)):
+        monkeypatch.setattr(sys, "stdin", stdin)
+        assert run(capsys, "ground", "-") == (1, "", message)
+        assert run(capsys, "check", "--alpha", "F", "--model", "-",
+                   str(DATA / "suspect.blp")) == (1, "", message)
+
+
 def test_oversized_grounding_is_a_user_error(capsys, tmp_path):
     program = tmp_path / "wide.blp"
     program.write_text("p(A,B,C,D,E,F2) <- q(A).\n" + "".join(f"q(c{i}).\n" for i in range(20)))

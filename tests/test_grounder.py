@@ -317,7 +317,9 @@ def _instantiated_reference(f, subst, constants, occurring):
 
 
 def test_instantiate_matches_structural_recursion():
-    # each formula is the body of h(X) <- f., ground over the constants a, b
+    # each formula is the body of h(X) <- f., ground over the constants a, b;
+    # leaves that read no variable are coded while compiling, also in
+    # clauses with head variables and under quantifiers
     from blp.syntax import Clause, NegAtom, Program, Quant, Quantified, Var
 
     rng = random.Random(13)
@@ -328,6 +330,8 @@ def test_instantiate_matches_structural_recursion():
             return rng.choice([
                 Atom("p", (Var("X"),)), NegAtom("q", (Var("X"), Const("a"))),
                 TruthConst(rng.choice(list(TruthValue))), Equal(Var("X"), Const("b")),
+                Atom("r"), NegAtom("p", (Const("a"),)), Equal(Const("a"), Const("b")),
+                NotEqual(Const("b"), Const("b")),
             ])
         if rng.random() < 0.1:
             return Quantified(rng.choice(list(Quant)), "X", formula(depth - 1))
@@ -412,6 +416,35 @@ def test_variable_free_programs_match_structural_recursion():
         program = parse_program("".join(clauses))
         gp = ground(program)
         assert (gp.ir, gp.base.names) == _ground_reference(program), clauses
+
+
+_FREE_LEAVES = [  # over _SIGNATURES, with no variable
+    "p", "~p", "q(a)", "~q(b)", "r(a,c1)", "~r(b,b)", "s(c1)", "#t", "#u", "#i",
+    "a = b", "~(b = b)", "exists Z: q(Z) & ~s(a)", "(forall Z: r(Z,b)) | q(c1)",
+]
+
+
+def test_variable_free_clauses_mixed_with_templates_match_structural_recursion():
+    # variable-free clauses, some with a quantifier, among clauses with
+    # head variables, heads shared, over 0-2 extra constants
+    rng = random.Random(37)
+    heads = ["p", "q(a)", "q(c1)", "r(a,b)", "s(b)"]
+    for _ in range(200):
+        clauses = _random_program_text(rng).splitlines(keepends=True)
+        for _ in range(rng.randint(1, 4)):
+            head = rng.choice(heads)
+            if rng.random() < 0.2:
+                clauses.append(f"{head}.\n")
+                continue
+            body = rng.choice(_FREE_LEAVES)
+            for _ in range(rng.randint(0, 3)):
+                body += f" {rng.choice('&|*+')} {rng.choice(_FREE_LEAVES)}"
+            clauses.append(f"{head} <- {body}.\n")
+        rng.shuffle(clauses)
+        program = parse_program("".join(clauses))
+        extra = ("d", "e")[:rng.randint(0, 2)]
+        gp = ground(program, extra)
+        assert (gp.ir, gp.base.names) == _ground_reference(program, extra), clauses
 
 
 def test_variable_free_rules_merge_with_instances_in_clause_order():
