@@ -32,6 +32,7 @@ read into one symbol per atom and built with Valuation.from_symbols.
 from __future__ import annotations
 
 import functools
+import os
 import re
 import sys
 from types import SimpleNamespace
@@ -404,14 +405,32 @@ def _read_argv(argv) -> Optional[SimpleNamespace]:
     return SimpleNamespace(command=argv[0], func=func, **{**defaults, **values})
 
 
+def _stdout_to_devnull() -> None:
+    """Point file descriptor 1 at the null device, so that the
+    interpreter's last flush of standard output, at exit, cannot fail
+    again on what is still buffered."""
+    try:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(devnull, sys.stdout.fileno())
+        finally:
+            os.close(devnull)
+    except (OSError, ValueError):  # no descriptor behind sys.stdout
+        pass
+
+
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
+        if sys.stdout is None:
+            raise CliError("cannot write standard output: it is closed")
         args = _read_argv(argv)
         if args is None:
             args = build_parser().parse_args(argv)
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
     except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -421,6 +440,12 @@ def main(argv=None) -> int:
     except engine.InternalInvariantError as exc:
         print(f"internal invariant violated: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:  # input errors are CliErrors, so this is a write
+        _stdout_to_devnull()
+        print(f"error: cannot write standard output: {exc.strerror or exc}", file=sys.stderr)
+        return 1
+    except KeyboardInterrupt:
+        return 130
 
 
 if __name__ == "__main__":

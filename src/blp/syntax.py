@@ -538,7 +538,16 @@ def _push_negation(f: Formula) -> Formula:
 
 
 def parse_program(text: str) -> Program:
-    """Parse program text; raises ParseError with line and column on failure."""
+    r"""Parse program text; raises ParseError with line and column on failure.
+
+    A line ends at "\n" only, so "\r\n" ends one, but a lone "\r" is a
+    blank: a % comment runs on past it, and a ParseError's line does
+    not count it.  The command line reads its input with every "\r\n"
+    and lone "\r" made "\n" first, so there a lone "\r" ends a line.
+    Text that open() read in its default universal newlines mode has
+    them made "\n" already, and parses here as the command line parses
+    its file.
+    """
     return _Parser(text).program()
 
 

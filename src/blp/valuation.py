@@ -19,11 +19,17 @@ CompiledBodies compiles the ground IR of rule bodies (see grounder)
 into a flat list of n-ary nodes and evaluates them against a pair of
 valuations (positive atoms from the first, negated atoms from the
 second); the engine and contrajoin_eval use it, the latter through
-grounder.formula_code.  pseudo_eval reads a formula tree (a rule body
-of GroundProgram.rules) against set-pair encodings using (in-true-set,
-in-false-set) bit logic, with an explicit stack; bottomup uses it.  The
-two share no tables and must agree everywhere; the test suite holds
-them against each other.
+grounder.formula_code.  Each node has two literal masks, one read by
+its belief and one by its doubt, each value being all or any of its
+operands' as the connective says.  For each default value alpha the
+compiled bodies also derive, once, a second node list in which every
+atom that heads no rule reads as alpha where it is read without "~"
+(CompiledBodies.at_alpha); the engine runs it whenever its first
+argument holds alpha on those atoms.  pseudo_eval reads a formula tree
+(a rule body of GroundProgram.rules) against set-pair encodings using
+(in-true-set, in-false-set) bit logic, with an explicit stack; bottomup
+uses it.  The two share no tables and must agree everywhere; the test
+suite holds them against each other.
 """
 
 from __future__ import annotations
@@ -288,13 +294,21 @@ def from_interpretation(i: Interpretation) -> Valuation:
 # folds in one of two codes: the knowledge code, belief | doubt << 1, in
 # which consensus is bitwise and and gullibility bitwise or; or the truth
 # code, the knowledge code xor 2 (belief | (not doubt) << 1), in which
-# conjunction is bitwise and and disjunction bitwise or.
+# conjunction is bitwise and and disjunction bitwise or.  Either way each
+# of a node's two values, belief and doubt, is "all operands" or "any
+# operand" of that value: & believes all and doubts any, | believes any
+# and doubts all, consensus is all and all, gullibility any and any.
 # The kinds are numbered as the connectives of the ground IR, whose
 # constants are numbered by knowledge code.
 _AND, _OR, _CONS, _GULL = range(4)
 _FLIP = (2, 2, 0, 0)  # xor that turns a knowledge code into the kind's own code
 _MEET = (True, False, True, False)  # folds with bitwise and, else or
 _START = (1 ^ 2, 2 ^ 2, 3, 0)  # each kind's identity T, F, I, U in its own code
+# at_alpha folds alpha into lists of at least this many nodes.  On
+# seeded random programs, folding made semantics and compare 2-8% slower
+# below 16 nodes, where a closure takes a few applications of a few
+# microseconds, and 5-22% faster from 16 nodes on.
+_FOLD_MIN_NODES = 16
 
 
 def _add(node: list, x) -> None:
@@ -321,19 +335,23 @@ class CompiledBodies:
 
     Literals are bits of a mask of width 2n over a base of n atoms: bit
     i is atom i read positively, bit n + i atom i read negated.  Each
-    node is a tuple (kind, literal mask, slot, parent slot, parent folds
-    with and, flip), in post-order, so a node runs after all of its
-    children.  Truth constants among a node's operands are folded into
-    the starting value of its slot, and a node left with no operand but
-    constants into its parent's.  A node writes its value into its
-    parent's slot, xor flip to convert the code.  A root writes into the
-    output slot of its body, which folds like a gullibility node: in
-    the knowledge code, with bitwise or, from U.  The body of head i
-    yields bit i of the result masks; out_mask has every such bit and
-    rest every other bit of the base.  positive has bit i for every
-    atom i some body reads without "~", and negated for every atom i
-    some body reads under "~".  closures is the engine's memo of
-    stability closures for these bodies; it starts empty.
+    node is a tuple (kind, belief mask, doubt mask, slot, parent slot,
+    parent folds with and, flip), in post-order, so a node runs after
+    all of its children.  The belief mask holds the literals its belief
+    reads, all or any of them as its kind says, and the doubt mask those
+    its doubt reads; the two are equal in the nodes compiled here, and
+    differ only in a list derived for one alpha (at_alpha).  Truth
+    constants among a node's operands are folded into the starting value
+    of its slot, and a node left with no operand but constants into its
+    parent's.  A node writes its value into its parent's slot, xor flip
+    to convert the code.  A root writes into the output slot of its
+    body, which folds like a gullibility node: in the knowledge code,
+    with bitwise or, from U.  The body of head i yields bit i of the
+    result masks; out_mask has every such bit and rest every other bit
+    of the base.  positive has bit i for every atom i some body reads
+    without "~", and negated for every atom i some body reads under "~".
+    closures is the engine's memo of stability closures for these
+    bodies; it starts empty.
 
     Each body's IR code is read once, with a stack: a literal pushes its
     bit, a constant the complement of its knowledge code, and a
@@ -344,15 +362,15 @@ class CompiledBodies:
     """
 
     __slots__ = (
-        "width", "lits", "outputs", "out_mask", "rest", "init", "nodes", "positive",
-        "negated", "closures",
+        "base", "width", "outputs", "out_mask", "rest", "init", "nodes", "positive",
+        "negated", "closures", "_forms", "_alpha", "_form",
     )
 
     def __init__(self, base: Base, bodies: Iterable[Tuple[int, tuple]]) -> None:
         n = len(base)
         bodies = tuple(bodies)
+        self.base = base
         self.width = n
-        self.lits = (1 << 2 * n) - 1
         self.outputs = tuple(1 << head for head, _ in bodies)
         self.out_mask = 0
         for bit in self.outputs:
@@ -363,6 +381,7 @@ class CompiledBodies:
             at += (i, n + i)
         init = [0] * len(bodies)
         nodes = []
+        lits = 0
         for out, (_, code) in enumerate(bodies):
             stack = []
             for c in code:
@@ -394,49 +413,153 @@ class CompiledBodies:
                     code = acc ^ pflip
                     init[parent] = init[parent] & code if pmeet else init[parent] | code
                     continue
+                lits |= mask
                 slot = len(init)
                 init.append(acc)
-                todo.append(((kind, mask, slot, parent, pmeet, pflip), None, None))
+                todo.append(((kind, mask, mask, slot, parent, pmeet, pflip), None, None))
                 for child in children:
                     todo.append((child, slot, kind))
         self.init = init
         self.nodes = tuple(nodes)
-        lits = 0
-        for node in nodes:
-            lits |= node[1]
         self.positive = lits & (1 << n) - 1
         self.negated = lits >> n
         self.closures = {}
+        self._forms = {}
+        self._alpha = self._form = None
 
-    def evaluate(self, v: Valuation, w: Valuation):
+    def at_alpha(self, alpha: TruthValue):
+        """(start, rest belief, rest doubt, nodes, init) for the default
+        alpha: the valuation that gives alpha to every atom, the masks
+        that give it to every atom of rest, and a node list with its
+        start values that evaluate runs in place of nodes and init
+        whenever v holds alpha on every atom of rest.  Made on first use
+        for each alpha; the list is made by _fold when some body reads
+        an atom of rest without "~" and there are _FOLD_MIN_NODES nodes
+        or more, and is the compiled one otherwise.  The last form asked
+        for is kept at hand, since a stability closure asks for the same
+        alpha at every application."""
+        if alpha is not self._alpha:
+            form = self._forms.get(alpha)
+            if form is None:
+                start = const_valuation(self.base, alpha)
+                rest = self.rest
+                nodes, init = (
+                    self._fold(alpha)
+                    if self.positive & rest and len(self.nodes) >= _FOLD_MIN_NODES
+                    else (self.nodes, self.init)
+                )
+                form = self._forms[alpha] = (
+                    start, start.belief & rest, start.doubt & rest, nodes, init,
+                )
+            self._alpha, self._form = alpha, form
+        return self._form
+
+    def _fold(self, alpha: TruthValue):
+        """nodes and init with every positive literal of an atom of rest
+        read as alpha.
+
+        Such a literal is the constant alpha, so it folds into its node's
+        start value as compile folds a constant.  Per value, that is
+        either the identity of the node's all or any, and the literal
+        just goes, or its absorbing value, which settles that value and
+        clears its mask.  A node whose two values are settled, or left
+        with no literal and no child it keeps, folds into its parent's
+        start value.  A node with no child it keeps whose each value is
+        settled or reads one literal is merged into its parent: a
+        settled value folds into the parent's start value, a literal
+        joins the parent's mask for that value.  Last, nodes left
+        writing into a slot no kept node reads are dropped, and the
+        slots are renumbered densely after the output slots.
+        """
+        code = CONSTS.index(alpha)  # knowledge code
+        rest = self.rest
+        keep = ~rest
+        init = self.init[:]
+        first = len(self.outputs)  # slots below first are output slots
+        add_b = [0] * len(init)  # literals merged in from children, per slot
+        add_d = [0] * len(init)
+        fed = [False] * len(init)  # slots some kept node writes into
+        kept = []
+        for kind, mb, md, s, p, pmeet, flip in self.nodes:
+            if add_b[s] or add_d[s]:
+                mb |= add_b[s]
+                md |= add_d[s]
+            if (mb | md) & rest:
+                c = code ^ _FLIP[kind]
+                init[s] = init[s] & c if _MEET[kind] else init[s] | c
+                if mb is md:  # as compiled: one mask for both values
+                    mb = md = mb & keep
+                else:
+                    mb &= keep
+                    md &= keep
+            settled = init[s] ^ _START[kind]  # the code bits no operand can move
+            if settled & 1:
+                mb = 0
+            if settled & 2:
+                md = 0
+            if settled == 3 or (
+                not fed[s] and not mb & mb - 1 and not md & md - 1
+                and (p >= first or not mb | md)
+            ):
+                # merge: each value is settled, or one literal the parent
+                # reads, and then the parent's identity in c
+                c = init[s] ^ flip
+                if mb:
+                    c = c & 2 | (1 if pmeet else 0)
+                    add_b[p] |= mb
+                if md:
+                    c = c & 1 | (2 if pmeet else 0)
+                    add_d[p] |= md
+                init[p] = init[p] & c if pmeet else init[p] | c
+                continue
+            kept.append((kind, mb, md, s, p, pmeet, flip))
+            fed[p] = True
+        starts = init[:first]
+        slots = {}  # old node slot: new slot
+        nodes = []
+        for kind, mb, md, s, p, pmeet, flip in reversed(kept):  # parents first
+            if p >= first:
+                p = slots.get(p)
+                if p is None:  # its parent was settled and not kept
+                    continue
+            slots[s] = len(starts)
+            starts.append(init[s])
+            nodes.append((kind, mb, md, slots[s], p, pmeet, flip))
+        nodes.reverse()
+        return tuple(nodes), starts
+
+    def evaluate(self, v: Valuation, w: Valuation, nodes=None, init=None):
         """The (belief, doubt) masks of every body's value, reading
-        positive atoms from v and negated atoms, negated, from w."""
+        positive atoms from v and negated atoms, negated, from w; by the
+        node list nodes from the start values init, by default the
+        compiled ones."""
+        if nodes is None:
+            nodes, init = self.nodes, self.init
         n = self.width
         lb = v.belief | w.doubt << n  # literals believed
         ld = v.doubt | w.belief << n  # literals doubted
-        lnd = self.lits ^ ld  # literals not doubted
-        acc = self.init[:]
-        for kind, m, s, p, pmeet, flip in self.nodes:
+        acc = init[:]
+        for kind, mb, md, s, p, pmeet, flip in nodes:
             r = acc[s]
             if kind == _AND:
-                if lb & m != m:
+                if lb & mb != mb:
                     r &= 2
-                if lnd & m != m:
+                if ld & md:
                     r &= 1
             elif kind == _OR:
-                if lb & m:
+                if lb & mb:
                     r |= 1
-                if lnd & m:
+                if ld & md != md:
                     r |= 2
             elif kind == _CONS:
-                if lb & m != m:
+                if lb & mb != mb:
                     r &= 2
-                if ld & m != m:
+                if ld & md != md:
                     r &= 1
             else:
-                if lb & m:
+                if lb & mb:
                     r |= 1
-                if ld & m:
+                if ld & md:
                     r |= 2
             if pmeet:
                 acc[p] &= r ^ flip

@@ -3,6 +3,8 @@
 import json
 import pathlib
 
+import pytest
+
 from blp.cli import main
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -640,3 +642,93 @@ def test_no_subcommand_makes_the_base_atoms_or_index(capsys, monkeypatch, tmp_pa
     assert len(bases) == len(argvs) * 6 + 2
     for base in bases:
         assert base._atoms is None and base._index is None
+
+
+def _blp_process(argv, **kwargs):
+    """python -m blp with argv, started in a fresh interpreter that
+    finds this blp, with SIGINT raising KeyboardInterrupt even where
+    the caller ignores it; stderr is a pipe."""
+    import os
+    import subprocess
+    import sys
+
+    code = ("import runpy, signal, sys; signal.signal(signal.SIGINT, signal.default_int_handler); "
+            "sys.argv[0] = 'blp'; runpy.run_module('blp', run_name='__main__')")
+    return subprocess.Popen([sys.executable, "-c", code, *argv], stderr=subprocess.PIPE,
+                            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+                            **kwargs)
+
+
+def _finish(proc):
+    """(exit code, stderr) of proc, which must end within a minute."""
+    try:
+        proc.wait(timeout=60)
+    finally:
+        if proc.returncode is None:
+            proc.kill()
+            proc.wait()
+        with proc.stderr:
+            err = proc.stderr.read()
+    return proc.returncode, err.decode()
+
+
+def _write_error(strerror):
+    return f"error: cannot write standard output: {strerror}\n"
+
+
+SUSPECT = str(DATA / "suspect.blp")
+
+
+@pytest.mark.skipif(not pathlib.Path("/bin/sh").exists(), reason="needs a POSIX shell")
+def test_closed_standard_output_is_refused():
+    import os
+    import subprocess
+    import sys
+
+    for argv in (["ground", SUSPECT], ["compare", SUSPECT]):
+        done = subprocess.run(["/bin/sh", "-c", 'exec "$@" >&-', "sh", sys.executable,
+                               "-m", "blp", *argv], capture_output=True,
+                              env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        assert (done.returncode, done.stderr.decode()) == \
+            (1, "error: cannot write standard output: it is closed\n")
+
+
+@pytest.mark.skipif(not pathlib.Path("/dev/full").exists(), reason="needs /dev/full")
+def test_failing_standard_output_is_a_write_error():
+    import errno
+    import os
+
+    for argv in (["ground", SUSPECT], ["compare", SUSPECT],
+                 ["eval", "--alpha", "F", "--semantics", "fixU", SUSPECT]):
+        with open("/dev/full", "wb") as full:
+            code, err = _finish(_blp_process(argv, stdout=full))
+        assert (code, err) == (1, _write_error(os.strerror(errno.ENOSPC))), argv
+
+
+def test_standard_output_closed_by_its_reader_is_a_write_error():
+    import errno
+    import os
+
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # as `| head -0` does before blp writes
+    try:
+        proc = _blp_process(["ground", SUSPECT], stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert _finish(proc) == (1, _write_error(os.strerror(errno.EPIPE)))
+
+
+def test_interrupt_exits_130_without_a_traceback():
+    import signal
+    import subprocess
+
+    # a negation chain whose eval runs for many seconds, padded past any
+    # pipe buffer, so that once the write returns blp is inside main
+    chain = "".join(f"q{i} <- ~q{i + 1}.\n" for i in range(3000))
+    data = (chain + "%" + "x" * (1 << 20) + "\n").encode()
+    proc = _blp_process(["eval", "--alpha", "F", "--semantics", "fixU", "-"],
+                        stdin=subprocess.PIPE, stdout=subprocess.DEVNULL)
+    proc.stdin.write(data)
+    proc.stdin.close()
+    proc.send_signal(signal.SIGINT)
+    assert _finish(proc) == (130, "")

@@ -20,7 +20,7 @@ from blp.bilattice import (
     truth_join,
     truth_meet,
 )
-from blp.grounder import Base, GroundAtom, formula_code
+from blp.grounder import Base, GroundAtom, formula_code, ground
 from blp.syntax import Atom, Binary, BinOp, NegAtom, TruthConst, parse_program
 from blp.valuation import (
     CompiledBodies,
@@ -93,8 +93,9 @@ def test_same_connective_chains_flatten_into_one_node():
         body = _body(f" {op} ".join(["a", "~b", "b", "~a", "a"]))
         compiled = CompiledBodies(AB, [(0, formula_code(AB, body))])
         assert len(compiled.nodes) == 1
-        # one bit per distinct literal: a, b positive; a, b negated
-        assert compiled.nodes[0][1] == 0b1111
+        # one bit per distinct literal: a, b positive; a, b negated,
+        # read by both the belief and the doubt of the node
+        assert compiled.nodes[0][1:3] == (0b1111, 0b1111)
         _exhaustive(AB, body)
 
 
@@ -103,9 +104,10 @@ def test_truth_constants_fold_inside_and_and_consensus():
                  "(a | #u) & (~b * #i)", "#i & #u", "#u * #t", "(#t * #f) | a"):
         body = _body(text)
         compiled = CompiledBodies(AB, [(0, formula_code(AB, body))])
-        # no node is left holding only constants
-        assert all(node[1] or any(other[3] == node[2] for other in compiled.nodes)
-                   for node in compiled.nodes)
+        # no node is left holding only constants: each reads a literal
+        # or is the parent of another node
+        fed = {parent for _, _, _, _, parent, _, _ in compiled.nodes}
+        assert all(mb or md or slot in fed for _, mb, md, slot, _, _, _ in compiled.nodes)
         _exhaustive(AB, body)
 
 
@@ -185,3 +187,104 @@ def test_values_decode_in_base_order():
     assert [v[a] for a in v.base] == list(v.values)
     assert const_valuation(v.base, I).values == (I,) * 10
     assert Valuation(Base(()), ()).values == ()
+
+
+# The node list derived for one alpha (CompiledBodies.at_alpha) against the
+# compiled one.
+
+def game(seed, n):
+    """A win-move game of n positions on a seeded random digraph."""
+    rng = random.Random(seed)
+    moves = {(i, rng.randrange(n)) for i in range(n) for _ in range(rng.randint(0, 2))}
+    text = "".join(f"move(p{i},p{j}).\n" for i, j in sorted(moves))
+    return ground(parse_program(text + "win(X) <- exists Y: move(X,Y) & ~win(Y).\n"))
+
+
+def closure(n):
+    """Transitive closure over a ring of n nodes."""
+    text = "".join(f"e(n{i},n{(i + 1) % n}).\n" for i in range(n))
+    return ground(parse_program(
+        text + "path(X,Y) <- e(X,Y) | (exists Z: e(X,Z) & path(Z,Y)).\n"))
+
+
+FOLDED = [game(seed, n) for seed, n in enumerate((6, 8, 10, 12, 14))] + \
+    [closure(n) for n in (3, 4, 5)]
+
+
+def at_alpha_on_rest(rng, compiled, alpha):
+    """A random valuation holding alpha on every atom of compiled.rest."""
+    start = compiled.at_alpha(alpha)[0]
+    v = random_valuation(rng, start.base)
+    rest = compiled.rest
+    return Valuation.from_masks(
+        start.base, v.belief & ~rest | start.belief & rest, v.doubt & ~rest | start.doubt & rest)
+
+
+def assert_folds_agree(gp, rng, pairs):
+    compiled = engine._compiled(gp)
+    for alpha in ALPHAS:
+        # the folded list, and the one the engine runs, which is the
+        # compiled list itself for a short one
+        lists = [compiled._fold(alpha), compiled.at_alpha(alpha)[3:]]
+        for _ in range(pairs):
+            v = at_alpha_on_rest(rng, compiled, alpha)
+            w = random_valuation(rng, gp.base)
+            want = compiled.evaluate(v, w)
+            for nodes, init in lists:
+                assert compiled.evaluate(v, w, nodes, init) == want, (gp.render(), alpha)
+
+
+@pytest.mark.parametrize(
+    "corpus", ["mixed_corpus", "conventional_corpus", "positive_corpus", "tiny_corpus"]
+)
+def test_alpha_lists_agree_with_the_compiled_list_on_corpora(corpus, request):
+    rng = random.Random(43)
+    for gp in request.getfixturevalue(corpus):
+        assert_folds_agree(gp, rng, 3)
+
+
+def test_alpha_lists_agree_with_the_compiled_list_on_games_and_closures():
+    rng = random.Random(47)
+    for gp in FOLDED:
+        assert_folds_agree(gp, rng, 20)
+
+
+def test_alpha_lists_of_games_and_closures_read_no_non_head_positively():
+    for gp in FOLDED:
+        compiled = engine._compiled(gp)
+        assert compiled.positive & compiled.rest
+        for alpha in ALPHAS:
+            nodes = compiled.at_alpha(alpha)[3]
+            assert len(nodes) < len(compiled.nodes)
+            assert all(not (mb | md) & compiled.rest for _, mb, md, _, _, _, _ in nodes)
+
+
+def test_consequence_off_alpha_on_a_non_head_runs_the_compiled_list():
+    rng = random.Random(53)
+    for gp in FOLDED:
+        compiled = engine._compiled(gp)
+        for alpha in ALPHAS:
+            start = compiled.at_alpha(alpha)[0]
+            for _ in range(10):
+                v = random_valuation(rng, gp.base)
+                w = random_valuation(rng, gp.base)
+                if not (v.belief ^ start.belief | v.doubt ^ start.doubt) & compiled.rest:
+                    continue
+                belief, doubt = compiled.evaluate(v, w)
+                rest = compiled.rest
+                assert engine.immediate_consequence(gp, alpha, v, w) == Valuation.from_masks(
+                    gp.base, belief | start.belief & rest, doubt | start.doubt & rest)
+
+
+def test_a_node_settled_by_alpha_drops_the_nodes_below_it():
+    # r heads no rule; at F the & is F whatever its other operand is
+    gp = ground(parse_program("p. q. h <- r & ((p * ~q) | (~p * q))."))
+    compiled = engine._compiled(gp)
+    nodes, init = compiled._fold(F)
+    assert len(compiled.nodes) == 4 and nodes == ()
+    h = gp.base.names.index("h")
+    assert compiled.evaluate(const_valuation(gp.base, F), const_valuation(gp.base, U),
+                             nodes, init)[1] >> h & 1
+    # at T, r is the identity of &, which keeps only the | below it
+    nodes = compiled._fold(T)[0]
+    assert len(nodes) == 4 and not nodes[-1][1] | nodes[-1][2]
