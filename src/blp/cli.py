@@ -327,6 +327,14 @@ def build_parser() -> argparse.ArgumentParser:
         def error(self, message):  # route argparse failures to exit status 1
             raise CliError(f"{self.prog}: {message}")
 
+        def _print_message(self, message, file=None):  # a failing write raises
+            if message:
+                (file or sys.stderr).write(message)
+
+        def exit(self, status=0, message=None):  # -h: a failing flush of the help raises
+            sys.stdout.flush()
+            super().exit(status, message)
+
     parser = _Parser(prog="blp", description="Four-valued logic program semantics")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, func, options) in COMMANDS.items():

@@ -15,11 +15,13 @@ stored as (not-F lanes) << lanes | (T lanes).  On these bits Kleene's
 conjunction and disjunction (min and max) are & and |, and negation
 swaps the halves and complements them.  gl_transform, well_founded
 and kripke_kleene iterate one valuation, one lane, where F, U and T
-are 0, 2 and 3; these one-lane codes go in and out of the masks
-through Valuation.symbols and its inverse from_symbols, one symbol per
-code (_NEGATED and _SYMBOL).  A lane's bits depend only on that lane's
-bits, so the stable search transforms every candidate at once, one
-lane each (see enumerate_stable_models).
+are 0, 2 and 3: a list of these one-lane codes, one per atom, negated
+through one bytes.translate table (_NEGATE).  Codes enter and leave
+once per call, at the boundary: gl_transform reads its argument's
+codes from Valuation.symbols, and each result is built once, from the
+loop's last codes, straight into the masks (_of_codes).  A lane's bits
+depend only on that lane's bits, so the stable search transforms
+every candidate at once, one lane each (see enumerate_stable_models).
 
 One interpreter, _run, evaluates the ground IR (GroundProgram.ir, see
 grounder) on lane codes, reading each leaf from a table indexed by IR
@@ -30,11 +32,13 @@ cached on the program, that reads each positive literal of such an
 atom as F and folds the constants away: F decides a conjunction and T
 a disjunction.
 
-A step of each transform loop reads only some positions: the
-transform's positive iteration reads the positions the pinned code
-reads positively, and the well-founded iteration, through the
-transform, the positions it reads negated.  Once a step leaves its
-positions unchanged, the next step would return the same valuation, so
+_transform is the one transform step, on one-lane codes: gl_transform
+makes one, and the well-founded loop, which also seeds the stable
+search, iterates it.  A step of each transform loop reads only some
+positions: the transform's positive iteration reads the positions the
+pinned code reads positively, and the well-founded iteration, through
+the transform, the positions it reads negated.  Once a step leaves its
+positions unchanged, the next step would return the same codes, so
 each loop stops there rather than making that step.
 """
 
@@ -48,13 +52,16 @@ from .grounder import CONSTS, LIT, OPS, Base, BaseMismatchError, GroundProgram
 from .syntax import BinOp
 from .valuation import Valuation
 
-# one-lane codes, and bytes.translate tables from each symbol to the
-# code of its negation and from each code to its symbol (code 1, T but
-# F, is no value); _ORDER has the values in the truth order
-_F1, _U1 = 0, 2
-_NEGATED = bytes.maketrans(b"FUT", b"\3\2\0")
-_SYMBOL = bytes.maketrans(b"\0\2\3", b"FUT")
-_ORDER = "FUT"
+# one-lane codes, and bytes.translate tables from each code to the
+# code of its negation, from each symbol to its code, and from each
+# code to its belief and to its doubt digit (code 1, T but F, is no
+# value); _ORDER has the codes in the truth order
+_F1, _U1, _T1 = 0, 2, 3
+_NEGATE = bytes.maketrans(b"\0\2\3", b"\3\2\0")
+_CODE = bytes.maketrans(b"FUT", b"\0\2\3")
+_BELIEF = bytes.maketrans(b"\0\2\3", b"001")
+_DOUBT = bytes.maketrans(b"\0\2\3", b"100")
+_ORDER = (_F1, _U1, _T1)
 
 # the most atoms the well-founded semantics may leave open for the
 # stable-model search, which spans 3 to that power candidates
@@ -77,8 +84,13 @@ class EnumerationCapError(ValueError):
 
 
 def _of_codes(base: Base, codes: list) -> Valuation:
-    """The valuation of one-lane codes, one per atom of base."""
-    return Valuation.from_symbols(base, bytes(codes).translate(_SYMBOL).decode())
+    """The valuation of one-lane codes, one per atom of base.  Reversed,
+    so that atom i is the i-th binary digit from the right, the codes'
+    belief and doubt digits read in base 2 are the masks; the leading
+    0 reads an empty base as 0."""
+    text = b"0" + bytes(codes)[::-1]
+    return Valuation.from_masks(base, int(text.translate(_BELIEF), 2),
+                                int(text.translate(_DOUBT), 2))
 
 
 def _check(ir: tuple) -> None:
@@ -92,12 +104,12 @@ def _check(ir: tuple) -> None:
 def _pinned(gp: GroundProgram) -> tuple:
     """(rules, positive, negated): the rules of the program's IR, with
     every positive literal of an atom that heads no rule read as F and
-    the T and F constants folded away; a function giving the values of a
-    list at the base positions the folded code reads positively; and the
-    mask of the positions it reads negated.  Checked and folded on first
-    use and cached on the program as gp.oracle_code; a program outside
-    the conventional fragment raises ConventionalityError and is not
-    cached, so every call on it raises.
+    the T and F constants folded away; and two functions giving the
+    values of a list at the base positions the folded code reads
+    positively, and at those it reads negated.  Checked and folded on
+    first use and cached on the program as gp.oracle_code; a program
+    outside the conventional fragment raises ConventionalityError and
+    is not cached, so every call on it raises.
 
     This is the code of the Gelfond-Lifschitz transform, which pins the
     atoms that head no rule to F: F absorbs a conjunction and T a
@@ -110,22 +122,29 @@ def _pinned(gp: GroundProgram) -> tuple:
         _check(gp.ir)
         n = len(gp.base)
         leaf = list(range(LIT + 2 * n))  # the code each leaf code folds as
+        moved = {_T, _F}  # the leaf codes a fold acts on
         for i in set(range(n)).difference(head for head, _ in gp.ir):
             leaf[LIT + 2 * i] = _F
-        rules = tuple((head, _fold(code, leaf)) for head, code in gp.ir)
+            moved.add(LIT + 2 * i)
+        rules = tuple((head, _fold(code, leaf, moved)) for head, code in gp.ir)
         read = set().union(*(code for _, code in rules))
         gp.oracle_code = (
             rules,
             _reader(i for i in range(n) if LIT + 2 * i in read),
-            sum(1 << i for i in range(n) if LIT + 2 * i + 1 in read),
+            _reader(i for i in range(n) if LIT + 2 * i + 1 in read),
         )
     return gp.oracle_code
 
 
-def _fold(code: tuple, leaf: list) -> tuple:
+def _fold(code: tuple, leaf: list, moved: set) -> tuple:
     """code with each leaf code c read as leaf[c] and the T and F
     constants folded through & and |: postfix again, or one constant.
-    An operand on the stack is a constant code or a list of codes."""
+    moved holds the constants and every leaf code c that leaf does not
+    map to itself; a code with none of them is returned as it is,
+    unwalked.  An operand on the stack is a constant code or a list of
+    codes."""
+    if moved.isdisjoint(code):
+        return code
     stack = []
     for c in code:
         if c != _AND and c != _OR:
@@ -238,40 +257,54 @@ def _least(rules: tuple, positive, table: list, n: int) -> list:
     raise RuntimeError("positive consequence iteration failed to converge")
 
 
+def _transform(rules: tuple, positive, table: list, codes) -> list:
+    """The extended Gelfond-Lifschitz transform of one-lane codes, by the
+    rules and positive reader of _pinned: the negated literal slots of
+    table, a one-lane _table, take the negations of codes, and _least
+    runs from all-F.  Reading negated atoms from codes while iterating
+    is the same as freezing them first."""
+    table[LIT + 1::2] = bytes(codes).translate(_NEGATE)
+    return _least(rules, positive, table, len(codes))
+
+
+def _well_founded_codes(gp: GroundProgram) -> list:
+    """The one-lane codes of the well-founded semantics: _transform
+    iterated from all-U.
+
+    The transform reads its argument only at the positions the pinned
+    code reads negated, so once a step leaves the codes there unchanged
+    the next would return the same codes, and the iteration stops."""
+    rules, positive, negated = _pinned(gp)
+    n = len(gp.base)
+    table = _table(n, 1)
+    cur = [_U1] * n
+    for _ in range(2 * n + 1):
+        nxt = _transform(rules, positive, table, cur)
+        if negated(nxt) == negated(cur):
+            return nxt
+        cur = nxt
+    raise RuntimeError("well-founded iteration failed to converge")
+
+
 def gl_transform(gp: GroundProgram, v: Valuation) -> Valuation:
     """Extended Gelfond-Lifschitz transform: freeze negated atoms to their
     values under v, then take the truth-least fixpoint of the positive
-    consequence operator (non-heads pinned false).  Reading negated atoms
-    from v while iterating is the same as freezing them first.  The
-    iteration is _least, in one lane.  v may be any valuation with no
-    atom at I."""
+    consequence operator (non-heads pinned false).  v goes into one-lane
+    codes and the result out of them once, around _transform.  v may be
+    any valuation with no atom at I."""
     rules, positive, _ = _pinned(gp)
     if v.base != gp.base:
         raise BaseMismatchError("valuation does not match the program's base")
     if v.belief & v.doubt:
         raise ValueError("valuation contains I and has no three-valued counterpart")
-    n = len(gp.base)
-    table = _table(n, 1)
-    table[LIT + 1::2] = v.symbols().encode().translate(_NEGATED)
-    return _of_codes(gp.base, _least(rules, positive, table, n))
+    codes = v.symbols().encode().translate(_CODE)
+    return _of_codes(gp.base, _transform(rules, positive, _table(len(codes), 1), codes))
 
 
 def well_founded(gp: GroundProgram) -> Valuation:
     """Least fixpoint of the transform, reached from the all-unknown
-    valuation; this is the well-founded semantics.
-
-    The transform reads its argument only at the positions the pinned
-    code reads negated, so once a transform leaves the masks unchanged
-    there the next would return the same valuation, and the iteration
-    stops."""
-    negated = _pinned(gp)[2]
-    cur = Valuation.from_masks(gp.base, 0, 0)
-    for _ in range(2 * len(gp.base) + 1):
-        nxt = gl_transform(gp, cur)
-        if not ((nxt.belief ^ cur.belief) | (nxt.doubt ^ cur.doubt)) & negated:
-            return nxt
-        cur = nxt
-    raise RuntimeError("well-founded iteration failed to converge")
+    valuation; this is the well-founded semantics."""
+    return _of_codes(gp.base, _well_founded_codes(gp))
 
 
 def kripke_kleene(gp: GroundProgram) -> Valuation:
@@ -284,7 +317,7 @@ def kripke_kleene(gp: GroundProgram) -> Valuation:
     cur = [_U1] * n
     for _ in range(2 * n + 1):
         table[LIT::2] = cur
-        table[LIT + 1::2] = _negated(cur, 1)
+        table[LIT + 1::2] = bytes(cur).translate(_NEGATE)
         nxt = [_U1] * n
         _run(gp.ir, table, nxt)
         if nxt == cur:
@@ -318,8 +351,8 @@ def enumerate_stable_models(gp: GroundProgram) -> list:
     """
     rules, positive, _ = _pinned(gp)  # a non-conventional program fails here, before the cap
     n = len(gp.base)
-    cells = list(well_founded(gp).symbols())
-    open_at = [i for i, s in enumerate(cells) if s == "U"]
+    codes = _well_founded_codes(gp)
+    open_at = [i for i, c in enumerate(codes) if c == _U1]
     k = len(open_at)
     if k > ENUMERATION_CAP:
         raise EnumerationCapError(
@@ -330,7 +363,8 @@ def enumerate_stable_models(gp: GroundProgram) -> list:
     full = (1 << lanes) - 1
     # atom i of the candidates: T-lanes in the low half, not-F-lanes in
     # the high half; settled atoms hold their value in every lane
-    cand = [(0, full << lanes, full | full << lanes)[_ORDER.index(s)] for s in cells]
+    spread = {_F1: 0, _U1: full << lanes, _T1: full | full << lanes}
+    cand = [spread[c] for c in codes]
     for j, i in enumerate(open_at):
         # digit j of lane L: blocks of 3^(k-1-j) lanes of F, U and T in
         # turn, the period of three blocks repeated 3^j times
@@ -354,6 +388,6 @@ def enumerate_stable_models(gp: GroundProgram) -> list:
         fixed ^= low
         for i in reversed(open_at):
             lane, digit = divmod(lane, 3)
-            cells[i] = _ORDER[digit]
-        models.append(Valuation.from_symbols(gp.base, "".join(cells)))
+            codes[i] = _ORDER[digit]
+        models.append(_of_codes(gp.base, codes))
     return models

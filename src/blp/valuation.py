@@ -467,9 +467,13 @@ class CompiledBodies:
         start value.  A node with no child it keeps whose each value is
         settled or reads one literal is merged into its parent: a
         settled value folds into the parent's start value, a literal
-        joins the parent's mask for that value.  Last, nodes left
-        writing into a slot no kept node reads are dropped, and the
-        slots are renumbered densely after the output slots.
+        joins the parent's mask for that value.  A kept node left with
+        no literal, its identity as start value and one kept child only
+        passes that child's value on: the child writes into the node's
+        parent in its place, with the two flips combined and the node's
+        own way of folding into its parent, and the node goes.  Last,
+        nodes left writing into a slot no kept node reads are dropped,
+        and the slots are renumbered densely after the output slots.
         """
         code = CONSTS.index(alpha)  # knowledge code
         rest = self.rest
@@ -478,7 +482,8 @@ class CompiledBodies:
         first = len(self.outputs)  # slots below first are output slots
         add_b = [0] * len(init)  # literals merged in from children, per slot
         add_d = [0] * len(init)
-        fed = [False] * len(init)  # slots some kept node writes into
+        fed = [0] * len(init)  # how many kept nodes write into each slot
+        feeder = [0] * len(init)  # where in kept the last of them is
         kept = []
         for kind, mb, md, s, p, pmeet, flip in self.nodes:
             if add_b[s] or add_d[s]:
@@ -512,8 +517,15 @@ class CompiledBodies:
                     add_d[p] |= md
                 init[p] = init[p] & c if pmeet else init[p] | c
                 continue
-            kept.append((kind, mb, md, s, p, pmeet, flip))
-            fed[p] = True
+            if fed[s] == 1 and not mb | md and init[s] == _START[kind]:
+                k = feeder[s]  # the one child, which then writes into p
+                ckind, cmb, cmd, cs, _, _, cflip = kept[k]
+                kept[k] = (ckind, cmb, cmd, cs, p, pmeet, cflip ^ flip)
+            else:
+                k = len(kept)
+                kept.append((kind, mb, md, s, p, pmeet, flip))
+            fed[p] += 1
+            feeder[p] = k
         starts = init[:first]
         slots = {}  # old node slot: new slot
         nodes = []

@@ -644,10 +644,11 @@ def test_no_subcommand_makes_the_base_atoms_or_index(capsys, monkeypatch, tmp_pa
         assert base._atoms is None and base._index is None
 
 
-def _blp_process(argv, **kwargs):
+def _blp_process(argv, env=(), **kwargs):
     """python -m blp with argv, started in a fresh interpreter that
     finds this blp, with SIGINT raising KeyboardInterrupt even where
-    the caller ignores it; stderr is a pipe."""
+    the caller ignores it, and with the variables of env added to the
+    environment; stderr is a pipe."""
     import os
     import subprocess
     import sys
@@ -655,7 +656,8 @@ def _blp_process(argv, **kwargs):
     code = ("import runpy, signal, sys; signal.signal(signal.SIGINT, signal.default_int_handler); "
             "sys.argv[0] = 'blp'; runpy.run_module('blp', run_name='__main__')")
     return subprocess.Popen([sys.executable, "-c", code, *argv], stderr=subprocess.PIPE,
-                            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+                            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path),
+                                 **dict(env)},
                             **kwargs)
 
 
@@ -703,6 +705,20 @@ def test_failing_standard_output_is_a_write_error():
         with open("/dev/full", "wb") as full:
             code, err = _finish(_blp_process(argv, stdout=full))
         assert (code, err) == (1, _write_error(os.strerror(errno.ENOSPC))), argv
+
+
+@pytest.mark.skipif(not pathlib.Path("/dev/full").exists(), reason="needs /dev/full")
+def test_help_on_a_failing_standard_output_is_a_write_error():
+    import errno
+    import os
+
+    # unbuffered, the help's write fails; buffered, the flush before exit
+    for argv in (["-h"], ["eval", "-h"]):
+        for unbuffered in ("", "1"):
+            with open("/dev/full", "wb") as full:
+                proc = _blp_process(argv, env={"PYTHONUNBUFFERED": unbuffered}, stdout=full)
+                code, err = _finish(proc)
+            assert (code, err) == (1, _write_error(os.strerror(errno.ENOSPC))), (argv, unbuffered)
 
 
 def test_standard_output_closed_by_its_reader_is_a_write_error():

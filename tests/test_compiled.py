@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -23,6 +24,7 @@ from blp.bilattice import (
 from blp.grounder import Base, GroundAtom, formula_code, ground
 from blp.syntax import Atom, Binary, BinOp, NegAtom, TruthConst, parse_program
 from blp.valuation import (
+    _START,
     CompiledBodies,
     PseudoInterpretation,
     Valuation,
@@ -220,12 +222,23 @@ def at_alpha_on_rest(rng, compiled, alpha):
         start.base, v.belief & ~rest | start.belief & rest, v.doubt & ~rest | start.doubt & rest)
 
 
+def pass_through_nodes(nodes, init):
+    """The nodes of a list that have no literal, their kind's identity
+    as start value and one node writing into their slot, so that they
+    only pass that node's value on."""
+    writers = Counter(p for _, _, _, _, p, _, _ in nodes)
+    return [node for node in nodes
+            if not node[1] | node[2] and init[node[3]] == _START[node[0]]
+            and writers[node[3]] == 1]
+
+
 def assert_folds_agree(gp, rng, pairs):
     compiled = engine._compiled(gp)
     for alpha in ALPHAS:
         # the folded list, and the one the engine runs, which is the
         # compiled list itself for a short one
         lists = [compiled._fold(alpha), compiled.at_alpha(alpha)[3:]]
+        assert pass_through_nodes(*lists[0]) == [], (gp.render(), alpha)
         for _ in range(pairs):
             v = at_alpha_on_rest(rng, compiled, alpha)
             w = random_valuation(rng, gp.base)
@@ -285,6 +298,10 @@ def test_a_node_settled_by_alpha_drops_the_nodes_below_it():
     h = gp.base.names.index("h")
     assert compiled.evaluate(const_valuation(gp.base, F), const_valuation(gp.base, U),
                              nodes, init)[1] >> h & 1
-    # at T, r is the identity of &, which keeps only the | below it
-    nodes = compiled._fold(T)[0]
-    assert len(nodes) == 4 and not nodes[-1][1] | nodes[-1][2]
+    # at T, r is the identity of &, which then only passes the value of
+    # the | below it on: the | writes into the output slot in its place
+    nodes, init = compiled._fold(T)
+    assert len(nodes) == 3 and nodes[-1][0] == 1 and nodes[-1][4] < len(compiled.outputs)
+    for v in (const_valuation(gp.base, T), Valuation.from_symbols(gp.base, "TFUT")):
+        for w in (const_valuation(gp.base, U), Valuation.from_symbols(gp.base, "FTUI")):
+            assert compiled.evaluate(v, w, nodes, init) == compiled.evaluate(v, w)

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from blp import oracles
-from blp.bilattice import T
+from blp.bilattice import F, T
 from blp.grounder import CONSTS, LIT, GroundAtom, formula_code, ground
 from blp.oracles import ConventionalityError
 from blp.syntax import (
@@ -101,6 +101,12 @@ def test_pinned_code_folds_the_pinned_atoms_and_the_constants():
     assert _pinned_code(gp, "h") == (LIT + 2 * b + 1,)
     gp = ground(parse_program("p <- q | #t."))
     assert _pinned_code(gp, "p") == (CONSTS.index(T),)
+    # a body with no constant folds too when it reads a pinned atom
+    gp = ground(parse_program("h <- a & q. a <- ~h."))
+    assert _pinned_code(gp, "h") == (CONSTS.index(F),)
+    # and is kept as it is, the same tuple, when it reads none
+    gp = ground(parse_program("h <- a & ~h. a <- ~h | h."))
+    assert all(pinned is code for (_, pinned), (_, code) in zip(oracles._pinned(gp)[0], gp.ir))
 
 
 def test_kripke_kleene_runs_the_ir_itself(monkeypatch):

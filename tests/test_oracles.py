@@ -158,13 +158,13 @@ def brute_force_stable_models(gp):
 def test_search_transforms_only_open_candidates(monkeypatch):
     gp = ground(parse_program(STABLE_SHAPED[0]))
     calls = []
-    transform = oracles.gl_transform
+    transform = oracles._transform
 
-    def counting(gp, v):
-        calls.append(v)
-        return transform(gp, v)
+    def counting(rules, positive, table, codes):
+        calls.append(codes)
+        return transform(rules, positive, table, codes)
 
-    monkeypatch.setattr(oracles, "gl_transform", counting)
+    monkeypatch.setattr(oracles, "_transform", counting)
     wf = well_founded(gp)
     wfs_steps = len(calls)
     assert wf.symbols().count("U") == 4 and wfs_steps == 2
@@ -197,6 +197,32 @@ def test_lane_search_at_the_cap_with_every_atom_open():
     assert texts == sorted(texts, key=lambda s: s.translate(TRUTH_ORDER))
     assert texts != sorted(texts)
     assert models == brute_force_stable_models(gp)
+
+
+def public_well_founded(gp):
+    """The public gl_transform iterated from all-U until it repeats."""
+    cur = Valuation.from_symbols(gp.base, "U" * len(gp.base))
+    for _ in range(2 * len(gp.base) + 2):
+        nxt = gl_transform(gp, cur)
+        if nxt == cur:
+            return cur
+        cur = nxt
+    raise AssertionError("the public transform did not reach a fixpoint")
+
+
+def test_well_founded_loop_matches_the_public_transform(conventional_corpus):
+    # the loop on lane codes, which stops once the negated positions
+    # settle, against whole valuations through the boundary wrapper
+    workload = [
+        ground(parse_program(prog.text))
+        for name, seeds in (("stable", range(4)), ("corpus", range(4)), ("winmove", [0]))
+        for seed in seeds
+        for key, prog in workloads.build(name, seed).programs.items()
+        if name != "corpus" or key.startswith("v")  # the conventional ones
+    ]
+    assert len(workload) == 400 + 800 + 16
+    for gp in list(conventional_corpus) + workload:
+        assert well_founded(gp) == public_well_founded(gp)
 
 
 # -- an independent reference for the transform ------------------------------
