@@ -185,8 +185,8 @@ def cmd_eval(args) -> int:
 def cmd_compare(args) -> int:
     gp = _load_ground_program(args)
     report = engine.compare_semantics(gp)
-    names = ["F", "T", "U", "I", "consensus"]
-    valuations = [report.valuations[n] for n in names]
+    names = list(report.valuations)
+    valuations = list(report.valuations.values())
     cons = report.consensus
     footer = "".join(line + "\n" for line in (
         "",

@@ -29,8 +29,8 @@ code.  Kripke-Kleene runs the IR as it is, once _check has found it
 conventional.  The transform pins every atom that heads no rule to F,
 so it runs on a copy of the IR (see _pinned), made on first use and
 cached on the program, that reads each positive literal of such an
-atom as F and folds the constants away: F decides a conjunction and T
-a disjunction.
+atom, one set of literal codes, as F and folds the constants away: F
+decides a conjunction and T a disjunction.
 
 _transform is the one transform step, on one-lane codes: gl_transform
 makes one, and the well-founded loop, which also seeds the stable
@@ -45,7 +45,6 @@ each loop stops there rather than making that step.
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Iterable
 
 from .bilattice import F, T
 from .grounder import CONSTS, LIT, OPS, Base, BaseMismatchError, GroundProgram
@@ -116,39 +115,39 @@ def _pinned(gp: GroundProgram) -> tuple:
     disjunction, and the other constant is the identity of each, so
     a rule body folds to a shorter code or to a constant.  The whole IR
     is checked first, so a node outside the conventional fragment under
-    an absorbed operand raises as well.
+    an absorbed operand raises as well.  pinned holds the positive
+    literal code LIT + 2i of each atom i that heads no rule; the readers
+    come from the sorted codes the folded rules read, in one pass: LIT
+    is even, so an even literal code reads its atom positively and an
+    odd one reads it negated.
     """
     if gp.oracle_code is None:
         _check(gp.ir)
-        n = len(gp.base)
-        leaf = list(range(LIT + 2 * n))  # the code each leaf code folds as
-        moved = {_T, _F}  # the leaf codes a fold acts on
-        for i in set(range(n)).difference(head for head, _ in gp.ir):
-            leaf[LIT + 2 * i] = _F
-            moved.add(LIT + 2 * i)
-        rules = tuple((head, _fold(code, leaf, moved)) for head, code in gp.ir)
-        read = set().union(*(code for _, code in rules))
-        gp.oracle_code = (
-            rules,
-            _reader(i for i in range(n) if LIT + 2 * i in read),
-            _reader(i for i in range(n) if LIT + 2 * i + 1 in read),
-        )
+        pinned = set(range(LIT, LIT + 2 * len(gp.base), 2))
+        for head, _ in gp.ir:
+            pinned.discard(LIT + 2 * head)
+        rules = tuple((head, _fold(code, pinned)) for head, code in gp.ir)
+        positions = ([], [])  # the atoms read positively, and negated
+        for c in sorted(set().union(*[code for _, code in rules])):
+            if c >= LIT:
+                positions[c & 1].append((c - LIT) >> 1)
+        gp.oracle_code = (rules, _reader(positions[0]), _reader(positions[1]))
     return gp.oracle_code
 
 
-def _fold(code: tuple, leaf: list, moved: set) -> tuple:
-    """code with each leaf code c read as leaf[c] and the T and F
+def _fold(code: tuple, pinned: set) -> tuple:
+    """code with each literal code in pinned read as F and the T and F
     constants folded through & and |: postfix again, or one constant.
-    moved holds the constants and every leaf code c that leaf does not
-    map to itself; a code with none of them is returned as it is,
+    A code with no constant and no pinned code is returned as it is,
     unwalked.  An operand on the stack is a constant code or a list of
     codes."""
-    if moved.isdisjoint(code):
+    if _T not in code and _F not in code and pinned.isdisjoint(code):
         return code
     stack = []
     for c in code:
         if c != _AND and c != _OR:
-            c = leaf[c]
+            if c in pinned:
+                c = _F
             stack.append(c if c < LIT else [c])
             continue
         right = stack.pop()
@@ -165,10 +164,9 @@ def _fold(code: tuple, leaf: list, moved: set) -> tuple:
     return (root,) if type(root) is int else tuple(root)
 
 
-def _reader(positions: Iterable[int]):
-    """A function giving the values of a list at positions, in a form
-    that compares equal exactly when the values there are equal."""
-    positions = sorted(positions)
+def _reader(positions: list):
+    """A function giving the values of a list at sorted positions, in a
+    form that compares equal exactly when the values there are equal."""
     if not positions:
         return lambda values: None
     return itemgetter(*positions)

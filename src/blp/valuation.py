@@ -363,7 +363,7 @@ class CompiledBodies:
 
     __slots__ = (
         "base", "width", "outputs", "out_mask", "rest", "init", "nodes", "positive",
-        "negated", "closures", "_forms", "_alpha", "_form",
+        "negated", "closures", "_forms",
     )
 
     def __init__(self, base: Base, bodies: Iterable[Tuple[int, tuple]]) -> None:
@@ -425,7 +425,6 @@ class CompiledBodies:
         self.negated = lits >> n
         self.closures = {}
         self._forms = {}
-        self._alpha = self._form = None
 
     def at_alpha(self, alpha: TruthValue):
         """(start, rest belief, rest doubt, nodes, init) for the default
@@ -435,24 +434,20 @@ class CompiledBodies:
         whenever v holds alpha on every atom of rest.  Made on first use
         for each alpha; the list is made by _fold when some body reads
         an atom of rest without "~" and there are _FOLD_MIN_NODES nodes
-        or more, and is the compiled one otherwise.  The last form asked
-        for is kept at hand, since a stability closure asks for the same
-        alpha at every application."""
-        if alpha is not self._alpha:
-            form = self._forms.get(alpha)
-            if form is None:
-                start = const_valuation(self.base, alpha)
-                rest = self.rest
-                nodes, init = (
-                    self._fold(alpha)
-                    if self.positive & rest and len(self.nodes) >= _FOLD_MIN_NODES
-                    else (self.nodes, self.init)
-                )
-                form = self._forms[alpha] = (
-                    start, start.belief & rest, start.doubt & rest, nodes, init,
-                )
-            self._alpha, self._form = alpha, form
-        return self._form
+        or more, and is the compiled one otherwise."""
+        form = self._forms.get(alpha)
+        if form is None:
+            start = const_valuation(self.base, alpha)
+            rest = self.rest
+            nodes, init = (
+                self._fold(alpha)
+                if self.positive & rest and len(self.nodes) >= _FOLD_MIN_NODES
+                else (self.nodes, self.init)
+            )
+            form = self._forms[alpha] = (
+                start, start.belief & rest, start.doubt & rest, nodes, init,
+            )
+        return form
 
     def _fold(self, alpha: TruthValue):
         """nodes and init with every positive literal of an atom of rest

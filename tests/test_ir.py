@@ -109,6 +109,33 @@ def test_pinned_code_folds_the_pinned_atoms_and_the_constants():
     assert all(pinned is code for (_, pinned), (_, code) in zip(oracles._pinned(gp)[0], gp.ir))
 
 
+def _read_at(reader, n):
+    """The base positions a reader of _pinned picks, as a list."""
+    got = reader(list(range(n)))
+    return [] if got is None else [got] if type(got) is int else list(got)
+
+
+def test_pinned_readers_pick_the_literals_the_folded_rules_read(conventional_corpus):
+    games = [
+        ground(parse_program(prog.text))
+        for seed in range(4)
+        for prog in workloads.build("winmove", seed).programs.values()
+    ]
+    constants = {(CONSTS.index(T),), (CONSTS.index(F),)}
+    for gp in conventional_corpus + games:
+        rules, positive, negated = oracles._pinned(gp)
+        n = len(gp.base)
+        read = {c for _, code in rules for c in code}
+        assert _read_at(positive, n) == [i for i in range(n) if LIT + 2 * i in read]
+        assert _read_at(negated, n) == [i for i in range(n) if LIT + 2 * i + 1 in read]
+        # the pinned atoms are read as F, so no rule reads one positively
+        heads = {head for head, _ in gp.ir}
+        assert all(i in heads for i in range(n) if LIT + 2 * i in read), gp.render()
+        # and the constants fold away, unless one is the whole body
+        for _, code in rules:
+            assert code in constants or min(code) >= len(CONSTS), gp.render()
+
+
 def test_kripke_kleene_runs_the_ir_itself(monkeypatch):
     gp = ground(parse_program("h <- (a & q) | (~b & #t). a. b. p <- q | #t."))
     seen = []
