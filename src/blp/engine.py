@@ -30,7 +30,11 @@ list in which those atoms, read without "~", are the constant alpha
 first argument holds alpha on every such atom, and the compiled list
 otherwise, so the operator is exact for any arguments.  On a win-move
 game most bodies read a move atom that is no fact, and at every alpha
-the derived list keeps about an eighth of the nodes.
+the derived list keeps about an eighth of the nodes.  is_model likewise
+runs the list derived for U when its valuation holds U on every such
+atom, as every consensus does.  So semantics, compare and consensus
+build the compiled list (CompiledBodies.nodes) only where at_alpha
+returns it, for a list too short to fold.
 
 Each stability closure is computed once per program.  A body reads the
 second argument only at the atoms it negates, so the closure depends on
@@ -97,7 +101,7 @@ def immediate_consequence(
     compiled = _compiled(gp)
     _, rest_belief, rest_doubt, nodes, init = compiled.at_alpha(alpha)
     if (v.belief ^ rest_belief | v.doubt ^ rest_doubt) & compiled.rest:
-        nodes, init = compiled.nodes, compiled.init
+        nodes = init = None  # the compiled list
     belief, doubt = compiled.evaluate(v, w, nodes, init)
     return Valuation.from_masks(base, belief | rest_belief, doubt | rest_doubt)
 
@@ -316,11 +320,19 @@ def is_alpha_fixed_model(gp: GroundProgram, alpha: Alpha, v: Valuation) -> bool:
 
 
 def is_model(gp: GroundProgram, v: Valuation) -> bool:
-    """Rule-wise truth bound: head <=t body for every rule."""
+    """Rule-wise truth bound: head <=t body for every rule.
+
+    When v holds U on every non-head, as every consensus does, the
+    bodies run the node list derived for U (CompiledBodies.at_alpha);
+    for any other v they run the compiled list.
+    """
     if v.base != gp.base:
         raise BaseMismatchError("valuation does not match the program's base")
     compiled = _compiled(gp)
-    belief, doubt = compiled.evaluate(v, v)
+    nodes = init = None
+    if not (v.belief | v.doubt) & compiled.rest:
+        nodes, init = compiled.at_alpha(U)[3:]
+    belief, doubt = compiled.evaluate(v, v, nodes, init)
     heads = compiled.out_mask
     head_belief, head_doubt = v.belief & heads, v.doubt & heads
     return head_belief & ~belief == 0 and doubt & ~head_doubt == 0

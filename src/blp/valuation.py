@@ -25,11 +25,15 @@ operands' as the connective says.  For each default value alpha the
 compiled bodies also derive, once, a second node list in which every
 atom that heads no rule reads as alpha where it is read without "~"
 (CompiledBodies.at_alpha); the engine runs it whenever its first
-argument holds alpha on those atoms.  pseudo_eval reads a formula tree
-(a rule body of GroundProgram.rules) against set-pair encodings using
-(in-true-set, in-false-set) bit logic, with an explicit stack; bottomup
-uses it.  The two share no tables and must agree everywhere; the test
-suite holds them against each other.
+argument holds alpha on those atoms.  Most nodes are leaves that read
+such an atom and at most one other literal, and at every alpha they
+merge into their parents; compile keeps the leaves under one parent as
+one record, which the derivation applies in one step, and builds the
+compiled list itself only when something runs it.  pseudo_eval reads
+a formula tree (a rule body of GroundProgram.rules) against set-pair
+encodings using (in-true-set, in-false-set) bit logic, with an
+explicit stack; bottomup uses it.  The two share no tables and must
+agree everywhere; the test suite holds them against each other.
 """
 
 from __future__ import annotations
@@ -304,16 +308,19 @@ _AND, _OR, _CONS, _GULL = range(4)
 _FLIP = (2, 2, 0, 0)  # xor that turns a knowledge code into the kind's own code
 _MEET = (True, False, True, False)  # folds with bitwise and, else or
 _START = (1 ^ 2, 2 ^ 2, 3, 0)  # each kind's identity T, F, I, U in its own code
-# at_alpha folds alpha into lists of at least this many nodes.  On
-# seeded random programs, folding made semantics and compare 2-8% slower
-# below 16 nodes, where a closure takes a few applications of a few
-# microseconds, and 5-22% faster from 16 nodes on.
+# at_alpha folds alpha into lists of at least this many nodes.  On 300
+# seeded random programs of 4-30 atoms, folding every list against none
+# made four semantics plus compare 5-8% slower below 12 nodes, where a
+# closure takes a few applications of a few microseconds, as fast at
+# 12-15 (median ratio 1.00) and 1-19% faster from 16 nodes on (medians
+# of 4-node bins).
 _FOLD_MIN_NODES = 16
 
 
 def _add(node: list, x) -> None:
     """Fold operand x (a literal bit, a complemented constant code or a
-    pending node) into pending node."""
+    pending node) into pending node; a pending node of constants only
+    is a constant."""
     kind = node[0]
     if type(x) is int:
         if x > 0:
@@ -324,9 +331,11 @@ def _add(node: list, x) -> None:
         node[1] |= x[1]
         node[3] += x[3]
         x = x[2]
-    else:
+    elif x[1] or x[3]:
         node[3].append(x)
         return
+    else:
+        x = x[2] ^ _FLIP[x[0]] ^ _FLIP[kind]
     node[2] = node[2] & x if _MEET[kind] else node[2] | x
 
 
@@ -350,8 +359,8 @@ class CompiledBodies:
     result masks; out_mask has every such bit and rest every other bit
     of the base.  positive has bit i for every atom i some body reads
     without "~", and negated for every atom i some body reads under "~".
-    closures is the engine's memo of stability closures for these
-    bodies; it starts empty.
+    size is the number of nodes in nodes.  closures is the engine's memo of
+    stability closures for these bodies; it starts empty.
 
     Each body's IR code is read once, with a stack: a literal pushes its
     bit, a constant the complement of its knowledge code, and a
@@ -359,30 +368,46 @@ class CompiledBodies:
     literal mask, start value, pending children].  An operand that is a
     pending node of the connective's own kind is merged into it, so a
     chain of one connective becomes one node.
+
+    Most nodes are guarded leaves: a node with no child node, its
+    kind's identity as start value and a node as parent, that reads an
+    atom of rest without "~" and at most one other literal, such as
+    move(a,b) & ~win(b) when move(a,b) is no fact.  At every alpha
+    _fold merges such a leaf into its parent, so compile keeps the
+    sequence _fold walks, _seq.  In it the guarded leaves of one kind
+    under one parent that read another literal, and those that do not,
+    are each one record (kind, the OR of their other literals, their
+    masks, None, parent slot, parent folds with and, flip), placed just
+    before the parent.  Its other entries are the nodes, with the start
+    values of their slots in _starts.  A list too short for _fold, with
+    fewer codes and bodies than twice _FOLD_MIN_NODES, keeps its
+    guarded leaves as nodes.  nodes and init, the compiled list and its
+    start values, are built from _seq on first use, each record giving
+    back its leaves in new slots.
     """
 
     __slots__ = (
-        "base", "width", "outputs", "out_mask", "rest", "init", "nodes", "positive",
-        "negated", "closures", "_forms",
+        "base", "width", "outputs", "out_mask", "rest", "size", "positive", "negated",
+        "closures", "_seq", "_starts", "_list", "_forms",
     )
 
     def __init__(self, base: Base, bodies: Iterable[Tuple[int, tuple]]) -> None:
         n = len(base)
-        bodies = tuple(bodies)
         self.base = base
         self.width = n
-        self.outputs = tuple(1 << head for head, _ in bodies)
-        self.out_mask = 0
-        for bit in self.outputs:
-            self.out_mask |= bit
-        self.rest = ((1 << n) - 1) & ~self.out_mask
         at = [0] * LIT  # 1 << at[c] is the literal bit of IR code c
         for i in range(n):
             at += (i, n + i)
-        init = [0] * len(bodies)
-        nodes = []
-        lits = 0
-        for out, (_, code) in enumerate(bodies):
+        outputs = []
+        out_mask = 0
+        roots = []
+        # bound counts codes plus bodies: a body of k connectives has
+        # 2k + 1 codes and at most max(k, 1) nodes, so bound >= 2 * size
+        bound = 0
+        for head, code in bodies:
+            outputs.append(1 << head)
+            out_mask |= 1 << head
+            bound += len(code) + 1
             stack = []
             for c in code:
                 if c >= LIT:
@@ -401,30 +426,89 @@ class CompiledBodies:
             if type(root) is not list:  # a lone leaf is a one-operand node
                 root, leaf = [_OR, 0, _START[_OR], []], root
                 _add(root, leaf)
-            todo = [(root, out, _GULL)]
-            while todo:
-                node, parent, pkind = todo.pop()
-                if pkind is None:  # every child of this node has been emitted
-                    nodes.append(node)
-                    continue
-                kind, mask, acc, children = node
-                pmeet, pflip = _MEET[pkind], _FLIP[kind] ^ _FLIP[pkind]
-                if not mask and not children:
-                    code = acc ^ pflip
-                    init[parent] = init[parent] & code if pmeet else init[parent] | code
-                    continue
-                lits |= mask
-                slot = len(init)
-                init.append(acc)
-                todo.append(((kind, mask, mask, slot, parent, pmeet, pflip), None, None))
-                for child in children:
-                    todo.append((child, slot, kind))
-        self.init = init
-        self.nodes = tuple(nodes)
+            roots.append(root)
+        self.outputs = tuple(outputs)
+        self.out_mask = out_mask
+        self.rest = rest = ((1 << n) - 1) & ~out_mask
+        keep = ~rest
+        # a list too short for _fold keeps its guarded leaves as nodes
+        grouped = rest if bound >= 2 * _FOLD_MIN_NODES else 0
+        first = len(outputs)  # slots below first are output slots
+        init = [0] * first
+        seq = []  # in pre-order, each node's records after it; reversed below
+        leaves = records = 0
+        lits = 0
+        todo = [(root, out, _GULL) for out, root in enumerate(roots)]
+        while todo:
+            (kind, mask, acc, children), parent, pkind = todo.pop()
+            pmeet, pflip = _MEET[pkind], _FLIP[kind] ^ _FLIP[pkind]
+            if not mask and not children:
+                code = acc ^ pflip
+                init[parent] = init[parent] & code if pmeet else init[parent] | code
+                continue
+            lits |= mask
+            slot = len(init)
+            init.append(acc)
+            seq.append((kind, mask, mask, slot, parent, pmeet, pflip))
+            if not children:
+                continue
+            groups = {}  # the records: kind and whether it reads another literal
+            for child in reversed(children):
+                ckind, cmask, cacc, grand = child
+                if cmask & grouped and not grand and cacc == _START[ckind]:
+                    other = cmask & keep
+                    if not other & other - 1:  # a guarded leaf
+                        lits |= cmask
+                        key = ckind << 1 | (other != 0)
+                        record = groups.get(key)
+                        if record is None:
+                            groups[key] = [ckind, other, [cmask]]
+                        else:
+                            record[1] |= other
+                            record[2].append(cmask)
+                        continue
+                todo.append((child, slot, kind))
+            for ckind, other, masks in groups.values():
+                seq.append((ckind, other, tuple(masks), None, slot, _MEET[kind],
+                            _FLIP[ckind] ^ _FLIP[kind]))
+                leaves += len(masks)
+            records += len(groups)
+        seq.reverse()
+        self.size = len(seq) - records + leaves
+        self._seq = tuple(seq)
+        self._starts = init
+        self._list = None if records else (self._seq, init)
         self.positive = lits & (1 << n) - 1
         self.negated = lits >> n
         self.closures = {}
         self._forms = {}
+
+    @property
+    def nodes(self) -> tuple:
+        """The compiled node list, built from _seq on first use."""
+        return (self._list or self._expand())[0]
+
+    @property
+    def init(self) -> list:
+        """The start value of every slot of nodes."""
+        return (self._list or self._expand())[1]
+
+    def _expand(self):
+        """(nodes, init): _seq with each record replaced by its leaves,
+        which take new slots after those of _starts, from their kind's
+        identity."""
+        nodes = []
+        init = self._starts[:]
+        for entry in self._seq:
+            if entry[3] is not None:
+                nodes.append(entry)
+                continue
+            kind, _, masks, _, p, pmeet, flip = entry
+            for mask in masks:
+                nodes.append((kind, mask, mask, len(init), p, pmeet, flip))
+                init.append(_START[kind])
+        self._list = tuple(nodes), init
+        return self._list
 
     def at_alpha(self, alpha: TruthValue):
         """(start, rest belief, rest doubt, nodes, init) for the default
@@ -432,17 +516,17 @@ class CompiledBodies:
         that give it to every atom of rest, and a node list with its
         start values that evaluate runs in place of nodes and init
         whenever v holds alpha on every atom of rest.  Made on first use
-        for each alpha; the list is made by _fold when some body reads
-        an atom of rest without "~" and there are _FOLD_MIN_NODES nodes
-        or more, and is the compiled one otherwise."""
+        for each alpha; the list is made by _fold, from _seq, when some
+        body reads an atom of rest without "~" and size is at least
+        _FOLD_MIN_NODES, and is the compiled one otherwise."""
         form = self._forms.get(alpha)
         if form is None:
             start = const_valuation(self.base, alpha)
             rest = self.rest
             nodes, init = (
                 self._fold(alpha)
-                if self.positive & rest and len(self.nodes) >= _FOLD_MIN_NODES
-                else (self.nodes, self.init)
+                if self.positive & rest and self.size >= _FOLD_MIN_NODES
+                else self._list or self._expand()
             )
             form = self._forms[alpha] = (
                 start, start.belief & rest, start.doubt & rest, nodes, init,
@@ -450,8 +534,9 @@ class CompiledBodies:
         return form
 
     def _fold(self, alpha: TruthValue):
-        """nodes and init with every positive literal of an atom of rest
-        read as alpha.
+        """The compiled list and its start values with every positive
+        literal of an atom of rest read as alpha, made in one walk of
+        _seq.
 
         Such a literal is the constant alpha, so it folds into its node's
         start value as compile folds a constant.  Per value, that is
@@ -462,25 +547,44 @@ class CompiledBodies:
         start value.  A node with no child it keeps whose each value is
         settled or reads one literal is merged into its parent: a
         settled value folds into the parent's start value, a literal
-        joins the parent's mask for that value.  A kept node left with
-        no literal, its identity as start value and one kept child only
-        passes that child's value on: the child writes into the node's
-        parent in its place, with the two flips combined and the node's
-        own way of folding into its parent, and the node goes.  Last,
-        nodes left writing into a slot no kept node reads are dropped,
-        and the slots are renumbered densely after the output slots.
+        joins the parent's mask for that value.  Every guarded leaf is
+        merged so, as its parent is a node and each of its values is
+        settled or reads its one other literal.  Its start is its kind's
+        identity, so alpha becomes its start, and the same values are
+        settled in all the leaves of one record: a record is applied in
+        one step, as the merge each of its leaves would make, with the
+        OR of their other literals.  A kept node left with no literal,
+        its identity as start value and one kept child only passes that
+        child's value on: the child writes into the node's parent in its
+        place, with the two flips combined and the node's own way of
+        folding into its parent, and the node goes.  Last, nodes left
+        writing into a slot no kept node reads are dropped, and the
+        slots are renumbered densely after the output slots.
         """
         code = CONSTS.index(alpha)  # knowledge code
         rest = self.rest
         keep = ~rest
-        init = self.init[:]
+        init = self._starts[:]
         first = len(self.outputs)  # slots below first are output slots
         add_b = [0] * len(init)  # literals merged in from children, per slot
         add_d = [0] * len(init)
         fed = [0] * len(init)  # how many kept nodes write into each slot
         feeder = [0] * len(init)  # where in kept the last of them is
         kept = []
-        for kind, mb, md, s, p, pmeet, flip in self.nodes:
+        for kind, mb, md, s, p, pmeet, flip in self._seq:
+            if s is None:  # a record: mb is the OR of its leaves' other literals
+                c = code ^ _FLIP[kind]  # each leaf's start, alpha in its code
+                settled = c ^ _START[kind]
+                c ^= flip
+                if mb:
+                    if not settled & 1:
+                        c = c & 2 | (1 if pmeet else 0)
+                        add_b[p] |= mb
+                    if not settled & 2:
+                        c = c & 1 | (2 if pmeet else 0)
+                        add_d[p] |= mb
+                init[p] = init[p] & c if pmeet else init[p] | c
+                continue
             if add_b[s] or add_d[s]:
                 mb |= add_b[s]
                 md |= add_d[s]
@@ -541,7 +645,7 @@ class CompiledBodies:
         node list nodes from the start values init, by default the
         compiled ones."""
         if nodes is None:
-            nodes, init = self.nodes, self.init
+            nodes, init = self._list or self._expand()
         n = self.width
         lb = v.belief | w.doubt << n  # literals believed
         ld = v.doubt | w.belief << n  # literals doubted

@@ -6,6 +6,7 @@ from collections import Counter
 
 import pytest
 
+import proggen
 from blp import engine
 from blp.bilattice import (
     F,
@@ -24,6 +25,7 @@ from blp.bilattice import (
 from blp.grounder import Base, GroundAtom, formula_code, ground
 from blp.syntax import Atom, Binary, BinOp, NegAtom, TruthConst, parse_program
 from blp.valuation import (
+    _FOLD_MIN_NODES,
     _START,
     CompiledBodies,
     PseudoInterpretation,
@@ -103,7 +105,8 @@ def test_same_connective_chains_flatten_into_one_node():
 
 def test_truth_constants_fold_inside_and_and_consensus():
     for text in ("a & #u & ~b", "#i & a & ~b", "a * #i * ~b", "#u * ~a * b",
-                 "(a | #u) & (~b * #i)", "#i & #u", "#u * #t", "(#t * #f) | a"):
+                 "(a | #u) & (~b * #i)", "#i & #u", "#u * #t", "(#t * #f) | a",
+                 "((#t * #f) | #u) & a", "(((#t + #f) & #i) * #u) | ~b"):
         body = _body(text)
         compiled = CompiledBodies(AB, [(0, formula_code(AB, body))])
         # no node is left holding only constants: each reads a literal
@@ -194,12 +197,12 @@ def test_values_decode_in_base_order():
 # The node list derived for one alpha (CompiledBodies.at_alpha) against the
 # compiled one.
 
-def game(seed, n):
+def game(seed, n, body="move(X,Y) & ~win(Y)"):
     """A win-move game of n positions on a seeded random digraph."""
     rng = random.Random(seed)
     moves = {(i, rng.randrange(n)) for i in range(n) for _ in range(rng.randint(0, 2))}
     text = "".join(f"move(p{i},p{j}).\n" for i, j in sorted(moves))
-    return ground(parse_program(text + "win(X) <- exists Y: move(X,Y) & ~win(Y).\n"))
+    return ground(parse_program(text + f"win(X) <- exists Y: {body}.\n"))
 
 
 def closure(n):
@@ -209,8 +212,18 @@ def closure(n):
         text + "path(X,Y) <- e(X,Y) | (exists Z: e(X,Z) & path(Z,Y)).\n"))
 
 
+# The leaves of the game with #u read a constant too, so none of them
+# is a guarded leaf: their start is not their kind's identity.  In the
+# last program r and s head no rule, so r & ~q passes ~q on at T while
+# r & s is T: two records of & under one |.
 FOLDED = [game(seed, n) for seed, n in enumerate((6, 8, 10, 12, 14))] + \
-    [closure(n) for n in (3, 4, 5)]
+    [closure(n) for n in (3, 4, 5)] + [game(5, 10, "move(X,Y) & ~win(Y) & #u")] + \
+    [ground(parse_program("q <- ~q.\n" + "".join(
+        f"h{i} <- (r & ~q) | (r & s) | (s & ~h{i}).\n" for i in range(4))))]
+# Wider random programs over all four connectives and constants: 18 of
+# them are long enough to fold, and 23 have guarded leaves, of every kind.
+WIDE = [proggen.random_ground_program(4000 + seed, max_atoms=16, max_depth=5)
+        for seed in range(40)]
 
 
 def at_alpha_on_rest(rng, compiled, alpha):
@@ -258,7 +271,7 @@ def test_alpha_lists_agree_with_the_compiled_list_on_corpora(corpus, request):
 
 def test_alpha_lists_agree_with_the_compiled_list_on_games_and_closures():
     rng = random.Random(47)
-    for gp in FOLDED:
+    for gp in FOLDED + WIDE:
         assert_folds_agree(gp, rng, 20)
 
 
@@ -305,3 +318,118 @@ def test_a_node_settled_by_alpha_drops_the_nodes_below_it():
     for v in (const_valuation(gp.base, T), Valuation.from_symbols(gp.base, "TFUT")):
         for w in (const_valuation(gp.base, U), Valuation.from_symbols(gp.base, "FTUI")):
             assert compiled.evaluate(v, w, nodes, init) == compiled.evaluate(v, w)
+
+
+def assert_alpha_lists_agree_with_pseudo_eval(gp, rng, pairs):
+    compiled = engine._compiled(gp)
+    for alpha in ALPHAS:
+        nodes, init = compiled.at_alpha(alpha)[3:]
+        for _ in range(pairs):
+            v = at_alpha_on_rest(rng, compiled, alpha)
+            w = random_valuation(rng, gp.base)
+            out = Valuation.from_masks(gp.base, *compiled.evaluate(v, w, nodes, init))
+            j = PseudoInterpretation(to_interpretation(v), to_interpretation(w))
+            for atom, body in gp.rules.items():
+                assert out[atom] is pseudo_eval(j, body), (gp.render(), atom, alpha)
+
+
+@pytest.mark.parametrize(
+    "corpus", ["mixed_corpus", "conventional_corpus", "positive_corpus", "tiny_corpus"]
+)
+def test_alpha_lists_agree_with_pseudo_eval_on_corpora(corpus, request):
+    rng = random.Random(61)
+    for gp in request.getfixturevalue(corpus):
+        assert_alpha_lists_agree_with_pseudo_eval(gp, rng, 3)
+
+
+def test_alpha_lists_agree_with_pseudo_eval_on_games_and_closures():
+    rng = random.Random(67)
+    for gp in FOLDED + WIDE:
+        assert_alpha_lists_agree_with_pseudo_eval(gp, rng, 10)
+
+
+def guarded_leaf(compiled, entry, writers):
+    """Whether a node of the sequence is a guarded leaf: no entry writes
+    into its slot, its start is its kind's identity, its parent is a
+    node, and it reads an atom of rest without "~" and at most one other
+    literal."""
+    kind, mask, _, slot, parent, _, _ = entry
+    other = mask & ~compiled.rest
+    return (slot not in writers and compiled._starts[slot] == _START[kind]
+            and parent >= len(compiled.outputs) and bool(mask & compiled.rest)
+            and not other & other - 1)
+
+
+def assert_sequence_groups_the_guarded_leaves(compiled):
+    seq = compiled._seq
+    rest = compiled.rest
+    where = {entry[3]: k for k, entry in enumerate(seq) if entry[3] is not None}
+    writers = Counter(entry[4] for entry in seq)
+    leaves = 0
+    for k, entry in enumerate(seq):
+        kind, others, masks, slot, parent, _, _ = entry
+        if slot is not None:
+            if compiled.size >= _FOLD_MIN_NODES:
+                assert not guarded_leaf(compiled, entry, writers), entry
+            continue
+        # a record: it precedes its parent node, and its leaves would be
+        # guarded leaves that all read another literal, or all none
+        assert where[parent] > k, entry
+        leaves += len(masks)
+        want = 0
+        for mask in masks:
+            other = mask & ~rest
+            assert mask & rest and not other & other - 1 and bool(other) == bool(others)
+            want |= other
+        assert others == want
+    assert len(compiled.nodes) == compiled.size == len(where) + leaves
+
+
+@pytest.mark.parametrize(
+    "corpus", ["mixed_corpus", "conventional_corpus", "positive_corpus", "tiny_corpus"]
+)
+def test_node_sequence_groups_the_guarded_leaves_on_corpora(corpus, request):
+    for gp in request.getfixturevalue(corpus):
+        assert_sequence_groups_the_guarded_leaves(engine._compiled(gp))
+
+
+def has_records(compiled):
+    return any(slot is None for _, _, _, slot, _, _, _ in compiled._seq)
+
+
+def test_node_sequence_groups_the_guarded_leaves_of_games_and_closures():
+    for gp in FOLDED + WIDE:
+        assert_sequence_groups_the_guarded_leaves(engine._compiled(gp))
+    # all but the game whose leaves read #u
+    assert [has_records(engine._compiled(gp)) for gp in FOLDED] == [True] * 8 + [False, True]
+    assert sum(has_records(engine._compiled(gp)) for gp in WIDE) == 23
+
+
+def rule_bound_holds(compiled, v):
+    """is_model's test, on the compiled list."""
+    belief, doubt = compiled.evaluate(v, v)
+    heads = compiled.out_mask
+    return v.belief & heads & ~belief == 0 and doubt & ~(v.doubt & heads) == 0
+
+
+def test_is_model_agrees_with_the_compiled_list():
+    rng = random.Random(71)
+    outcomes = Counter()
+    for gp in FOLDED + WIDE:
+        compiled = engine._compiled(gp)
+        rest = compiled.rest
+        for _ in range(20):
+            v = random_valuation(rng, gp.base)
+            # heads F, then each head given its body's value there: a
+            # valuation near the bound, so that is_model can go either way
+            heads = compiled.out_mask
+            low = Valuation.from_masks(gp.base, v.belief & rest, v.doubt & rest | heads)
+            belief, doubt = compiled.evaluate(low, low)
+            near = Valuation.from_masks(gp.base, low.belief | belief, low.doubt & rest | doubt)
+            for x in (v, near):
+                # and the same with U on every non-head, as in a consensus
+                for y in (x, Valuation.from_masks(gp.base, x.belief & ~rest, x.doubt & ~rest)):
+                    want = rule_bound_holds(compiled, y)
+                    assert engine.is_model(gp, y) is want, (gp.render(), y)
+                    outcomes[want, y is x] += 1
+    assert len(outcomes) == 4, outcomes
