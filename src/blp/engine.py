@@ -99,10 +99,10 @@ def immediate_consequence(
     if v.base is not base and v.base != base or w.base is not base and w.base != base:
         raise BaseMismatchError("valuations do not match the program's base")
     compiled = _compiled(gp)
-    _, rest_belief, rest_doubt, nodes, init = compiled.at_alpha(alpha)
+    _, rest_belief, rest_doubt, nodes, init, outs = compiled.at_alpha(alpha)
     if (v.belief ^ rest_belief | v.doubt ^ rest_doubt) & compiled.rest:
-        nodes = init = None  # the compiled list
-    belief, doubt = compiled.evaluate(v, w, nodes, init)
+        nodes = init = outs = None  # the compiled list
+    belief, doubt = compiled.evaluate(v, w, nodes, init, outs)
     return Valuation.from_masks(base, belief | rest_belief, doubt | rest_doubt)
 
 
@@ -329,10 +329,10 @@ def is_model(gp: GroundProgram, v: Valuation) -> bool:
     if v.base != gp.base:
         raise BaseMismatchError("valuation does not match the program's base")
     compiled = _compiled(gp)
-    nodes = init = None
+    nodes = init = outs = None
     if not (v.belief | v.doubt) & compiled.rest:
-        nodes, init = compiled.at_alpha(U)[3:]
-    belief, doubt = compiled.evaluate(v, v, nodes, init)
+        nodes, init, outs = compiled.at_alpha(U)[3:]
+    belief, doubt = compiled.evaluate(v, v, nodes, init, outs)
     heads = compiled.out_mask
     head_belief, head_doubt = v.belief & heads, v.doubt & heads
     return head_belief & ~belief == 0 and doubt & ~head_doubt == 0

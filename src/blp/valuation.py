@@ -29,10 +29,15 @@ argument holds alpha on those atoms.  Most nodes are leaves that read
 such an atom and at most one other literal, and at every alpha they
 merge into their parents; compile keeps the leaves under one parent as
 one record, which the derivation applies in one step, and builds the
-compiled list itself only when something runs it.  pseudo_eval reads
-a formula tree (a rule body of GroundProgram.rules) against set-pair
-encodings using (in-true-set, in-false-set) bit logic, with an
-explicit stack; bottomup uses it.  The two share no tables and must
+compiled list itself only when something runs it.  Compile reads each
+body's IR once, from the last code to the first, which visits its tree
+in pre-order, so a node is complete while its parent is still open;
+most leaves are a connective over two literals, taken in one step.
+Each node list also keeps, once, the values of the outputs no node
+writes into, so an evaluation collects only the others.  pseudo_eval
+reads a formula tree (a rule body of GroundProgram.rules) against
+set-pair encodings using (in-true-set, in-false-set) bit logic, with
+an explicit stack; bottomup uses it.  The two share no tables and must
 agree everywhere; the test suite holds them against each other.
 """
 
@@ -317,26 +322,19 @@ _START = (1 ^ 2, 2 ^ 2, 3, 0)  # each kind's identity T, F, I, U in its own code
 _FOLD_MIN_NODES = 16
 
 
-def _add(node: list, x) -> None:
-    """Fold operand x (a literal bit, a complemented constant code or a
-    pending node) into pending node; a pending node of constants only
-    is a constant."""
-    kind = node[0]
-    if type(x) is int:
-        if x > 0:
-            node[1] |= x
-            return
-        x = ~x ^ _FLIP[kind]
-    elif x[0] == kind:
-        node[1] |= x[1]
-        node[3] += x[3]
-        x = x[2]
-    elif x[1] or x[3]:
-        node[3].append(x)
-        return
+def _join(parent: list, kind: int, mask: int, keep: int) -> None:
+    """Put a guarded leaf into its record under open node parent."""
+    other = mask & keep
+    key = kind << 1 | (other != 0)
+    groups = parent[5]
+    if groups is None:
+        parent[5] = {key: [kind, other, [mask]]}
+    elif key in groups:
+        record = groups[key]
+        record[1] |= other
+        record[2].append(mask)
     else:
-        x = x[2] ^ _FLIP[x[0]] ^ _FLIP[kind]
-    node[2] = node[2] & x if _MEET[kind] else node[2] | x
+        groups[key] = [kind, other, [mask]]
 
 
 class CompiledBodies:
@@ -345,29 +343,38 @@ class CompiledBodies:
     Literals are bits of a mask of width 2n over a base of n atoms: bit
     i is atom i read positively, bit n + i atom i read negated.  Each
     node is a tuple (kind, belief mask, doubt mask, slot, parent slot,
-    parent folds with and, flip), in post-order, so a node runs after
-    all of its children.  The belief mask holds the literals its belief
-    reads, all or any of them as its kind says, and the doubt mask those
-    its doubt reads; the two are equal in the nodes compiled here, and
-    differ only in a list derived for one alpha (at_alpha).  Truth
-    constants among a node's operands are folded into the starting value
-    of its slot, and a node left with no operand but constants into its
-    parent's.  A node writes its value into its parent's slot, xor flip
-    to convert the code.  A root writes into the output slot of its
-    body, which folds like a gullibility node: in the knowledge code,
-    with bitwise or, from U.  The body of head i yields bit i of the
+    parent folds with and, flip), in an order in which a node runs
+    after all of its children.  The belief mask holds the literals its
+    belief reads, all or any of them as its kind says, and the doubt
+    mask those its doubt reads; the two are equal in the nodes compiled
+    here, and differ only in a list derived for one alpha (at_alpha).
+    Truth constants among a node's operands are folded into the
+    starting value of its slot, and a node left with no operand but
+    constants into its parent's.  A node writes its value into its
+    parent's slot, xor flip to convert the code.  A root writes into the
+    output slot of its body, which folds like a gullibility node: in the
+    knowledge code, with bitwise or, from U.  The body of head i yields bit i of the
     result masks; out_mask has every such bit and rest every other bit
     of the base.  positive has bit i for every atom i some body reads
     without "~", and negated for every atom i some body reads under "~".
     size is the number of nodes in nodes.  closures is the engine's memo of
-    stability closures for these bodies; it starts empty.
+    stability closures for these bodies; it starts empty.  Each node
+    list comes with its _outs, made with the list, so that evaluate
+    reads back only the outputs some node writes into.
 
-    Each body's IR code is read once, with a stack: a literal pushes its
-    bit, a constant the complement of its knowledge code, and a
-    connective pops two operands and pushes a pending node [kind,
-    literal mask, start value, pending children].  An operand that is a
-    pending node of the connective's own kind is merged into it, so a
-    chain of one connective becomes one node.
+    Each body's IR code is read once, from the last code to the first.
+    Postfix read backwards is the tree in pre-order, a connective before
+    its right and then its left operand, so a connective opens a node
+    that stays open until its operands are read, and a node completes
+    while its parent is still open.  A literal sets its bit in the open
+    node's mask and a constant folds into its start value.  A connective
+    of the open node's own kind adds its operands to that node, so a
+    chain of one connective becomes one node.  A connective over two
+    literals (the two codes before it) is a complete leaf, taken in one
+    step.  A node takes its slot when it is emitted or when a child
+    first needs its parent's slot, so a node of constants only, which
+    folds into its parent's start value, and a leaf that joins a record
+    take none.
 
     Most nodes are guarded leaves: a node with no child node, its
     kind's identity as start value and a node as parent, that reads an
@@ -378,17 +385,17 @@ class CompiledBodies:
     under one parent that read another literal, and those that do not,
     are each one record (kind, the OR of their other literals, their
     masks, None, parent slot, parent folds with and, flip), placed just
-    before the parent.  Its other entries are the nodes, with the start
-    values of their slots in _starts.  A list too short for _fold, with
-    fewer codes and bodies than twice _FOLD_MIN_NODES, keeps its
-    guarded leaves as nodes.  nodes and init, the compiled list and its
-    start values, are built from _seq on first use, each record giving
-    back its leaves in new slots.
+    before the parent.  Its other entries are the nodes, in post-order,
+    with the start values of their slots in _starts.  A list too short
+    for _fold, with fewer codes and bodies than twice _FOLD_MIN_NODES,
+    keeps its guarded leaves as nodes.  nodes and init, the compiled
+    list and its start values, are built from _seq on first use, each
+    record giving back its leaves in new slots.
     """
 
     __slots__ = (
         "base", "width", "outputs", "out_mask", "rest", "size", "positive", "negated",
-        "closures", "_seq", "_starts", "_list", "_forms",
+        "closures", "_seq", "_starts", "_outs_compiled", "_list", "_forms",
     )
 
     def __init__(self, base: Base, bodies: Iterable[Tuple[int, tuple]]) -> None:
@@ -398,9 +405,9 @@ class CompiledBodies:
         at = [0] * LIT  # 1 << at[c] is the literal bit of IR code c
         for i in range(n):
             at += (i, n + i)
+        bodies = tuple(bodies)
         outputs = []
         out_mask = 0
-        roots = []
         # bound counts codes plus bodies: a body of k connectives has
         # 2k + 1 codes and at most max(k, 1) nodes, so bound >= 2 * size
         bound = 0
@@ -408,76 +415,141 @@ class CompiledBodies:
             outputs.append(1 << head)
             out_mask |= 1 << head
             bound += len(code) + 1
-            stack = []
-            for c in code:
-                if c >= LIT:
-                    stack.append(1 << at[c])
-                elif c < 4:
-                    stack.append(~c)
-                else:
-                    right = stack.pop()
-                    node = stack.pop()
-                    if type(node) is not list or node[0] != c - 4:
-                        node, left = [c - 4, 0, _START[c - 4], []], node
-                        _add(node, left)
-                    _add(node, right)
-                    stack.append(node)
-            root = stack.pop()
-            if type(root) is not list:  # a lone leaf is a one-operand node
-                root, leaf = [_OR, 0, _START[_OR], []], root
-                _add(root, leaf)
-            roots.append(root)
         self.outputs = tuple(outputs)
         self.out_mask = out_mask
         self.rest = rest = ((1 << n) - 1) & ~out_mask
         keep = ~rest
-        # a list too short for _fold keeps its guarded leaves as nodes
+        # A list too short for _fold keeps its guarded leaves as nodes,
+        # which at_alpha would otherwise expand again at once: grouping
+        # them made compile plus _expand 16-23% slower on the 3 of 300
+        # seeded random programs of 4-30 atoms (proggen, depth 3) that
+        # this gate keeps ungrouped, and 21-30% slower on the 5 such
+        # corpus programs of workload seeds 0-3 and 43 (1600 per seed).
         grouped = rest if bound >= 2 * _FOLD_MIN_NODES else 0
-        first = len(outputs)  # slots below first are output slots
-        init = [0] * first
-        seq = []  # in pre-order, each node's records after it; reversed below
+        init = [0] * len(outputs)  # the start value of every slot
+        seq = []  # in post-order, each node's records just before it
         leaves = records = 0
         lits = 0
-        todo = [(root, out, _GULL) for out, root in enumerate(roots)]
-        while todo:
-            (kind, mask, acc, children), parent, pkind = todo.pop()
-            pmeet, pflip = _MEET[pkind], _FLIP[kind] ^ _FLIP[pkind]
-            if not mask and not children:
-                code = acc ^ pflip
-                init[parent] = init[parent] & code if pmeet else init[parent] | code
+        # the outputs' start values, and the (slot, bit) of the outputs
+        # some root writes into: the _outs of the compiled list
+        belief = doubt = 0
+        written = []
+        for out, (head, code) in enumerate(bodies):
+            i = len(code) - 1
+            c = code[i]
+            if c < 4:  # a constant body is its output's start value
+                init[out] = c
+                if c & 1:
+                    belief |= 1 << head
+                if c & 2:
+                    doubt |= 1 << head
                 continue
-            lits |= mask
-            slot = len(init)
-            init.append(acc)
-            seq.append((kind, mask, mask, slot, parent, pmeet, pflip))
-            if not children:
-                continue
-            groups = {}  # the records: kind and whether it reads another literal
-            for child in reversed(children):
-                ckind, cmask, cacc, grand = child
-                if cmask & grouped and not grand and cacc == _START[ckind]:
-                    other = cmask & keep
-                    if not other & other - 1:  # a guarded leaf
-                        lits |= cmask
-                        key = ckind << 1 | (other != 0)
-                        record = groups.get(key)
-                        if record is None:
-                            groups[key] = [ckind, other, [cmask]]
+            # The code read from the last to the first visits the tree in
+            # pre-order, right operand first.  An open node is [kind,
+            # literal mask, start value, slot or None, operands still to
+            # read, records or None]; top is the innermost, its parent
+            # is the last of stack, and the root's parent is the output.
+            if c < LIT:
+                top = [c - 4, 0, _START[c - 4], None, 2, None]
+                i -= 1
+            else:  # a lone literal is a one-operand | node
+                top = [_OR, 0, _START[_OR], None, 1, None]
+            stack = []
+            while True:
+                c = code[i]
+                if c >= LIT:
+                    top[1] |= 1 << at[c]
+                    i -= 1
+                elif c < 4:
+                    c ^= _FLIP[top[0]]
+                    top[2] = top[2] & c if _MEET[top[0]] else top[2] | c
+                    i -= 1
+                elif c - 4 == top[0]:  # its operands are top's: one chain
+                    top[4] += 1
+                    i -= 1
+                    continue
+                elif code[i - 1] >= LIT and code[i - 2] >= LIT:  # a leaf, complete
+                    kind = c - 4
+                    mask = 1 << at[code[i - 1]] | 1 << at[code[i - 2]]
+                    i -= 3
+                    lits |= mask
+                    pslot = top[3]
+                    if pslot is None:
+                        pslot = top[3] = len(init)
+                        init.append(0)
+                    if mask & grouped:  # a non-head, at most one other: guarded
+                        _join(top, kind, mask, keep)
+                        leaves += 1
+                    else:
+                        seq.append((kind, mask, mask, len(init), pslot, _MEET[top[0]],
+                                    _FLIP[kind] ^ _FLIP[top[0]]))
+                        init.append(_START[kind])
+                else:
+                    stack.append(top)
+                    top = [c - 4, 0, _START[c - 4], None, 2, None]
+                    i -= 1
+                    continue
+                top[4] -= 1
+                if top[4]:
+                    continue
+                node = top
+                top = stack.pop() if stack else None
+                while True:
+                    # node is complete, and top, its parent, still open
+                    kind, mask, acc, slot, _, groups = node
+                    if top is None:
+                        pkind, pslot = _GULL, out
+                    else:
+                        pkind, pslot = top[0], top[3]
+                    pmeet, pflip = _MEET[pkind], _FLIP[kind] ^ _FLIP[pkind]
+                    lits |= mask
+                    if slot is None and not mask:  # constants only
+                        acc ^= pflip
+                        if top is None:
+                            init[out] = acc
+                            if acc & 1:
+                                belief |= 1 << head
+                            if acc & 2:
+                                doubt |= 1 << head
                         else:
-                            record[1] |= other
-                            record[2].append(cmask)
-                        continue
-                todo.append((child, slot, kind))
-            for ckind, other, masks in groups.values():
-                seq.append((ckind, other, tuple(masks), None, slot, _MEET[kind],
-                            _FLIP[ckind] ^ _FLIP[kind]))
-                leaves += len(masks)
-            records += len(groups)
-        seq.reverse()
+                            top[2] = top[2] & acc if pmeet else top[2] | acc
+                    else:
+                        if pslot is None:
+                            pslot = top[3] = len(init)
+                            init.append(0)
+                        if (slot is None and mask & grouped and top is not None
+                                and acc == _START[kind]
+                                and not mask & keep & (mask & keep) - 1):  # a guarded leaf
+                            _join(top, kind, mask, keep)
+                            leaves += 1
+                        else:
+                            if slot is None:
+                                slot = len(init)
+                                init.append(acc)
+                            else:
+                                init[slot] = acc
+                            if groups:  # the records go just before their parent
+                                for ckind, other, masks in groups.values():
+                                    seq.append((ckind, other, tuple(masks), None, slot,
+                                                _MEET[kind], _FLIP[ckind] ^ _FLIP[kind]))
+                                records += len(groups)
+                            seq.append((kind, mask, mask, slot, pslot, pmeet, pflip))
+                    if top is None:
+                        if mask or slot is not None:
+                            written.append((out, 1 << head))
+                        break
+                    top[4] -= 1
+                    if top[4]:
+                        break
+                    node = top
+                    top = stack.pop() if stack else None
+                if top is None:
+                    break
         self.size = len(seq) - records + leaves
         self._seq = tuple(seq)
         self._starts = init
-        self._list = None if records else (self._seq, init)
+        self._outs_compiled = outs = (belief, doubt, tuple(written))
+        self._list = None if records else (self._seq, init, outs)
         self.positive = lits & (1 << n) - 1
         self.negated = lits >> n
         self.closures = {}
@@ -494,9 +566,9 @@ class CompiledBodies:
         return (self._list or self._expand())[1]
 
     def _expand(self):
-        """(nodes, init): _seq with each record replaced by its leaves,
-        which take new slots after those of _starts, from their kind's
-        identity."""
+        """(nodes, init, outs): _seq with each record replaced by its
+        leaves, which take new slots after those of _starts, from their
+        kind's identity, and the _outs compile collected for it."""
         nodes = []
         init = self._starts[:]
         for entry in self._seq:
@@ -507,29 +579,48 @@ class CompiledBodies:
             for mask in masks:
                 nodes.append((kind, mask, mask, len(init), p, pmeet, flip))
                 init.append(_START[kind])
-        self._list = tuple(nodes), init
+        self._list = tuple(nodes), init, self._outs_compiled
         return self._list
 
+    def _outs(self, nodes: tuple, init: list):
+        """(belief, doubt, written) for a node list and its start values:
+        the result masks of the start values of the output slots, and
+        the (slot, bit) of every output some node writes into.  An
+        output slot folds with bitwise or, so every result holds the
+        bits of its start value, and evaluate needs to read only the
+        outputs some node writes into."""
+        outputs = self.outputs
+        first = len(outputs)
+        written = sorted({p for _, _, _, _, p, _, _ in nodes if p < first})
+        belief = doubt = 0
+        for bit, code in zip(outputs, init):
+            if code & 1:
+                belief |= bit
+            if code & 2:
+                doubt |= bit
+        return belief, doubt, tuple((s, outputs[s]) for s in written)
+
     def at_alpha(self, alpha: TruthValue):
-        """(start, rest belief, rest doubt, nodes, init) for the default
-        alpha: the valuation that gives alpha to every atom, the masks
-        that give it to every atom of rest, and a node list with its
-        start values that evaluate runs in place of nodes and init
-        whenever v holds alpha on every atom of rest.  Made on first use
-        for each alpha; the list is made by _fold, from _seq, when some
-        body reads an atom of rest without "~" and size is at least
-        _FOLD_MIN_NODES, and is the compiled one otherwise."""
+        """(start, rest belief, rest doubt, nodes, init, outs) for the
+        default alpha: the valuation that gives alpha to every atom, the
+        masks that give it to every atom of rest, and a node list with
+        its start values and _outs that evaluate runs in place of the
+        compiled ones whenever v holds alpha on every atom of rest.
+        Made on first use for each alpha; the list is made by _fold,
+        from _seq, when some body reads an atom of rest without "~" and
+        size is at least _FOLD_MIN_NODES, and is the compiled one
+        otherwise."""
         form = self._forms.get(alpha)
         if form is None:
             start = const_valuation(self.base, alpha)
             rest = self.rest
-            nodes, init = (
-                self._fold(alpha)
-                if self.positive & rest and self.size >= _FOLD_MIN_NODES
-                else self._list or self._expand()
-            )
+            if self.positive & rest and self.size >= _FOLD_MIN_NODES:
+                nodes, init = self._fold(alpha)
+                outs = self._outs(nodes, init)
+            else:
+                nodes, init, outs = self._list or self._expand()
             form = self._forms[alpha] = (
-                start, start.belief & rest, start.doubt & rest, nodes, init,
+                start, start.belief & rest, start.doubt & rest, nodes, init, outs,
             )
         return form
 
@@ -639,13 +730,16 @@ class CompiledBodies:
         nodes.reverse()
         return tuple(nodes), starts
 
-    def evaluate(self, v: Valuation, w: Valuation, nodes=None, init=None):
+    def evaluate(self, v: Valuation, w: Valuation, nodes=None, init=None, outs=None):
         """The (belief, doubt) masks of every body's value, reading
         positive atoms from v and negated atoms, negated, from w; by the
         node list nodes from the start values init, by default the
-        compiled ones."""
+        compiled ones.  outs is the list's _outs, made here if not
+        given."""
         if nodes is None:
-            nodes, init = self._list or self._expand()
+            nodes, init, outs = self._list or self._expand()
+        elif outs is None:
+            outs = self._outs(nodes, init)
         n = self.width
         lb = v.belief | w.doubt << n  # literals believed
         ld = v.doubt | w.belief << n  # literals doubted
@@ -676,8 +770,9 @@ class CompiledBodies:
                 acc[p] &= r ^ flip
             else:
                 acc[p] |= r ^ flip
-        belief = doubt = 0
-        for bit, code in zip(self.outputs, acc):
+        belief, doubt, written = outs
+        for s, bit in written:
+            code = acc[s]
             if code & 1:
                 belief |= bit
             if code & 2:

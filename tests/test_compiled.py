@@ -22,7 +22,7 @@ from blp.bilattice import (
     truth_join,
     truth_meet,
 )
-from blp.grounder import Base, GroundAtom, formula_code, ground
+from blp.grounder import LIT, Base, GroundAtom, formula_code, ground
 from blp.syntax import Atom, Binary, BinOp, NegAtom, TruthConst, parse_program
 from blp.valuation import (
     _FOLD_MIN_NODES,
@@ -101,6 +101,14 @@ def test_same_connective_chains_flatten_into_one_node():
         # read by both the belief and the doubt of the node
         assert compiled.nodes[0][1:3] == (0b1111, 0b1111)
         _exhaustive(AB, body)
+    # a two-literal operand of the chain's own connective is not a leaf
+    # of its own, on either side and at any depth
+    abc = Base((A, B, GroundAtom("c")))
+    for text, mask in (("(a & b) & ~c", 0b100011), ("a | b | c", 0b111),
+                       ("~c * (a * b)", 0b100011), ("(a + ~b) + (c + a)", 0b010101),
+                       ("((a & b) & (b & ~c)) & (~a & c)", 0b101111)):
+        compiled = CompiledBodies(abc, [(0, formula_code(abc, _body(text)))])
+        assert [node[1:3] for node in compiled.nodes] == [(mask, mask)], text
 
 
 def test_truth_constants_fold_inside_and_and_consensus():
@@ -247,6 +255,10 @@ def pass_through_nodes(nodes, init):
 
 def assert_folds_agree(gp, rng, pairs):
     compiled = engine._compiled(gp)
+    # the outputs no node writes into, as compile collects them, are
+    # those read from the compiled list
+    nodes, init, outs = compiled._list or compiled._expand()
+    assert outs == compiled._outs(nodes, init), gp.render()
     for alpha in ALPHAS:
         # the folded list, and the one the engine runs, which is the
         # compiled list itself for a short one
@@ -256,8 +268,8 @@ def assert_folds_agree(gp, rng, pairs):
             v = at_alpha_on_rest(rng, compiled, alpha)
             w = random_valuation(rng, gp.base)
             want = compiled.evaluate(v, w)
-            for nodes, init in lists:
-                assert compiled.evaluate(v, w, nodes, init) == want, (gp.render(), alpha)
+            for node_list in lists:
+                assert compiled.evaluate(v, w, *node_list) == want, (gp.render(), alpha)
 
 
 @pytest.mark.parametrize(
@@ -323,11 +335,11 @@ def test_a_node_settled_by_alpha_drops_the_nodes_below_it():
 def assert_alpha_lists_agree_with_pseudo_eval(gp, rng, pairs):
     compiled = engine._compiled(gp)
     for alpha in ALPHAS:
-        nodes, init = compiled.at_alpha(alpha)[3:]
+        nodes, init, outs = compiled.at_alpha(alpha)[3:]
         for _ in range(pairs):
             v = at_alpha_on_rest(rng, compiled, alpha)
             w = random_valuation(rng, gp.base)
-            out = Valuation.from_masks(gp.base, *compiled.evaluate(v, w, nodes, init))
+            out = Valuation.from_masks(gp.base, *compiled.evaluate(v, w, nodes, init, outs))
             j = PseudoInterpretation(to_interpretation(v), to_interpretation(w))
             for atom, body in gp.rules.items():
                 assert out[atom] is pseudo_eval(j, body), (gp.render(), atom, alpha)
@@ -433,3 +445,104 @@ def test_is_model_agrees_with_the_compiled_list():
                     assert engine.is_model(gp, y) is want, (gp.render(), y)
                     outcomes[want, y is x] += 1
     assert len(outcomes) == 4, outcomes
+
+
+def literal_atoms(gp):
+    """The masks of the atoms gp.ir reads without "~" and under "~":
+    even literal codes read their atom positively, odd ones negated."""
+    positive = negated = 0
+    for _, code in gp.ir:
+        for c in code:
+            if c >= LIT:
+                if (c - LIT) & 1:
+                    negated |= 1 << (c - LIT >> 1)
+                else:
+                    positive |= 1 << (c - LIT >> 1)
+    return positive, negated
+
+
+@pytest.mark.parametrize(
+    "corpus", ["mixed_corpus", "conventional_corpus", "positive_corpus", "tiny_corpus"]
+)
+def test_positive_and_negated_are_the_literals_of_the_ir_on_corpora(corpus, request):
+    for gp in request.getfixturevalue(corpus):
+        compiled = CompiledBodies(gp.base, gp.ir)
+        assert (compiled.positive, compiled.negated) == literal_atoms(gp), gp.render()
+
+
+def test_positive_and_negated_are_the_literals_of_the_ir_of_games_and_closures():
+    for gp in FOLDED + WIDE:
+        compiled = CompiledBodies(gp.base, gp.ir)
+        assert (compiled.positive, compiled.negated) == literal_atoms(gp), gp.render()
+
+
+_OPS = "&|*+"
+
+
+def two_literal_leaves():
+    """A program whose bodies hold two-literal leaves of each kind under
+    a parent of each other kind.  r and t head no rule, so the leaves
+    that read one of them without "~" are guarded, among them r & r
+    and r & ~r; those over q, s and ~h are not."""
+    rules = ["q <- ~s.", "s <- ~q | t."]
+    for k, leaf in enumerate(_OPS):
+        for m, parent in enumerate(_OPS):
+            if m != k:
+                operands = ["r {} ~q", "t {} r", "r {} r", "r {} ~r", "q {} ~q", "q {} q",
+                            f"s {{}} ~h{k}{m}"]
+                body = f" {parent} ".join("(" + text.format(leaf) + ")" for text in operands)
+                rules.append(f"h{k}{m} <- {body}.")
+    return ground(parse_program("\n".join(rules) + "\n"))
+
+
+def assert_compiled_list_agrees_with_pseudo_eval(gp, rng, pairs):
+    compiled = engine._compiled(gp)
+    for _ in range(pairs):
+        v = random_valuation(rng, gp.base)
+        w = random_valuation(rng, gp.base)
+        out = Valuation.from_masks(gp.base, *compiled.evaluate(v, w))
+        j = PseudoInterpretation(to_interpretation(v), to_interpretation(w))
+        for atom, body in gp.rules.items():
+            assert out[atom] is pseudo_eval(j, body), (gp.render(), atom)
+
+
+def test_two_literal_leaves_of_every_kind_under_every_other_kind():
+    gp = two_literal_leaves()
+    compiled = engine._compiled(gp)
+    assert compiled.size >= _FOLD_MIN_NODES
+    assert_sequence_groups_the_guarded_leaves(compiled)
+    # the guarded leaves of one body form two records: r & ~q and r & ~r
+    # read another literal, t & r and r & r do not; the other three are
+    # nodes
+    parents = {entry[3]: entry[0] for entry in compiled._seq if entry[3] is not None}
+    records = Counter((kind, parents[p], bool(others), len(masks))
+                      for kind, others, masks, slot, p, _, _ in compiled._seq if slot is None)
+    assert records == Counter({(leaf, parent, reads, 2): 1 for leaf in range(4)
+                               for parent in range(4) if parent != leaf
+                               for reads in (False, True)})
+    leaves = Counter((kind, parents[p]) for kind, _, _, slot, p, _, _ in compiled._seq
+                     if slot is not None and p >= len(compiled.outputs))
+    assert leaves == Counter({(leaf, parent): 3 for leaf in range(4)
+                              for parent in range(4) if parent != leaf})
+    rng = random.Random(73)
+    assert_compiled_list_agrees_with_pseudo_eval(gp, rng, 40)
+    assert_alpha_lists_agree_with_pseudo_eval(gp, rng, 40)
+    assert_folds_agree(gp, rng, 40)
+
+
+def test_a_body_that_is_one_two_literal_leaf_is_a_root():
+    # r heads no rule and the program is long enough to group leaves,
+    # but h's body is a root, writing into h's output slot
+    gp = ground(parse_program("h <- r & b.\nk <- r | ~b.\nb <- ~k.\n" + "".join(
+        f"b{i} <- (r & ~b{i + 1}) | (b & ~b{i}).\n" for i in range(8))))
+    compiled = engine._compiled(gp)
+    assert compiled.size >= _FOLD_MIN_NODES and has_records(compiled)
+    for atom in ("h", "k"):
+        out = gp.base.names.index(atom)
+        slot = [s for s, bit in enumerate(compiled.outputs) if bit == 1 << out]
+        assert [(entry[0], entry[3] is not None) for entry in compiled._seq
+                if entry[4] in slot] == [(0 if atom == "h" else 1, True)]
+    assert_sequence_groups_the_guarded_leaves(compiled)
+    rng = random.Random(79)
+    assert_compiled_list_agrees_with_pseudo_eval(gp, rng, 20)
+    assert_alpha_lists_agree_with_pseudo_eval(gp, rng, 20)
