@@ -20,14 +20,14 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from blp import consensus_semantics, fix_u  # noqa: E402
 from blp.bilattice import U  # noqa: E402
-from blp.syntax import NegAtom, walk  # noqa: E402
+from blp.grounder import LIT  # noqa: E402
 from proggen import random_ground_program  # noqa: E402
 
 
 def uses_negation(gp) -> bool:
-    return any(
-        isinstance(node, NegAtom) for body in gp.rules.values() for node in walk(body)
-    )
+    """Whether some body reads an atom under "~": in the ground IR, a
+    negated literal is an odd literal code."""
+    return any(c >= LIT and c & 1 for _, code in gp.ir for c in code)
 
 
 def main() -> int:

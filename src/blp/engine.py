@@ -26,15 +26,17 @@ Inside a stability closure every atom that heads no rule holds alpha:
 the start is all-alpha, and each application gives those atoms alpha
 again.  So for each alpha the compiled bodies derive, once, a node
 list in which those atoms, read without "~", are the constant alpha
-(CompiledBodies.at_alpha).  An application runs that list whenever its
-first argument holds alpha on every such atom, and the compiled list
+(CompiledBodies.at_alpha).  Which list an application runs is chosen
+in one place, CompiledBodies.consequence: that list whenever the first
+argument holds alpha on every such atom, and the compiled list
 otherwise, so the operator is exact for any arguments.  On a win-move
 game most bodies read a move atom that is no fact, and at every alpha
-the derived list keeps about an eighth of the nodes.  is_model likewise
-runs the list derived for U when its valuation holds U on every such
-atom, as every consensus does.  So semantics, compare and consensus
-build the compiled list (CompiledBodies.nodes) only where at_alpha
-returns it, for a list too short to fold.
+the derived list keeps about an eighth of the nodes.  is_model applies
+the operator at U, so it runs the list derived for U when its
+valuation holds U on every such atom, as every consensus does.  So
+semantics, compare and consensus build the compiled list
+(CompiledBodies.nodes) only where at_alpha returns it, for a list too
+short to fold.
 
 Each stability closure is computed once per program.  A body reads the
 second argument only at the atoms it negates, so the closure depends on
@@ -88,22 +90,12 @@ def _compiled(gp: GroundProgram) -> CompiledBodies:
 def immediate_consequence(
     gp: GroundProgram, alpha: Alpha, v: Valuation, w: Valuation
 ) -> Valuation:
-    """One step: heads get their body's contrajoin value, non-heads get alpha.
-
-    When v holds alpha on every non-head, as every iterate of a
-    stability closure does, the bodies run the node list derived for
-    alpha (CompiledBodies.at_alpha), which reads no non-head positively;
-    for any other v they run the compiled list.
-    """
+    """One step: heads get their body's contrajoin value, non-heads get
+    alpha.  CompiledBodies.consequence chooses the node list it runs."""
     base = gp.base
     if v.base is not base and v.base != base or w.base is not base and w.base != base:
         raise BaseMismatchError("valuations do not match the program's base")
-    compiled = _compiled(gp)
-    _, rest_belief, rest_doubt, nodes, init, outs = compiled.at_alpha(alpha)
-    if (v.belief ^ rest_belief | v.doubt ^ rest_doubt) & compiled.rest:
-        nodes = init = outs = None  # the compiled list
-    belief, doubt = compiled.evaluate(v, w, nodes, init, outs)
-    return Valuation.from_masks(base, belief | rest_belief, doubt | rest_doubt)
+    return Valuation.from_masks(base, *_compiled(gp).consequence(alpha, v, w))
 
 
 _NAMED = 5  # atoms named in an invariant failure; the rest are counted
@@ -322,17 +314,14 @@ def is_alpha_fixed_model(gp: GroundProgram, alpha: Alpha, v: Valuation) -> bool:
 def is_model(gp: GroundProgram, v: Valuation) -> bool:
     """Rule-wise truth bound: head <=t body for every rule.
 
-    When v holds U on every non-head, as every consensus does, the
-    bodies run the node list derived for U (CompiledBodies.at_alpha);
-    for any other v they run the compiled list.
+    The bodies' values are one application of the operator at U, which
+    gives every non-head U, so only the heads are compared;
+    CompiledBodies.consequence chooses the node list it runs.
     """
     if v.base != gp.base:
         raise BaseMismatchError("valuation does not match the program's base")
     compiled = _compiled(gp)
-    nodes = init = outs = None
-    if not (v.belief | v.doubt) & compiled.rest:
-        nodes, init, outs = compiled.at_alpha(U)[3:]
-    belief, doubt = compiled.evaluate(v, v, nodes, init, outs)
+    belief, doubt = compiled.consequence(U, v, v)
     heads = compiled.out_mask
     head_belief, head_doubt = v.belief & heads, v.doubt & heads
     return head_belief & ~belief == 0 and doubt & ~head_doubt == 0

@@ -24,16 +24,18 @@ its belief and one by its doubt, each value being all or any of its
 operands' as the connective says.  For each default value alpha the
 compiled bodies also derive, once, a second node list in which every
 atom that heads no rule reads as alpha where it is read without "~"
-(CompiledBodies.at_alpha); the engine runs it whenever its first
-argument holds alpha on those atoms.  Most nodes are leaves that read
-such an atom and at most one other literal, and at every alpha they
-merge into their parents; compile keeps the leaves under one parent as
-one record, which the derivation applies in one step, and builds the
-compiled list itself only when something runs it.  Compile reads each
-body's IR once, from the last code to the first, which visits its tree
-in pre-order, so a node is complete while its parent is still open;
-most leaves are a connective over two literals, taken in one step.
-Each node list also keeps, once, the values of the outputs no node
+(CompiledBodies.at_alpha).  One application of the engine's operator,
+CompiledBodies.consequence, runs it whenever its first argument holds
+alpha on those atoms, and the compiled list otherwise.  Most nodes are
+leaves that read such an atom and at most one other literal, and at
+every alpha they merge into their parents; compile keeps the leaves
+under one parent as one record, which the derivation applies in one
+step, and builds the compiled list itself only when something runs
+it.  Compile reads each body's IR once, from the last code to the
+first, which visits its tree in pre-order, so a node is complete while
+its parent is still open; most leaves are a connective over two
+literals, taken in one step.  A node list is one value, (nodes, init,
+outs); its outs, made by _outs, hold the values of the outputs no node
 writes into, so an evaluation collects only the others.  pseudo_eval
 reads a formula tree (a rule body of GroundProgram.rules) against
 set-pair encodings using (in-true-set, in-false-set) bit logic, with
@@ -358,9 +360,10 @@ class CompiledBodies:
     of the base.  positive has bit i for every atom i some body reads
     without "~", and negated for every atom i some body reads under "~".
     size is the number of nodes in nodes.  closures is the engine's memo of
-    stability closures for these bodies; it starts empty.  Each node
-    list comes with its _outs, made with the list, so that evaluate
-    reads back only the outputs some node writes into.
+    stability closures for these bodies; it starts empty.  A node list
+    is one value (nodes, init, outs): the nodes, the start value of
+    every slot, and the _outs of the two, made with the list;
+    consequence chooses between the compiled list and at_alpha's.
 
     Each body's IR code is read once, from the last code to the first.
     Postfix read backwards is the tree in pre-order, a connective before
@@ -387,15 +390,16 @@ class CompiledBodies:
     masks, None, parent slot, parent folds with and, flip), placed just
     before the parent.  Its other entries are the nodes, in post-order,
     with the start values of their slots in _starts.  A list too short
-    for _fold, with fewer codes and bodies than twice _FOLD_MIN_NODES,
-    keeps its guarded leaves as nodes.  nodes and init, the compiled
-    list and its start values, are built from _seq on first use, each
-    record giving back its leaves in new slots.
+    for _fold, whose bodies have fewer connectives and lone literals
+    than _FOLD_MIN_NODES, keeps its guarded leaves as nodes, and its
+    _seq is the compiled list.  Otherwise the compiled list is built
+    from _seq on first use, each record giving back its leaves in new
+    slots.
     """
 
     __slots__ = (
         "base", "width", "outputs", "out_mask", "rest", "size", "positive", "negated",
-        "closures", "_seq", "_starts", "_outs_compiled", "_list", "_forms",
+        "closures", "_seq", "_starts", "_list", "_forms",
     )
 
     def __init__(self, base: Base, bodies: Iterable[Tuple[int, tuple]]) -> None:
@@ -408,41 +412,33 @@ class CompiledBodies:
         bodies = tuple(bodies)
         outputs = []
         out_mask = 0
-        # bound counts codes plus bodies: a body of k connectives has
-        # 2k + 1 codes and at most max(k, 1) nodes, so bound >= 2 * size
+        # bound >= size: a body of k connectives has 2k + 1 codes and at
+        # most k nodes, a lone literal one node and a constant none
         bound = 0
         for head, code in bodies:
             outputs.append(1 << head)
             out_mask |= 1 << head
-            bound += len(code) + 1
+            bound += len(code) // 2 or code[0] >= LIT
         self.outputs = tuple(outputs)
         self.out_mask = out_mask
         self.rest = rest = ((1 << n) - 1) & ~out_mask
         keep = ~rest
         # A list too short for _fold keeps its guarded leaves as nodes,
         # which at_alpha would otherwise expand again at once: grouping
-        # them made compile plus _expand 16-23% slower on the 3 of 300
-        # seeded random programs of 4-30 atoms (proggen, depth 3) that
-        # this gate keeps ungrouped, and 21-30% slower on the 5 such
-        # corpus programs of workload seeds 0-3 and 43 (1600 per seed).
-        grouped = rest if bound >= 2 * _FOLD_MIN_NODES else 0
+        # them made compile plus _expand 16-23% slower on 3 of 300
+        # seeded random programs of 4-30 atoms (proggen, depth 3) under
+        # 16 nodes, 15% on 30 more, and 21-30% on the 5 such corpus
+        # programs of workload seeds 0-3 and 43 (1600 per seed).
+        grouped = rest if bound >= _FOLD_MIN_NODES else 0
         init = [0] * len(outputs)  # the start value of every slot
         seq = []  # in post-order, each node's records just before it
         leaves = records = 0
         lits = 0
-        # the outputs' start values, and the (slot, bit) of the outputs
-        # some root writes into: the _outs of the compiled list
-        belief = doubt = 0
-        written = []
-        for out, (head, code) in enumerate(bodies):
+        for out, (_, code) in enumerate(bodies):
             i = len(code) - 1
             c = code[i]
             if c < 4:  # a constant body is its output's start value
                 init[out] = c
-                if c & 1:
-                    belief |= 1 << head
-                if c & 2:
-                    doubt |= 1 << head
                 continue
             # The code read from the last to the first visits the tree in
             # pre-order, right operand first.  An open node is [kind,
@@ -507,10 +503,6 @@ class CompiledBodies:
                         acc ^= pflip
                         if top is None:
                             init[out] = acc
-                            if acc & 1:
-                                belief |= 1 << head
-                            if acc & 2:
-                                doubt |= 1 << head
                         else:
                             top[2] = top[2] & acc if pmeet else top[2] | acc
                     else:
@@ -535,8 +527,6 @@ class CompiledBodies:
                                 records += len(groups)
                             seq.append((kind, mask, mask, slot, pslot, pmeet, pflip))
                     if top is None:
-                        if mask or slot is not None:
-                            written.append((out, 1 << head))
                         break
                     top[4] -= 1
                     if top[4]:
@@ -548,8 +538,7 @@ class CompiledBodies:
         self.size = len(seq) - records + leaves
         self._seq = tuple(seq)
         self._starts = init
-        self._outs_compiled = outs = (belief, doubt, tuple(written))
-        self._list = None if records else (self._seq, init, outs)
+        self._list = None if records else (self._seq, init, self._outs(self._seq, init))
         self.positive = lits & (1 << n) - 1
         self.negated = lits >> n
         self.closures = {}
@@ -557,18 +546,13 @@ class CompiledBodies:
 
     @property
     def nodes(self) -> tuple:
-        """The compiled node list, built from _seq on first use."""
+        """The nodes of the compiled list, built from _seq on first use."""
         return (self._list or self._expand())[0]
 
-    @property
-    def init(self) -> list:
-        """The start value of every slot of nodes."""
-        return (self._list or self._expand())[1]
-
     def _expand(self):
-        """(nodes, init, outs): _seq with each record replaced by its
+        """The compiled list: _seq with each record replaced by its
         leaves, which take new slots after those of _starts, from their
-        kind's identity, and the _outs compile collected for it."""
+        kind's identity."""
         nodes = []
         init = self._starts[:]
         for entry in self._seq:
@@ -579,33 +563,36 @@ class CompiledBodies:
             for mask in masks:
                 nodes.append((kind, mask, mask, len(init), p, pmeet, flip))
                 init.append(_START[kind])
-        self._list = tuple(nodes), init, self._outs_compiled
+        nodes = tuple(nodes)
+        self._list = nodes, init, self._outs(nodes, init)
         return self._list
 
     def _outs(self, nodes: tuple, init: list):
-        """(belief, doubt, written) for a node list and its start values:
-        the result masks of the start values of the output slots, and
-        the (slot, bit) of every output some node writes into.  An
-        output slot folds with bitwise or, so every result holds the
-        bits of its start value, and evaluate needs to read only the
-        outputs some node writes into."""
-        outputs = self.outputs
-        first = len(outputs)
-        written = sorted({p for _, _, _, _, p, _, _ in nodes if p < first})
+        """The outs of the node list of nodes with start values init,
+        made here for every list as it is made: (belief, doubt,
+        written), the result masks of the start values of the output
+        slots, and the (slot, bit) of every output some node writes
+        into.  An output slot folds with bitwise or, so every result
+        holds the bits of its start value, and evaluate needs to read
+        only the outputs some node writes into."""
+        parents = {node[4] for node in nodes}
         belief = doubt = 0
-        for bit, code in zip(outputs, init):
+        written = []
+        for s, bit in enumerate(self.outputs):
+            code = init[s]
             if code & 1:
                 belief |= bit
             if code & 2:
                 doubt |= bit
-        return belief, doubt, tuple((s, outputs[s]) for s in written)
+            if s in parents:
+                written.append((s, bit))
+        return belief, doubt, tuple(written)
 
     def at_alpha(self, alpha: TruthValue):
-        """(start, rest belief, rest doubt, nodes, init, outs) for the
-        default alpha: the valuation that gives alpha to every atom, the
-        masks that give it to every atom of rest, and a node list with
-        its start values and _outs that evaluate runs in place of the
-        compiled ones whenever v holds alpha on every atom of rest.
+        """(start, rest belief, rest doubt, node list) for the default
+        alpha: the valuation that gives alpha to every atom, the masks
+        that give it to every atom of rest, and the node list that
+        consequence runs whenever v holds alpha on every atom of rest.
         Made on first use for each alpha; the list is made by _fold,
         from _seq, when some body reads an atom of rest without "~" and
         size is at least _FOLD_MIN_NODES, and is the compiled one
@@ -616,13 +603,28 @@ class CompiledBodies:
             rest = self.rest
             if self.positive & rest and self.size >= _FOLD_MIN_NODES:
                 nodes, init = self._fold(alpha)
-                outs = self._outs(nodes, init)
+                node_list = nodes, init, self._outs(nodes, init)
             else:
-                nodes, init, outs = self._list or self._expand()
+                node_list = self._list or self._expand()
             form = self._forms[alpha] = (
-                start, start.belief & rest, start.doubt & rest, nodes, init, outs,
+                start, start.belief & rest, start.doubt & rest, node_list,
             )
         return form
+
+    def consequence(self, alpha: TruthValue, v: Valuation, w: Valuation):
+        """The (belief, doubt) masks of one application of the operator
+        for the default alpha: every head gets its body's value, reading
+        positive atoms from v and negated atoms, negated, from w, and
+        every atom of rest gets alpha.  The one place that chooses the
+        node list: the list of at_alpha when v holds alpha on every atom
+        of rest, as every iterate of a stability closure does, and the
+        compiled list otherwise, so the result is exact for any v."""
+        form = self._forms.get(alpha) or self.at_alpha(alpha)
+        _, rest_belief, rest_doubt, node_list = form
+        if (v.belief ^ rest_belief | v.doubt ^ rest_doubt) & self.rest:
+            node_list = None
+        belief, doubt = self.evaluate(v, w, node_list)
+        return belief | rest_belief, doubt | rest_doubt
 
     def _fold(self, alpha: TruthValue):
         """The compiled list and its start values with every positive
@@ -730,16 +732,12 @@ class CompiledBodies:
         nodes.reverse()
         return tuple(nodes), starts
 
-    def evaluate(self, v: Valuation, w: Valuation, nodes=None, init=None, outs=None):
+    def evaluate(self, v: Valuation, w: Valuation, node_list=None):
         """The (belief, doubt) masks of every body's value, reading
-        positive atoms from v and negated atoms, negated, from w; by the
-        node list nodes from the start values init, by default the
-        compiled ones.  outs is the list's _outs, made here if not
-        given."""
-        if nodes is None:
-            nodes, init, outs = self._list or self._expand()
-        elif outs is None:
-            outs = self._outs(nodes, init)
+        positive atoms from v and negated atoms, negated, from w; by
+        node_list, a (nodes, init, outs) of at_alpha, by default the
+        compiled list."""
+        nodes, init, outs = node_list or self._list or self._expand()
         n = self.width
         lb = v.belief | w.doubt << n  # literals believed
         ld = v.doubt | w.belief << n  # literals doubted

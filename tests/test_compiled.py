@@ -229,7 +229,9 @@ FOLDED = [game(seed, n) for seed, n in enumerate((6, 8, 10, 12, 14))] + \
     [ground(parse_program("q <- ~q.\n" + "".join(
         f"h{i} <- (r & ~q) | (r & s) | (s & ~h{i}).\n" for i in range(4))))]
 # Wider random programs over all four connectives and constants: 18 of
-# them are long enough to fold, and 23 have guarded leaves, of every kind.
+# them are long enough to fold, and 21 group guarded leaves, of every
+# kind, into records; two more have guarded leaves but fewer than
+# _FOLD_MIN_NODES nodes, and keep them as nodes.
 WIDE = [proggen.random_ground_program(4000 + seed, max_atoms=16, max_depth=5)
         for seed in range(40)]
 
@@ -253,23 +255,25 @@ def pass_through_nodes(nodes, init):
             and writers[node[3]] == 1]
 
 
+def folded_list(compiled, alpha):
+    """The node list _fold makes for alpha, with its outs."""
+    nodes, init = compiled._fold(alpha)
+    return nodes, init, compiled._outs(nodes, init)
+
+
 def assert_folds_agree(gp, rng, pairs):
     compiled = engine._compiled(gp)
-    # the outputs no node writes into, as compile collects them, are
-    # those read from the compiled list
-    nodes, init, outs = compiled._list or compiled._expand()
-    assert outs == compiled._outs(nodes, init), gp.render()
     for alpha in ALPHAS:
         # the folded list, and the one the engine runs, which is the
         # compiled list itself for a short one
-        lists = [compiled._fold(alpha), compiled.at_alpha(alpha)[3:]]
-        assert pass_through_nodes(*lists[0]) == [], (gp.render(), alpha)
+        lists = [folded_list(compiled, alpha), compiled.at_alpha(alpha)[3]]
+        assert pass_through_nodes(*lists[0][:2]) == [], (gp.render(), alpha)
         for _ in range(pairs):
             v = at_alpha_on_rest(rng, compiled, alpha)
             w = random_valuation(rng, gp.base)
             want = compiled.evaluate(v, w)
             for node_list in lists:
-                assert compiled.evaluate(v, w, *node_list) == want, (gp.render(), alpha)
+                assert compiled.evaluate(v, w, node_list) == want, (gp.render(), alpha)
 
 
 @pytest.mark.parametrize(
@@ -292,7 +296,7 @@ def test_alpha_lists_of_games_and_closures_read_no_non_head_positively():
         compiled = engine._compiled(gp)
         assert compiled.positive & compiled.rest
         for alpha in ALPHAS:
-            nodes = compiled.at_alpha(alpha)[3]
+            nodes = compiled.at_alpha(alpha)[3][0]
             assert len(nodes) < len(compiled.nodes)
             assert all(not (mb | md) & compiled.rest for _, mb, md, _, _, _, _ in nodes)
 
@@ -310,36 +314,39 @@ def test_consequence_off_alpha_on_a_non_head_runs_the_compiled_list():
                     continue
                 belief, doubt = compiled.evaluate(v, w)
                 rest = compiled.rest
+                want = belief | start.belief & rest, doubt | start.doubt & rest
+                assert compiled.consequence(alpha, v, w) == want
                 assert engine.immediate_consequence(gp, alpha, v, w) == Valuation.from_masks(
-                    gp.base, belief | start.belief & rest, doubt | start.doubt & rest)
+                    gp.base, *want)
 
 
 def test_a_node_settled_by_alpha_drops_the_nodes_below_it():
     # r heads no rule; at F the & is F whatever its other operand is
     gp = ground(parse_program("p. q. h <- r & ((p * ~q) | (~p * q))."))
     compiled = engine._compiled(gp)
-    nodes, init = compiled._fold(F)
-    assert len(compiled.nodes) == 4 and nodes == ()
+    node_list = folded_list(compiled, F)
+    assert len(compiled.nodes) == 4 and node_list[0] == ()
     h = gp.base.names.index("h")
     assert compiled.evaluate(const_valuation(gp.base, F), const_valuation(gp.base, U),
-                             nodes, init)[1] >> h & 1
+                             node_list)[1] >> h & 1
     # at T, r is the identity of &, which then only passes the value of
     # the | below it on: the | writes into the output slot in its place
-    nodes, init = compiled._fold(T)
+    node_list = folded_list(compiled, T)
+    nodes = node_list[0]
     assert len(nodes) == 3 and nodes[-1][0] == 1 and nodes[-1][4] < len(compiled.outputs)
     for v in (const_valuation(gp.base, T), Valuation.from_symbols(gp.base, "TFUT")):
         for w in (const_valuation(gp.base, U), Valuation.from_symbols(gp.base, "FTUI")):
-            assert compiled.evaluate(v, w, nodes, init) == compiled.evaluate(v, w)
+            assert compiled.evaluate(v, w, node_list) == compiled.evaluate(v, w)
 
 
 def assert_alpha_lists_agree_with_pseudo_eval(gp, rng, pairs):
     compiled = engine._compiled(gp)
     for alpha in ALPHAS:
-        nodes, init, outs = compiled.at_alpha(alpha)[3:]
+        node_list = compiled.at_alpha(alpha)[3]
         for _ in range(pairs):
             v = at_alpha_on_rest(rng, compiled, alpha)
             w = random_valuation(rng, gp.base)
-            out = Valuation.from_masks(gp.base, *compiled.evaluate(v, w, nodes, init, outs))
+            out = Valuation.from_masks(gp.base, *compiled.evaluate(v, w, node_list))
             j = PseudoInterpretation(to_interpretation(v), to_interpretation(w))
             for atom, body in gp.rules.items():
                 assert out[atom] is pseudo_eval(j, body), (gp.render(), atom, alpha)
@@ -414,7 +421,7 @@ def test_node_sequence_groups_the_guarded_leaves_of_games_and_closures():
         assert_sequence_groups_the_guarded_leaves(engine._compiled(gp))
     # all but the game whose leaves read #u
     assert [has_records(engine._compiled(gp)) for gp in FOLDED] == [True] * 8 + [False, True]
-    assert sum(has_records(engine._compiled(gp)) for gp in WIDE) == 23
+    assert sum(has_records(engine._compiled(gp)) for gp in WIDE) == 21
 
 
 def rule_bound_holds(compiled, v):
@@ -544,5 +551,21 @@ def test_a_body_that_is_one_two_literal_leaf_is_a_root():
                 if entry[4] in slot] == [(0 if atom == "h" else 1, True)]
     assert_sequence_groups_the_guarded_leaves(compiled)
     rng = random.Random(79)
+    assert_compiled_list_agrees_with_pseudo_eval(gp, rng, 20)
+    assert_alpha_lists_agree_with_pseudo_eval(gp, rng, 20)
+
+
+def test_a_program_of_few_nodes_keeps_its_guarded_leaves_as_nodes():
+    # a and c head no rule, so a & f0 and c & ~h are guarded leaves; the
+    # facts make no node, and the three nodes of h's body are too few to
+    # fold, so the leaves stay nodes and the compiled list is made with
+    # the compiled bodies
+    gp = ground(parse_program(
+        "".join(f"f{i}.\n" for i in range(20)) + "h <- (a & f0) | (c & ~h).\n"))
+    compiled = CompiledBodies(gp.base, gp.ir)
+    assert compiled.size == 3 < _FOLD_MIN_NODES
+    assert not has_records(compiled) and compiled._list is not None
+    assert_sequence_groups_the_guarded_leaves(compiled)
+    rng = random.Random(83)
     assert_compiled_list_agrees_with_pseudo_eval(gp, rng, 20)
     assert_alpha_lists_agree_with_pseudo_eval(gp, rng, 20)

@@ -348,6 +348,25 @@ def test_closure_skips_the_confirming_application_once_no_read_atom_moves(monkey
     assert len(calls) == 2
 
 
+def test_is_model_makes_no_call_to_immediate_consequence(monkeypatch):
+    # engine.steps counts the calls of immediate_consequence, the steps
+    # of the iterations; is_model's application of the operator is none
+    gp = ground(parse_program("p <- q & ~r. q. r <- ~p | s."))
+    calls = []
+    consequence = engine.immediate_consequence
+
+    def counting(*args):
+        calls.append(args)
+        return consequence(*args)
+
+    monkeypatch.setattr(engine, "immediate_consequence", counting)
+    # every valuation, those with U on the non-head s among them
+    outcomes = {engine.is_model(gp, Valuation(gp.base, combo))
+                for combo in itertools.product(ALL, repeat=len(gp.base))}
+    assert outcomes == {True, False}
+    assert calls == []
+
+
 def _stub_steps(base, moves):
     """A step that swaps F and T at the atoms of moves[k] on its k-th
     application and returns its argument once moves runs out, and the
