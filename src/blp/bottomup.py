@@ -13,7 +13,7 @@ iterated values only ever grow, the union is exactly the next iterate.
 
 from __future__ import annotations
 
-from .bilattice import F, I, T, TruthValue, U
+from .bilattice import F, I, T, TruthValue
 from .engine import InternalInvariantError
 from .grounder import GroundProgram
 from .valuation import Interpretation, PseudoInterpretation, pseudo_eval
@@ -24,20 +24,13 @@ def alpha_fixed_semantics(gp: GroundProgram, alpha: TruthValue) -> Interpretatio
     atoms = frozenset(gp.base.atoms)
     empty = frozenset()
     rest = atoms.difference(gp.rules)  # the atoms that head no rule
-    if alpha is T:
-        init_true, init_false = atoms, empty
-        nh_true, nh_false = rest, empty
-    elif alpha is F:
-        init_true, init_false = empty, atoms
-        nh_true, nh_false = empty, rest
-    elif alpha is I:
-        init_true, init_false = atoms, atoms
-        nh_true, nh_false = rest, rest
-    elif alpha is U:
-        init_true = init_false = empty
-        nh_true = nh_false = empty
-    else:
+    if not isinstance(alpha, TruthValue):
         raise ValueError(f"alpha must be a truth value, not {alpha!r}")
+    # alpha puts every atom in the true set when T or I, in the false
+    # set when F or I
+    true, false = alpha in (T, I), alpha in (F, I)
+    init_true, init_false = atoms if true else empty, atoms if false else empty
+    nh_true, nh_false = rest if true else empty, rest if false else empty
 
     limit = 2 * len(gp.base) + 2
     res_true: frozenset = empty

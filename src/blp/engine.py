@@ -234,9 +234,11 @@ def _oscillation_pair(gp: GroundProgram, alpha: Alpha):
         squared, const_valuation(gp.base, T), _bound(gp), "squared-map iteration"
     )
     inner_high = inner_total
-    if stability(gp, alpha, low) != high or stability(gp, alpha, high) != low:
+    moved = _moved(stability(gp, alpha, low), high) | _moved(stability(gp, alpha, high), low)
+    if moved:
         raise InternalInvariantError(
-            "extreme fixpoints of the squared map fail to oscillate"
+            "extreme fixpoints of the squared map fail to oscillate "
+            f"(at {_atom_names(gp.base, moved)})"
         )
     return low, high, (outer_low, inner_low), (outer_high, inner_high)
 
@@ -378,14 +380,15 @@ def compare_semantics(gp: GroundProgram) -> ComparisonReport:
                 relations.append(f"{n1} <=k {n2}")
             if vals[n1].leq_t(vals[n2]):
                 relations.append(f"{n1} <=t {n2}")
+    # the atoms at which the skeptical semantics is not knowledge-below
+    # the pessimistic, optimistic or consensus semantics
     skeptical = vals["U"]
-    if not (
-        skeptical.leq_k(vals["F"])
-        and skeptical.leq_k(vals["T"])
-        and skeptical.leq_k(vals["consensus"])
-    ):
+    above = 0
+    for name in ("F", "T", "consensus"):
+        above |= skeptical.belief & ~vals[name].belief | skeptical.doubt & ~vals[name].doubt
+    if above:
         raise InternalInvariantError(
-            "the skeptical semantics must sit below the pessimistic, optimistic, "
-            "and consensus semantics in the knowledge ordering"
+            "the skeptical semantics must sit below the pessimistic, optimistic, and "
+            f"consensus semantics in the knowledge ordering (at {_atom_names(gp.base, above)})"
         )
     return ComparisonReport(vals, tuple(relations), cons)

@@ -46,9 +46,9 @@ from __future__ import annotations
 
 from operator import itemgetter
 
-from .bilattice import F, T
-from .grounder import CONSTS, LIT, OPS, Base, BaseMismatchError, GroundProgram
-from .syntax import BinOp
+from .grounder import (
+    _AND, _F, _OR, _T, CONSTS, LIT, OPS, Base, BaseMismatchError, GroundProgram,
+)
 from .valuation import Valuation
 
 # one-lane codes, and bytes.translate tables from each code to the
@@ -66,9 +66,7 @@ _ORDER = (_F1, _U1, _T1)
 # stable-model search, which spans 3 to that power candidates
 ENUMERATION_CAP = 10
 
-# IR codes of the conventional fragment, and the codes outside it
-_T, _F = CONSTS.index(T), CONSTS.index(F)
-_AND, _OR = 4 + OPS.index(BinOp.AND), 4 + OPS.index(BinOp.OR)
+# the IR codes outside the conventional fragment
 _OUTSIDE = frozenset(range(LIT)).difference((_T, _F, _AND, _OR))
 _ABSORB = {_AND: _F, _OR: _T}  # the constant that decides each connective
 

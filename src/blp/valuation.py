@@ -29,14 +29,16 @@ CompiledBodies.consequence, runs it whenever its first argument holds
 alpha on those atoms, and the compiled list otherwise.  Most nodes are
 leaves that read such an atom and at most one other literal, and at
 every alpha they merge into their parents; compile keeps the leaves
-under one parent as one record, which the derivation applies in one
-step, and builds the compiled list itself only when something runs
-it.  Compile reads each body's IR once, from the last code to the
-first, which visits its tree in pre-order, so a node is complete while
-its parent is still open; most leaves are a connective over two
-literals, taken in one step.  A node list is one value, (nodes, init,
-outs); its outs, made by _outs, hold the values of the outputs no node
-writes into, so an evaluation collects only the others.  pseudo_eval
+of one kind under one parent as one record, holding only the OR of
+their other literals, which the derivation applies in one step.  The
+compiled list itself is made only when something runs it, by compile's
+walk again with nothing grouped.  The walk reads each body's IR once,
+from the last code to the first, which visits its tree in pre-order,
+so a node is complete while its parent is still open; most leaves are
+a connective over two literals, taken in one step.  A node list is one
+value, (nodes, init, outs); its outs, made by _outs, hold the values of
+the outputs no node writes into, so an evaluation collects only the
+others.  pseudo_eval
 reads a formula tree (a rule body of GroundProgram.rules) against
 set-pair encodings using (in-true-set, in-false-set) bit logic, with
 an explicit stack; bottomup uses it.  The two share no tables and must
@@ -325,18 +327,15 @@ _FOLD_MIN_NODES = 16
 
 
 def _join(parent: list, kind: int, mask: int, keep: int) -> None:
-    """Put a guarded leaf into its record under open node parent."""
+    """Put a guarded leaf into its record under open node parent: the
+    records of a node map kind << 1 | (reads another literal) to the OR
+    of their leaves' other literals."""
     other = mask & keep
     key = kind << 1 | (other != 0)
     groups = parent[5]
     if groups is None:
-        parent[5] = {key: [kind, other, [mask]]}
-    elif key in groups:
-        record = groups[key]
-        record[1] |= other
-        record[2].append(mask)
-    else:
-        groups[key] = [kind, other, [mask]]
+        groups = parent[5] = {}
+    groups[key] = groups.get(key, 0) | other
 
 
 class CompiledBodies:
@@ -365,11 +364,12 @@ class CompiledBodies:
     every slot, and the _outs of the two, made with the list;
     consequence chooses between the compiled list and at_alpha's.
 
-    Each body's IR code is read once, from the last code to the first.
-    Postfix read backwards is the tree in pre-order, a connective before
-    its right and then its left operand, so a connective opens a node
-    that stays open until its operands are read, and a node completes
-    while its parent is still open.  A literal sets its bit in the open
+    The bodies are compiled in one walk, _walk, which reads each body's
+    IR code once, from the last code to the first.  Postfix read
+    backwards is the tree in pre-order, a connective before its right
+    and then its left operand, so a connective opens a node that stays
+    open until its operands are read, and a node completes while its
+    parent is still open.  A literal sets its bit in the open
     node's mask and a constant folds into its start value.  A connective
     of the open node's own kind adds its operands to that node, so a
     chain of one connective becomes one node.  A connective over two
@@ -386,30 +386,27 @@ class CompiledBodies:
     _fold merges such a leaf into its parent, so compile keeps the
     sequence _fold walks, _seq.  In it the guarded leaves of one kind
     under one parent that read another literal, and those that do not,
-    are each one record (kind, the OR of their other literals, their
+    are each one record (kind, the OR of their other literals as both
     masks, None, parent slot, parent folds with and, flip), placed just
-    before the parent.  Its other entries are the nodes, in post-order,
-    with the start values of their slots in _starts.  A list too short
-    for _fold, whose bodies have fewer connectives and lone literals
-    than _FOLD_MIN_NODES, keeps its guarded leaves as nodes, and its
-    _seq is the compiled list.  Otherwise the compiled list is built
-    from _seq on first use, each record giving back its leaves in new
-    slots.
+    before the parent: all that _fold reads of them.  Its other entries
+    are the nodes, in post-order, with the start values of their slots
+    in _starts.  A list too short for _fold, whose bodies have fewer
+    connectives and lone literals than _FOLD_MIN_NODES, keeps its
+    guarded leaves as nodes, and its _seq is the compiled list.
+    Otherwise the compiled list is made on first use by the walk again,
+    with nothing grouped, from the IR the compiled bodies keep, _ir.
     """
 
     __slots__ = (
         "base", "width", "outputs", "out_mask", "rest", "size", "positive", "negated",
-        "closures", "_seq", "_starts", "_list", "_forms",
+        "closures", "_ir", "_seq", "_starts", "_list", "_forms",
     )
 
     def __init__(self, base: Base, bodies: Iterable[Tuple[int, tuple]]) -> None:
         n = len(base)
         self.base = base
         self.width = n
-        at = [0] * LIT  # 1 << at[c] is the literal bit of IR code c
-        for i in range(n):
-            at += (i, n + i)
-        bodies = tuple(bodies)
+        self._ir = bodies = tuple(bodies)
         outputs = []
         out_mask = 0
         # bound >= size: a body of k connectives has 2k + 1 codes and at
@@ -422,19 +419,39 @@ class CompiledBodies:
         self.outputs = tuple(outputs)
         self.out_mask = out_mask
         self.rest = rest = ((1 << n) - 1) & ~out_mask
-        keep = ~rest
-        # A list too short for _fold keeps its guarded leaves as nodes,
-        # which at_alpha would otherwise expand again at once: grouping
-        # them made compile plus _expand 16-23% slower on 3 of 300
-        # seeded random programs of 4-30 atoms (proggen, depth 3) under
-        # 16 nodes, 15% on 30 more, and 21-30% on the 5 such corpus
-        # programs of workload seeds 0-3 and 43 (1600 per seed).
-        grouped = rest if bound >= _FOLD_MIN_NODES else 0
-        init = [0] * len(outputs)  # the start value of every slot
+        # A list too short for _fold runs the compiled list at every
+        # alpha, so it keeps its guarded leaves as nodes: grouping them
+        # would cost a second walk of the bodies at once.  Without this
+        # gate, 53 of the 400 corpus programs of workload seed 43 would
+        # group leaves.
+        seq, init, records, leaves, lits = self._walk(rest if bound >= _FOLD_MIN_NODES else 0)
+        self.size = len(seq) - records + leaves
+        self._seq = seq
+        self._starts = init
+        self._list = None if records else (seq, init, self._outs(seq, init))
+        self.positive = lits & (1 << n) - 1
+        self.negated = lits >> n
+        self.closures = {}
+        self._forms = {}
+
+    def _walk(self, grouped: int):
+        """One walk of the bodies' IR: (sequence, start values, records,
+        grouped leaves, literals read), the sequence in post-order with
+        the start values of its slots, how many records it holds and how
+        many guarded leaves they stand for, and the mask of the literals
+        the bodies read.  The guarded leaves that read an atom of grouped
+        without "~" go into records; with grouped 0 there are none, and
+        the sequence is the compiled list."""
+        n = self.width
+        at = [0] * LIT  # 1 << at[c] is the literal bit of IR code c
+        for i in range(n):
+            at += (i, n + i)
+        keep = ~self.rest
+        init = [0] * len(self.outputs)  # the start value of every slot
         seq = []  # in post-order, each node's records just before it
         leaves = records = 0
         lits = 0
-        for out, (_, code) in enumerate(bodies):
+        for out, (_, code) in enumerate(self._ir):
             i = len(code) - 1
             c = code[i]
             if c < 4:  # a constant body is its output's start value
@@ -521,8 +538,9 @@ class CompiledBodies:
                             else:
                                 init[slot] = acc
                             if groups:  # the records go just before their parent
-                                for ckind, other, masks in groups.values():
-                                    seq.append((ckind, other, tuple(masks), None, slot,
+                                for key, other in groups.items():
+                                    ckind = key >> 1
+                                    seq.append((ckind, other, other, None, slot,
                                                 _MEET[kind], _FLIP[ckind] ^ _FLIP[kind]))
                                 records += len(groups)
                             seq.append((kind, mask, mask, slot, pslot, pmeet, pflip))
@@ -535,35 +553,18 @@ class CompiledBodies:
                     top = stack.pop() if stack else None
                 if top is None:
                     break
-        self.size = len(seq) - records + leaves
-        self._seq = tuple(seq)
-        self._starts = init
-        self._list = None if records else (self._seq, init, self._outs(self._seq, init))
-        self.positive = lits & (1 << n) - 1
-        self.negated = lits >> n
-        self.closures = {}
-        self._forms = {}
+        return tuple(seq), init, records, leaves, lits
 
     @property
     def nodes(self) -> tuple:
-        """The nodes of the compiled list, built from _seq on first use."""
-        return (self._list or self._expand())[0]
+        """The nodes of the compiled list, made on first use when
+        compile grouped leaves into records."""
+        return (self._list or self._compiled_list())[0]
 
-    def _expand(self):
-        """The compiled list: _seq with each record replaced by its
-        leaves, which take new slots after those of _starts, from their
-        kind's identity."""
-        nodes = []
-        init = self._starts[:]
-        for entry in self._seq:
-            if entry[3] is not None:
-                nodes.append(entry)
-                continue
-            kind, _, masks, _, p, pmeet, flip = entry
-            for mask in masks:
-                nodes.append((kind, mask, mask, len(init), p, pmeet, flip))
-                init.append(_START[kind])
-        nodes = tuple(nodes)
+    def _compiled_list(self):
+        """The compiled list of bodies compiled with records: the walk
+        again, with nothing grouped."""
+        nodes, init, _, _, _ = self._walk(0)
         self._list = nodes, init, self._outs(nodes, init)
         return self._list
 
@@ -605,7 +606,7 @@ class CompiledBodies:
                 nodes, init = self._fold(alpha)
                 node_list = nodes, init, self._outs(nodes, init)
             else:
-                node_list = self._list or self._expand()
+                node_list = self._list or self._compiled_list()
             form = self._forms[alpha] = (
                 start, start.belief & rest, start.doubt & rest, node_list,
             )
@@ -737,7 +738,7 @@ class CompiledBodies:
         positive atoms from v and negated atoms, negated, from w; by
         node_list, a (nodes, init, outs) of at_alpha, by default the
         compiled list."""
-        nodes, init, outs = node_list or self._list or self._expand()
+        nodes, init, outs = node_list or self._list or self._compiled_list()
         n = self.width
         lb = v.belief | w.doubt << n  # literals believed
         ld = v.doubt | w.belief << n  # literals doubted

@@ -2,6 +2,8 @@
 
 import pathlib
 
+import pytest
+
 from blp import engine
 from blp.bilattice import F, I, T, U
 from blp.bottomup import alpha_fixed_semantics
@@ -78,3 +80,9 @@ def test_agrees_with_engine_on_full_bases():
             assert from_interpretation(alpha_fixed_semantics(gp, alpha)) == \
                 engine.fix_u(gp, alpha)
     assert pinned > 20
+
+
+def test_alpha_that_is_no_truth_value_is_refused(suspect_gp):
+    for alpha in ("F", None, 1):
+        with pytest.raises(ValueError, match="alpha must be a truth value"):
+            alpha_fixed_semantics(suspect_gp, alpha)

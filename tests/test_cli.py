@@ -1,7 +1,9 @@
 """Command-line behavior: formats, exit codes, determinism."""
 
+import io
 import json
 import pathlib
+import sys
 
 import pytest
 
@@ -288,6 +290,47 @@ def test_internal_invariant_failure_exits_two(capsys, monkeypatch):
         capsys, "eval", "--alpha", "F", "--semantics", "fixU", str(DATA / "suspect.blp")
     )
     assert code == 2 and "synthetic failure" in err
+
+
+def _with_q_inconsistent(gp, v):
+    """v with atom q of gp set to I."""
+    from blp.valuation import Valuation
+
+    q = 1 << gp.base.names.index("q")
+    return Valuation.from_masks(v.base, v.belief | q, v.doubt | q)
+
+
+def test_a_pair_that_fails_to_oscillate_is_named_by_its_atoms(capsys, monkeypatch, tmp_path):
+    from blp import engine
+
+    src = tmp_path / "p.blp"
+    src.write_text("p. q <- ~p.\n")
+    stability = engine.stability
+    monkeypatch.setattr(engine, "stability",
+                        lambda gp, alpha, w: _with_q_inconsistent(gp, stability(gp, alpha, w)))
+    code, out, err = run(capsys, "eval", "--alpha", "F", "--semantics", "fixU", str(src))
+    assert (code, out) == (2, "")
+    assert err == ("internal invariant violated: extreme fixpoints of the squared map "
+                   "fail to oscillate (at q)\n")
+
+
+def test_a_skeptical_semantics_out_of_order_is_named_by_its_atoms(capsys, monkeypatch, tmp_path):
+    from blp import engine
+    from blp.bilattice import U
+
+    src = tmp_path / "p.blp"
+    src.write_text("p. q <- ~p. r <- r.\n")
+    fix_u = engine.fix_u
+
+    def skewed(gp, alpha):  # q is I in the skeptical semantics only
+        v = fix_u(gp, alpha)
+        return _with_q_inconsistent(gp, v) if alpha is U else v
+
+    monkeypatch.setattr(engine, "fix_u", skewed)
+    code, out, err = run(capsys, "compare", str(src))
+    assert (code, out) == (2, "")
+    assert err.startswith("internal invariant violated: the skeptical semantics must sit below")
+    assert err.endswith(" in the knowledge ordering (at q)\n")
 
 
 def _tsv_value(out, atom):
@@ -748,3 +791,69 @@ def test_interrupt_exits_130_without_a_traceback():
     proc.stdin.close()
     proc.send_signal(signal.SIGINT)
     assert _finish(proc) == (130, "")
+
+
+class _FailingStdout:
+    """A standard output whose write or flush, as fails says, raises
+    error.  fileno() gives fd, a descriptor the test owns, or raises as
+    for a stream with no descriptor: never the process's own fd 1,
+    which the CLI points at the null device after a failed write."""
+
+    def __init__(self, fails, error, fd=None):
+        self.fails, self.error, self.fd = fails, error, fd
+
+    def write(self, text):
+        if self.fails == "write":
+            raise self.error
+        return len(text)
+
+    def flush(self):
+        if self.fails == "flush":
+            raise self.error
+
+    def fileno(self):
+        if self.fd is None:
+            raise io.UnsupportedOperation("fileno")
+        return self.fd
+
+
+def _write_errors():
+    import errno
+    import os
+
+    return [OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)),
+            BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))]
+
+
+def test_no_standard_output_is_refused_in_process(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdout", None)
+    for argv in (["ground", SUSPECT], ["compare", SUSPECT], ["-h"]):
+        assert run(capsys, *argv) == (1, "", _write_error("it is closed")), argv
+
+
+def test_a_failing_write_or_flush_is_a_write_error_in_process(capsys, monkeypatch, tmp_path):
+    import os
+
+    argvs = (["ground", SUSPECT], ["compare", "--format", "json", SUSPECT],
+             ["eval", "--alpha", "F", "--semantics", "fixU", SUSPECT],
+             ["-h"], ["eval", "-h"])
+    with open(tmp_path / "out", "wb") as target:
+        for error in _write_errors():
+            for fails in ("write", "flush"):
+                for fd in (None, target.fileno()):
+                    monkeypatch.setattr(sys, "stdout", _FailingStdout(fails, error, fd))
+                    for argv in argvs:
+                        assert run(capsys, *argv) == (1, "", _write_error(error.strerror)), \
+                            (argv, fails, fd)
+        # the CLI pointed the descriptor the test gave it at the null device
+        assert os.path.samestat(os.fstat(target.fileno()), os.stat(os.devnull))
+
+
+def test_an_interrupt_inside_a_command_exits_130_in_process(capsys, monkeypatch):
+    from blp import engine
+
+    def interrupted(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(engine, "semantics", interrupted)
+    assert run(capsys, "eval", "--alpha", "F", "--semantics", "fixU", SUSPECT) == (130, "", "")

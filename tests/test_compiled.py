@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -367,41 +368,62 @@ def test_alpha_lists_agree_with_pseudo_eval_on_games_and_closures():
         assert_alpha_lists_agree_with_pseudo_eval(gp, rng, 10)
 
 
-def guarded_leaf(compiled, entry, writers):
-    """Whether a node of the sequence is a guarded leaf: no entry writes
-    into its slot, its start is its kind's identity, its parent is a
-    node, and it reads an atom of rest without "~" and at most one other
-    literal."""
-    kind, mask, _, slot, parent, _, _ = entry
-    other = mask & ~compiled.rest
-    return (slot not in writers and compiled._starts[slot] == _START[kind]
-            and parent >= len(compiled.outputs) and bool(mask & compiled.rest)
-            and not other & other - 1)
+def guarded_leaves(compiled):
+    """The guarded leaves of the compiled list of a list long enough to
+    group them, per (parent slot, kind, reads another literal, parent
+    folds with and, flip): [how many, the OR of their other literals];
+    and the list's other nodes, in order.  A guarded leaf has no node
+    writing into its slot, its kind's identity as start value and a node
+    as parent, and reads an atom of rest without "~" and at most one
+    other literal."""
+    nodes, init, _ = compiled._list or compiled._compiled_list()
+    rest = compiled.rest
+    # the gate counts an upper bound of size, so a list of records may
+    # have fewer nodes than _FOLD_MIN_NODES
+    grouped = has_records(compiled) or compiled.size >= _FOLD_MIN_NODES
+    writers = Counter(node[4] for node in nodes)
+    groups = {}
+    others = []
+    for node in nodes:
+        kind, mask, _, slot, parent, pmeet, flip = node
+        other = mask & ~rest
+        if (grouped and slot not in writers
+                and init[slot] == _START[kind] and parent >= len(compiled.outputs)
+                and mask & rest and not other & other - 1):
+            group = groups.setdefault((parent, kind, bool(other), pmeet, flip), [0, 0])
+            group[0] += 1
+            group[1] |= other
+        else:
+            others.append(node)
+    return groups, others
 
 
 def assert_sequence_groups_the_guarded_leaves(compiled):
+    """compiled._seq is the compiled list with the guarded leaves of
+    one kind under one parent that read another literal, and those that
+    read none, each one record just before its parent, holding the OR of
+    their other literals; its other entries are the list's other nodes,
+    in order."""
+    groups, others = guarded_leaves(compiled)
     seq = compiled._seq
-    rest = compiled.rest
+    nodes = [entry for entry in seq if entry[3] is not None]
+    assert [node[:3] + node[5:] for node in nodes] == [node[:3] + node[5:] for node in others]
+    # the slot in the compiled list of each slot of the sequence
+    slot_of = dict(enumerate(range(len(compiled.outputs))))
+    slot_of.update((entry[3], node[3]) for entry, node in zip(nodes, others))
+    assert [slot_of[entry[4]] for entry in nodes] == [node[4] for node in others]
     where = {entry[3]: k for k, entry in enumerate(seq) if entry[3] is not None}
-    writers = Counter(entry[4] for entry in seq)
-    leaves = 0
-    for k, entry in enumerate(seq):
-        kind, others, masks, slot, parent, _, _ = entry
-        if slot is not None:
-            if compiled.size >= _FOLD_MIN_NODES:
-                assert not guarded_leaf(compiled, entry, writers), entry
-            continue
-        # a record: it precedes its parent node, and its leaves would be
-        # guarded leaves that all read another literal, or all none
-        assert where[parent] > k, entry
-        leaves += len(masks)
-        want = 0
-        for mask in masks:
-            other = mask & ~rest
-            assert mask & rest and not other & other - 1 and bool(other) == bool(others)
-            want |= other
-        assert others == want
-    assert len(compiled.nodes) == compiled.size == len(where) + leaves
+    records = {}
+    for k, (kind, mb, md, slot, parent, pmeet, flip) in enumerate(seq):
+        if slot is None:
+            assert where[parent] > k and mb == md
+            key = (slot_of[parent], kind, bool(mb), pmeet, flip)
+            assert key not in records
+            records[key] = mb
+    assert records == {key: other for key, (_, other) in groups.items()}
+    leaves = sum(count for count, _ in groups.values())
+    assert len(compiled.nodes) == compiled.size == len(nodes) + leaves
+    return groups
 
 
 @pytest.mark.parametrize(
@@ -517,16 +539,17 @@ def test_two_literal_leaves_of_every_kind_under_every_other_kind():
     gp = two_literal_leaves()
     compiled = engine._compiled(gp)
     assert compiled.size >= _FOLD_MIN_NODES
-    assert_sequence_groups_the_guarded_leaves(compiled)
-    # the guarded leaves of one body form two records: r & ~q and r & ~r
-    # read another literal, t & r and r & r do not; the other three are
-    # nodes
-    parents = {entry[3]: entry[0] for entry in compiled._seq if entry[3] is not None}
-    records = Counter((kind, parents[p], bool(others), len(masks))
-                      for kind, others, masks, slot, p, _, _ in compiled._seq if slot is None)
+    groups = assert_sequence_groups_the_guarded_leaves(compiled)
+    # the guarded leaves of one body form two records of two leaves each:
+    # r & ~q and r & ~r read another literal, t & r and r & r do not; the
+    # other three are nodes
+    kinds = {node[3]: node[0] for node in compiled.nodes}
+    records = Counter((kind, kinds[p], reads, count)
+                      for (p, kind, reads, _, _), (count, _) in groups.items())
     assert records == Counter({(leaf, parent, reads, 2): 1 for leaf in range(4)
                                for parent in range(4) if parent != leaf
                                for reads in (False, True)})
+    parents = {entry[3]: entry[0] for entry in compiled._seq if entry[3] is not None}
     leaves = Counter((kind, parents[p]) for kind, _, _, slot, p, _, _ in compiled._seq
                      if slot is not None and p >= len(compiled.outputs))
     assert leaves == Counter({(leaf, parent): 3 for leaf in range(4)
@@ -569,3 +592,22 @@ def test_a_program_of_few_nodes_keeps_its_guarded_leaves_as_nodes():
     rng = random.Random(83)
     assert_compiled_list_agrees_with_pseudo_eval(gp, rng, 20)
     assert_alpha_lists_agree_with_pseudo_eval(gp, rng, 20)
+
+
+def test_records_hold_less_than_the_compiled_list_they_stand_for():
+    # a record holds the OR of its leaves' other literals, not a mask per
+    # leaf, so compiled bodies of records hold far less memory than the
+    # compiled list, made only when something runs it (on closure(16),
+    # under Python 3.11: 180 kB against 954 kB; 517 kB when records kept
+    # their leaves' masks)
+    gp = closure(16)
+    tracemalloc.start()
+    try:
+        compiled = CompiledBodies(gp.base, gp.ir)
+        held = tracemalloc.get_traced_memory()[0]
+        assert has_records(compiled) and compiled._list is None
+        nodes = compiled.nodes
+        listed = tracemalloc.get_traced_memory()[0] - held
+    finally:
+        tracemalloc.stop()
+    assert len(nodes) == compiled.size and 2 * held < listed, (held, listed)

@@ -3,6 +3,7 @@
 import itertools
 import json
 import random
+from functools import partial
 
 import pytest
 from hypothesis import given, strategies as st
@@ -17,13 +18,15 @@ from blp.bilattice import (
     leq_k,
     leq_t,
 )
-from blp.grounder import Base, GroundAtom
+from blp.grounder import CONSTS, Base, GroundAtom, formula_code
 from blp.syntax import (
     Atom,
     Binary,
     BinOp,
     Const,
+    Equal,
     NegAtom,
+    NotEqual,
     Quant,
     Quantified,
     TruthConst,
@@ -187,6 +190,39 @@ def test_literal_lookup_errors(evaluate, leaf):
         with pytest.raises(ValueError, match=f"variable {var}") as info:
             evaluate(w, leaf("p", (Var(var),)))
         assert not isinstance(info.value, BaseMismatchError)
+
+
+def test_ground_equalities_read_as_truth_constants_on_both_routes():
+    a, b = Const("a"), Const("b")
+    cases = [(Equal(a, a), T), (Equal(a, b), F), (NotEqual(a, a), F), (NotEqual(a, b), T)]
+    for guard, want in cases:
+        assert formula_code(BASE, guard) == (CONSTS.index(want),)
+        for op in BinOp:
+            body = Binary(op, guard, NegAtom("b"))
+            for v, w in itertools.product(all_valuations(Base(ATOMS[:2])), repeat=2):
+                j = PseudoInterpretation(to_interpretation(v), to_interpretation(w))
+                assert pseudo_eval(j, guard) is contrajoin_eval(v, w, guard) is want
+                assert pseudo_eval(j, body) is contrajoin_eval(v, w, body), (guard, op)
+
+
+def test_an_unresolved_variable_in_an_equality_is_refused_on_both_routes():
+    v = const_valuation(BASE, U)
+    j = PseudoInterpretation(to_interpretation(v), to_interpretation(v))
+    for guard in (Equal(Var("X"), Const("a")), NotEqual(Const("a"), Var("X"))):
+        for evaluate in (partial(formula_code, BASE), partial(pseudo_eval, j)):
+            with pytest.raises(ValueError, match="unresolved variable X in equality"):
+                evaluate(Binary(BinOp.AND, Atom("a"), guard))
+
+
+def test_pseudo_eval_rejects_quantifiers():
+    i = to_interpretation(const_valuation(BASE, U))
+    with pytest.raises(ValueError, match="quantifiers must be expanded"):
+        pseudo_eval(PseudoInterpretation(i, i), Quantified(Quant.FORALL, "X", Atom("a")))
+
+
+def test_contrajoin_over_two_bases_is_an_error():
+    with pytest.raises(BaseMismatchError, match="one base"):
+        contrajoin_eval(const_valuation(BASE, U), const_valuation(Base(ATOMS[:2]), U), Atom("a"))
 
 
 def test_interpretation_round_trip():
