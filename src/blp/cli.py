@@ -19,6 +19,17 @@ Any other argv, help and every error included, goes to argparse, which
 is therefore the one source of usage and error text; argparse is
 imported only then.
 
+A command loads its program in this order: the file is read and
+tokenized once.  Unless --base full or --strict-conventional is given,
+grounder.ground_tokens grounds a variable-free program straight from
+the tokens, and --const is then only validated, since such a program
+has no variable or quantifier to range over the domain.  Any other
+program, and any the direct path declines, is parsed from the same
+tokens by parse_program, checked for --strict-conventional, and
+grounded by ground over the --const constants, which applies the size
+cap.  Either way the checks keep their order: tokens, syntax,
+--strict-conventional, --const, then the cap.
+
 A command imports what only it needs when it runs: the oracles for
 wfs, kk, stable-enum and check, json for --format json.
 
@@ -40,8 +51,8 @@ from typing import NamedTuple, Optional
 
 from . import engine
 from .bilattice import TruthValue
-from .grounder import GroundProgram, ground
-from .syntax import _KEYWORDS, ParseError, is_conventional, parse_program
+from .grounder import GroundProgram, ground, ground_tokens
+from .syntax import _KEYWORDS, ParseError, _tokenize, is_conventional, parse_program
 from .valuation import Valuation
 
 SEMANTICS_CHOICES = (
@@ -102,7 +113,14 @@ def _extra_constants(raw: str):
 
 
 def _load_ground_program(args) -> GroundProgram:
-    program = parse_program(_read_input(args.file))
+    text = _read_input(args.file)
+    tokens = _tokenize(text)
+    if args.base == "occurring" and not args.strict_conventional:
+        gp = ground_tokens(tokens)
+        if gp is not None:
+            _extra_constants(args.const)  # validated; a variable-free program ignores them
+            return gp
+    program = parse_program(text, tokens)
     if args.strict_conventional and not is_conventional(program, strict=True):
         raise CliError(
             "program is not strict-conventional "

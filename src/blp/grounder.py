@@ -30,6 +30,20 @@ keys on are kept on the base as Base.names, which the output and the
 ground dump read, so each text is made once per base; the base makes
 its GroundAtoms from the interned pairs only when they are first read.
 
+A program with no variable, quantifier or equality, such as the paper's
+propositional examples, is its own one instance, and ground_tokens
+grounds it straight from the token list of its text, with no AST.  One
+scan of the tokens first looks for a variable, a reserved word or "=",
+and on finding one returns None before any clause is coded.  Otherwise
+one pass over the tokens interns each atom as ground does and emits
+each body's postfix codes, applying the operators by the binding powers
+the parser climbs; the bodies then merge and are renumbered as
+ground's.  The path accepts a strict subset of the language and raises
+no error of its own: on a negated guard "~(", an arity clash, nesting
+at the parser's limit, malformed structure, or more codes than
+GROUND_CAP, it returns None, and the caller parses and grounds the same
+tokens, so the parser and ground write every error message.
+
 The result is the ground IR, GroundProgram.ir: one (head index, code)
 pair per head, in base order.  code is the merged body in postfix, a
 tuple of ints with the exact tree shape of the body: 0-3 push the truth
@@ -57,15 +71,20 @@ part, rather than filling memory for minutes.
 
 from __future__ import annotations
 
+import re
 from itertools import product
 from operator import itemgetter
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Optional
 
-from .bilattice import F, I, T, U
+from .bilattice import F, I, T, U, negation
 from .syntax import (
+    _BINDING,
+    _KEYWORDS,
+    _MAX_NESTING,
     _OP_TEXT,
     _PREC,
     _TRUTH_OUT,
+    _TRUTH_TOKENS,
     Atom,
     Binary,
     BinOp,
@@ -615,6 +634,131 @@ def _template(clause: Clause, tables: dict, atoms: list):
     head_table = tables.setdefault((head.pred, len(head.args)), {})
     head_key = _key([_position(t, scope, env) for t in head.args])
     return (head_table, head_key), len(head_vars), block, env
+
+
+# A variable, a quantifier or an equality in the text " " + " ".join(tokens):
+# a token that starts with an uppercase letter, or is a reserved word or "=".
+# Each match starts at the blank, which the search looks for first.
+_NOT_DIRECT = re.compile(r" (?:[A-Z]|(?:%s|=) )" % "|".join(_KEYWORDS))
+# The codes of each truth constant, read as it is and under "~".
+_TRUTH_CODES = {
+    text: (CONSTS.index(v), CONSTS.index(negation(v))) for text, v in _TRUTH_TOKENS.items()
+}
+# Per operator token, (binding power, code); an open parenthesis binds
+# more loosely than any operator.
+_OP_CODES = {text: (prec, 4 + OPS.index(op)) for text, (prec, op) in _BINDING.items()}
+_OPEN = (0, None)
+
+
+def ground_tokens(tokens: list) -> Optional[GroundProgram]:
+    """ground(parse_program(text)) for the text whose syntax._tokenize
+    list is tokens, when the text is a variable-free program that the
+    direct path takes (see the module docstring); None for any other
+    text, the texts the parser rejects included."""
+    if _NOT_DIRECT.search(" " + " ".join(tokens)):
+        return None
+    lits: dict = {}  # atom key -> LIT + 2 * id; a nullary atom's key is its predicate
+    arities: dict = {}
+    atoms: list = []  # per id, the (predicate, key) pair that ground interns
+    bodies: dict = {}  # 2 * head id -> merged body code
+    size = 0  # codes, as _check_size counts them
+    i = 0
+    while tokens[i]:  # a clause: its head, then "." or "<-" and its body
+        head = None
+        code: list = []
+        ops: list = []  # pending operators and _OPEN, as (binding power, code)
+        depth = 1  # formulas open, as the parser counts them: the body and each parenthesis
+        while True:  # an operand and what follows it
+            tok = tokens[i]
+            i += 1
+            negated = 0
+            if head is not None:  # a body operand: parentheses, then "~"
+                while tok == "(":
+                    if depth == _MAX_NESTING:
+                        return None
+                    depth += 1
+                    ops.append(_OPEN)
+                    tok = tokens[i]
+                    i += 1
+                if tok == "~":
+                    negated = 1
+                    tok = tokens[i]
+                    i += 1
+            if "a" <= tok < "{":  # an atom; a reserved word was found above
+                if tokens[i] == "(":
+                    args = []
+                    while True:
+                        arg = tokens[i + 1]
+                        if not "a" <= arg < "{":
+                            return None
+                        args.append(arg)
+                        i += 2
+                        if tokens[i] != ",":
+                            break
+                    if tokens[i] != ")":
+                        return None
+                    i += 1
+                    arity = len(args)
+                    key = (tok, args[0] if arity == 1 else tuple(args))
+                else:
+                    arity = 0
+                    key = tok
+                c = lits.get(key)
+                if c is None:
+                    if arities.setdefault(tok, arity) != arity:
+                        return None
+                    c = lits[key] = LIT + 2 * len(atoms)
+                    atoms.append(key if arity else (tok, ()))
+                if head is None:
+                    head = c - LIT
+                    tok = tokens[i]
+                    i += 1
+                    if tok == ".":
+                        code.append(_T)
+                        break
+                    if tok != "<-":
+                        return None
+                    continue
+                code.append(c + negated)
+            elif head is not None and tok in _TRUTH_CODES:
+                code.append(_TRUTH_CODES[tok][negated])
+            else:
+                return None
+            # after an operand: closing parentheses, then an operator or "."
+            tok = tokens[i]
+            i += 1
+            while tok == ")":
+                if depth == 1:
+                    return None
+                while ops[-1] is not _OPEN:
+                    code.append(ops.pop()[1])
+                ops.pop()
+                depth -= 1
+                tok = tokens[i]
+                i += 1
+            binding = _OP_CODES.get(tok)
+            if binding is None:
+                if tok != "." or depth != 1:
+                    return None
+                while ops:
+                    code.append(ops.pop()[1])
+                break
+            # the pending operators that bind at least as tightly apply
+            # first, so a chain of one operator nests to the left
+            prec = binding[0]
+            while ops and ops[-1][0] >= prec:
+                code.append(ops.pop()[1])
+            ops.append(binding)
+        size += len(code)
+        if size > GROUND_CAP:
+            return None
+        out = bodies.get(head)
+        if out is None:
+            bodies[head] = code
+        else:
+            out += code
+            out.append(_OR)
+    return _program(atoms, bodies)
 
 
 def _emit(block: list, env: list, out: list, atoms: list, constants: tuple) -> None:

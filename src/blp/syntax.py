@@ -47,7 +47,7 @@ import re
 from enum import Enum
 from itertools import islice
 from operator import attrgetter
-from typing import Iterator, Union
+from typing import Iterator, Optional, Union
 
 from .bilattice import F, T, TruthValue, negation
 
@@ -308,9 +308,9 @@ class _Parser:
     token's kind is read from its text.  An error names the index of the
     token it is located at."""
 
-    def __init__(self, text: str) -> None:
+    def __init__(self, text: str, tokens: Optional[list] = None) -> None:
         self.text = text
-        self.tokens = _tokenize(text)
+        self.tokens = _tokenize(text) if tokens is None else tokens
         self.i = 0
         self.depth = 0  # formulas open around the current token
         self.arities: dict = {}  # predicate -> (arity, index of first use)
@@ -537,8 +537,12 @@ def _push_negation(f: Formula) -> Formula:
     raise TypeError(f"cannot negate {type(f).__name__} node")
 
 
-def parse_program(text: str) -> Program:
+def parse_program(text: str, tokens: Optional[list] = None) -> Program:
     r"""Parse program text; raises ParseError with line and column on failure.
+
+    tokens, when given, must be _tokenize(text): a caller that has
+    tokenized the text already passes the list on, so that it is not
+    made twice.
 
     A line ends at "\n" only, so "\r\n" ends one, but a lone "\r" is a
     blank: a % comment runs on past it, and a ParseError's line does
@@ -548,7 +552,7 @@ def parse_program(text: str) -> Program:
     them made "\n" already, and parses here as the command line parses
     its file.
     """
-    return _Parser(text).program()
+    return _Parser(text, tokens).program()
 
 
 def is_conventional(program: Program, strict: bool = False) -> bool:
