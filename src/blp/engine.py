@@ -61,7 +61,7 @@ from __future__ import annotations
 from typing import Mapping, NamedTuple, Tuple
 
 from .bilattice import F, I, T, TruthValue, U
-from .grounder import GroundProgram
+from .grounder import CONSTS, GroundProgram
 from .valuation import (
     BaseMismatchError,
     CompiledBodies,
@@ -149,8 +149,9 @@ def _bound(gp: GroundProgram) -> int:
 
 def _stability_steps(gp: GroundProgram, alpha: Alpha, w: Valuation):
     """The stability closure for w and the applications it took,
-    computed once per key (alpha, w.belief & neg, w.doubt & neg), where
-    neg has a bit for every atom some body reads under "~".
+    computed once per key (alpha's knowledge code, w.belief & neg,
+    w.doubt & neg), where neg has a bit for every atom some body reads
+    under "~"; the key is all ints, so it is hashed in C.
 
     The key is exact.  Every application on the way from the all-alpha
     start is immediate_consequence(gp, alpha, x, w), and the non-heads
@@ -171,7 +172,7 @@ def _stability_steps(gp: GroundProgram, alpha: Alpha, w: Valuation):
         raise BaseMismatchError("valuations do not match the program's base")
     compiled = _compiled(gp)
     neg = compiled.negated
-    key = (alpha, w.belief & neg, w.doubt & neg)
+    key = (CONSTS.index(alpha), w.belief & neg, w.doubt & neg)
     found = compiled.closures.get(key)
     if found is None:
         found = compiled.closures[key] = _iterate(

@@ -10,37 +10,48 @@ fold identities #f and #t.  Equalities compare constant names and are
 replaced by truth constants, so no equality survives grounding.
 
 Each clause is compiled once, by one compiler, into a template (see
-_template): a postfix block of codes and instructions whose literal
-arguments are positions in an environment that holds the head
-variables, the quantifier variables and the clause's constants.  A
-chain of one connective is flat in the block, a quantifier is a loop
-over the domain and an equality a test on the environment.  What needs
-no variable is settled while compiling: a truth constant or a
-connective is its code, and an equality between two constants its
-truth constant.  A clause whose head has no variable, such as a fact or
-a propositional rule, has one instance, so its head and each literal
-outside a quantifier are interned at once, as (predicate, constant
-names) pairs, and coded.  Its block, left with no instruction unless it
-has a quantifier, is then that instance's finished code and is appended
-to its head's body as it is.  Instantiating any other block for one
-substitution appends integer codes to its head's body, over the same
-interned atom ids.  Bodies merge in clause order, and once the base is
-sorted the ids are renumbered to base order.  The atom texts the sort
-keys on are kept on the base as Base.names, which the output and the
-ground dump read, so each text is made once per base; the base makes
-its GroundAtoms from the interned pairs only when they are first read.
+_template): a postfix block of codes and instructions over an
+environment of constant indices, those of the head variables, the
+quantifier variables and the constants its equalities compare.  A chain
+of one connective is flat in the block, a quantifier is a loop over the
+domain and an equality a test on the environment.  What needs no
+variable is coded while compiling, literals included, so a clause with
+no variable or quantifier, such as a fact, is its one instance's code.
+Bodies merge in clause order.
+
+Ground atoms are numbered in base order by arithmetic.  With the n
+constants sorted, predicate p of arity k owns a block of n**k ids from
+off_p on, the blocks in the order of the predicates' names, and the id
+of p(c1..ck) is off_p + sum(index(cj) * n**(k - j)).  That is the order
+of the texts str(GroundAtom): identifier characters [A-Za-z0-9_] all
+sort above "(", "," and ")", and each predicate has one arity, so two
+texts compare as their predicate names and then as their arguments,
+name by name.  One arity per predicate is a precondition: the parser
+enforces it and ground refuses a program that breaks it.  So a literal
+is a linear form over the environment, its constants folded into its
+offset.  A loop whose body has no loop emits one column per item of its
+body: a literal is range(start, stop, 2w) in the loop's variable, w the
+summed weight of its positions, and any other item one code repeated or
+a test's column; the columns are zipped, with the fold after every
+instance but the first.  The base is the heads and the atoms the codes
+read, or with base_mode="full" every id.  When they fill the id space
+the codes are final; otherwise the ids are sorted as ints and recoded
+once.  Each text, kept on the base as Base.names, is made once: a block
+all in the base by formatting over the product of the constants, any
+other atom from its id's digits.  The base makes its GroundAtoms on
+first use.
 
 A program with no variable, quantifier or equality, such as the paper's
 propositional examples, is its own one instance, and ground_tokens
 grounds it straight from the token list of its text, with no AST.  One
 scan of the tokens first looks for a variable, a reserved word or "=",
 and on finding one returns None before any clause is coded.  Otherwise
-one pass over the tokens interns each atom as ground does and emits
-each body's postfix codes, applying the operators by the binding powers
-the parser climbs; the bodies then merge and are renumbered as
-ground's.  The path accepts a strict subset of the language and raises
-no error of its own: on a negated guard "~(", an arity clash, nesting
-at the parser's limit, malformed structure, or more codes than
+one pass over the tokens interns each atom and emits each body's
+postfix codes, applying the operators by the binding powers the parser
+climbs; the bodies then merge, and the ids are renumbered by a sort of
+the atoms' texts.  The path accepts a strict subset of the language and
+raises no error of its own: on a negated guard "~(", an arity clash,
+nesting at the parser's limit, malformed structure, or more codes than
 GROUND_CAP, it returns None, and the caller parses and grounds the same
 tokens, so the parser and ground write every error message.
 
@@ -57,10 +68,6 @@ on demand for bottomup and other readers of formulas.
 gives a hand-built formula's IR, finding each literal's atom through
 Base.locate.
 
-The atom universe defaults to the atoms that occur in the instantiated
-rules; the full predicate-by-constant Herbrand base is available via
-base_mode="full".
-
 Before anything is expanded, ground counts what it would make: for each
 clause, its instances (|constants| to the number of head variables)
 times the codes of one instance, each quantifier multiplying its body
@@ -72,8 +79,8 @@ part, rather than filling memory for minutes.
 from __future__ import annotations
 
 import re
-from itertools import product
-from operator import itemgetter
+from bisect import bisect_left
+from itertools import chain, product, repeat
 from typing import Iterable, NamedTuple, Optional
 
 from .bilattice import F, I, T, U, negation
@@ -100,7 +107,6 @@ from .syntax import (
     TruthConst,
     Var,
     render_atom_text,
-    walk,
 )
 
 # Ground IR codes (see the module docstring).
@@ -146,29 +152,27 @@ class Base:
     which are (predicate, constant names) pairs, so locate finds the
     atom of a ground literal node by the pair it builds from the node.
 
-    A base made by ground keeps its interned (predicate, key) pairs and
-    makes the atoms from them on the first use of atoms, index, locate,
-    in, iteration, == or hash; the index is made on the first use of
-    index, locate or in, and len reads names.  The engine and the
-    oracles read positions and output reads names, so a CLI request
-    makes neither.
+    A base made by grounding keeps its names and a maker of its atoms,
+    which it calls on the first use of atoms, index, locate, in,
+    iteration, == or hash; the index is made on the first use of index,
+    locate or in, and len reads names.  The engine and the oracles read
+    positions and output reads names, so a CLI request makes neither.
     """
 
-    __slots__ = ("names", "_pairs", "_atoms", "_index")
+    __slots__ = ("names", "_make", "_atoms", "_index")
 
     def __init__(self, atoms: Iterable[GroundAtom]) -> None:
         atoms = tuple(sorted(set(atoms), key=str))
         self.names = tuple(map(str, atoms))
-        self._pairs = self._index = None
+        self._make = self._index = None
         self._atoms = atoms
 
     @classmethod
-    def _sorted(cls, pairs: list, names: tuple) -> "Base":
-        """The base of the atoms of pairs, (predicate, key) pairs in
-        ground's interning form that are distinct and already in order,
+    def _lazy(cls, names: tuple, make) -> "Base":
+        """The base whose atoms make() returns, distinct and in order,
         with names their texts."""
         base = object.__new__(cls)
-        base.names, base._pairs = names, pairs
+        base.names, base._make = names, make
         base._atoms = base._index = None
         return base
 
@@ -176,11 +180,8 @@ class Base:
     def atoms(self) -> tuple:
         atoms = self._atoms
         if atoms is None:
-            atoms = self._atoms = tuple([
-                GroundAtom(pred, (key,) if type(key) is str else key)
-                for pred, key in self._pairs
-            ])
-            self._pairs = None
+            atoms = self._atoms = self._make()
+            self._make = None
         return atoms
 
     @property
@@ -383,21 +384,32 @@ def _render(names: tuple, ir: tuple) -> str:
     return "".join(out)
 
 
-def _signatures(program: Program) -> dict:
-    sigs = {}
+def _arities(program: Program) -> dict:
+    """{predicate: arity} of program's atoms, by an iterative walk;
+    ValueError when a predicate has two arities."""
+    arities: dict = {}
     for clause in program.clauses:
-        sigs[clause.head.pred] = len(clause.head.args)
-        for node in walk(clause.body):
-            if isinstance(node, (Atom, NegAtom)):
-                sigs[node.pred] = len(node.args)
-    return sigs
+        todo = [clause.head, clause.body]
+        while todo:
+            f = todo.pop()
+            kind = type(f)
+            if kind is Atom or kind is NegAtom:
+                k = arities.setdefault(f.pred, len(f.args))
+                if k != len(f.args):
+                    raise ValueError(
+                        f"predicate {f.pred} used with arity {len(f.args)} and with arity {k}")
+            elif kind is Binary:
+                todo += (f.right, f.left)
+            elif kind is Quantified:
+                todo.append(f.body)
+    return arities
 
 
 def herbrand_base(program: Program, extra_constants: Iterable[str] = ()) -> frozenset:
     """All ground atoms over the program's predicates and constants."""
     constants = sorted(set(program.constants) | set(extra_constants))
     out = set()
-    for pred, arity in _signatures(program).items():
+    for pred, arity in _arities(program).items():
         for combo in product(constants, repeat=arity):
             out.add(GroundAtom(pred, combo))
     return frozenset(out)
@@ -412,23 +424,22 @@ def ground(
     if base_mode not in ("occurring", "full"):
         raise ValueError(f"base_mode must be 'occurring' or 'full', not {base_mode!r}")
     constants = tuple(sorted(set(program.constants) | set(extra_constants)))
-
-    # Atom ids: atoms[i] is the (pred, key) pair of atom i, and
-    # tables[pred, arity][key] is 2i; key is the name tuple, or the one
-    # name of a unary atom.
-    tables: dict = {}
-    atoms: list = []
-    bodies: dict = {}  # 2 * head id -> merged body code
-    parts = []  # per clause, its template
-    counts = []  # per clause, the codes its instances make
     n = len(constants)
-    for clause in program.clauses:
-        part = _template(clause, tables, atoms)
-        _, k, block, env = part
-        counts.append(len(block) if env is None else n ** k * _codes(block, n))
-        parts.append(part)
-    _check_size(program, counts, n, base_mode)
-    for clause, (head, k, block, env) in zip(program.clauses, parts):
+    arities = _arities(program)
+    offsets = {}  # predicate -> its first id, in predicate order
+    space = 0  # ids in all: the atoms of the full base
+    for pred in sorted(arities):
+        offsets[pred] = space
+        space += n ** arities[pred]
+    index = dict(zip(constants, range(n)))
+    parts = [_template(clause, offsets, index, n) for clause in program.clauses]
+    # per clause, the codes its instances make
+    counts = [len(block) if env is None else n ** k * _codes(block, n)
+              for _, k, block, env in parts]
+    full = base_mode == "full"
+    _check_size(program, counts + [space] if full else counts)
+    bodies: dict = {}  # head id -> merged body code
+    for head, k, block, env in parts:
         if env is None:  # the finished code of the clause's one instance
             out = bodies.get(head)
             if out is None:
@@ -437,37 +448,26 @@ def ground(
                 out += block
                 out.append(_OR)
             continue
-        table, head_key = head
-        for combo in product(constants, repeat=k):
+        start, terms = head
+        for combo in product(range(n), repeat=k):
             env[:k] = combo
-            key = head_key(env)
-            t = table.get(key)
-            if t is None:
-                t = table[key] = 2 * len(atoms)
-                atoms.append((clause.head.pred, key))
+            t = start
+            for q, w in terms:
+                t += env[q] * w
             out = bodies.get(t)
             if out is None:
                 bodies[t] = out = []
-                _emit(block, env, out, atoms, constants)
+                _emit(block, env, out, n)
             else:
-                _emit(block, env, out, atoms, constants)
+                _emit(block, env, out, n)
                 out.append(_OR)
-    if base_mode == "full":
-        for atom in herbrand_base(program, extra_constants):
-            key = atom.args[0] if len(atom.args) == 1 else atom.args
-            table = tables.setdefault((atom.pred, len(atom.args)), {})
-            if key not in table:
-                table[key] = 2 * len(atoms)
-                atoms.append((atom.pred, key))
-    return _program(atoms, bodies)
+    return _numbered(bodies, arities, offsets, constants, None if full else space)
 
 
-def _check_size(program: Program, counts: list, n: int, base_mode: str) -> None:
-    """Raise ValueError when grounding over n constants would make more
-    than GROUND_CAP codes and atoms, counts[i] of them for clause i,
-    naming the largest part."""
-    if base_mode == "full":
-        counts = counts + [sum(n ** arity for arity in _signatures(program).values())]
+def _check_size(program: Program, counts: list) -> None:
+    """Raise ValueError when grounding would make more than GROUND_CAP
+    codes and atoms, counts[i] of them for clause i and the last for the
+    full base when it is made, naming the largest part."""
     total = sum(counts)
     if total > GROUND_CAP:
         i = counts.index(max(counts))
@@ -486,11 +486,51 @@ def _codes(block: list, n: int) -> int:
     """The codes one instance of block emits over n constants."""
     count = 0
     for ins in block:
-        if type(ins) is tuple and ins[0] == _LOOP:
+        if type(ins) is tuple and ins[0] >= _LOOP:
             count += n * _codes(ins[2], n) + n - 1 if n else 1
         else:
             count += 1
     return count
+
+
+def _numbered(bodies: dict, arities: dict, offsets: dict, constants: tuple,
+              space: Optional[int]) -> GroundProgram:
+    """The ground program of bodies, keyed by head id, over the atoms
+    the bodies head and read, out of space ids, or over every id when
+    space is None (see the module docstring)."""
+    order = None  # the base's ids, when they are not all ids
+    if space is not None:
+        codes = set().union(*bodies.values())
+        occurring = {(c - LIT) >> 1 for c in codes if c >= LIT}
+        occurring.update(bodies)
+        if len(occurring) < space:
+            order = sorted(occurring)
+    if order is None:  # the ids are the base positions
+        ir = tuple([(t, tuple(bodies[t])) for t in sorted(bodies)])
+    else:
+        position = dict(zip(order, range(len(order))))
+        recode = {c: c if c < LIT else LIT + 2 * position[(c - LIT) >> 1] + (c & 1)
+                  for c in codes}.__getitem__
+        ir = tuple([(position[t], tuple(map(recode, bodies[t]))) for t in sorted(bodies)])
+    n = len(constants)
+    names, preds, args = [], [], []  # per atom of the base, in order
+    i = 0  # the first id of order not yet read
+    for pred, start in offsets.items():
+        k = arities[pred]
+        ids = order
+        if order is not None:
+            j = bisect_left(order, start + n ** k, i)
+            ids, i = order[i:j], j
+        if ids is None or len(ids) == n ** k:
+            block = list(product(constants, repeat=k))
+        else:  # each id's digits in base n
+            block = [tuple([constants[(t - start) // n ** e % n] for e in range(k - 1, -1, -1)])
+                     for t in ids]
+        text = pred.replace("%", "%%") + ("(%s" + ",%s" * (k - 1) + ")" if k else "")
+        names += map(text.__mod__, block)
+        preds += [pred] * len(block)
+        args += block
+    return GroundProgram(Base._lazy(tuple(names), lambda: tuple(map(GroundAtom, preds, args))), ir)
 
 
 def _program(atoms: list, bodies: dict) -> GroundProgram:
@@ -501,7 +541,6 @@ def _program(atoms: list, bodies: dict) -> GroundProgram:
         for pred, key in atoms
     ]  # str of each atom's GroundAtom, its sort key in Base
     order = sorted(range(len(atoms)), key=texts.__getitem__)
-    base = Base._sorted([atoms[i] for i in order], tuple([texts[i] for i in order]))
     position = [0] * len(order)
     for k, i in enumerate(order):
         position[i] = k
@@ -512,97 +551,77 @@ def _program(atoms: list, bodies: dict) -> GroundProgram:
     ir = tuple(sorted(
         (position[t >> 1], tuple(map(recode, body))) for t, body in bodies.items()
     ))
-    return GroundProgram(base, ir)
+    return GroundProgram(Base._lazy(tuple([texts[i] for i in order]), lambda: tuple([
+        GroundAtom(pred, (key,) if type(key) is str else key)
+        for pred, key in map(atoms.__getitem__, order)
+    ])), ir)
 
 
-# A block is a list whose items are ints, codes it emits as they are,
-# and instructions, tuples whose first item is their kind:
-# (_LIT, LIT or LIT + 1, table, predicate, key of the environment) emits a
-# literal, interning its atom; (_TEST, i, j, code if env[i] == env[j],
-# code otherwise) resolves an equality; (_LOOP, position, block,
-# connective, code for an empty domain) runs block once per constant and
-# folds the instances.
-_LIT, _TEST, _LOOP = range(3)
+# A block is a list of codes, ints it emits as they are, and of
+# instructions, tuples whose first item is their kind: (_LIT, code,
+# ((position, weight), ...)) emits code plus the weighted sum of the
+# environment; (_TEST, i, j, code if env[i] == env[j], code otherwise);
+# (_LOOP, position, block, connective, code for an empty domain) folds
+# block's instances over the constants; _COLUMNS is a _LOOP whose block
+# has no loop, emitted as one column of codes per item.
+_LIT, _TEST, _LOOP, _COLUMNS = range(4)
 
 
-def _no_args(env) -> tuple:
-    return ()
-
-
-def _key(positions):
-    """The function from an environment to the table key of the atom
-    with arguments at positions."""
-    return itemgetter(*positions) if positions else _no_args
-
-
-def _position(t, scope: dict, env: list) -> int:
+def _position(t, scope: dict, env: list, index: dict) -> int:
     """The environment position of term t: its variable's, from scope,
     or its constant's, appended to env when new."""
     if type(t) is Var:
         if t.name not in scope:
             raise ValueError(f"unbound variable {t.name} during grounding")
         return scope[t.name]
-    if t.name not in env:
-        env.append(t.name)
-    return env.index(t.name)
+    c = index[t.name]
+    if c not in env:
+        env.append(c)
+    return env.index(c)
 
 
-def _template(clause: Clause, tables: dict, atoms: list):
-    """Compile a clause once: (head, number of head variables k, body
-    block, environment).  head is (head table, head key), and the
-    environment holds the head variables at positions 0..k-1, then the
-    clause's constants (their own names) and one position per
-    quantifier.  A variable bound neither in the head nor by a
-    quantifier raises ValueError.
-
-    The walk is iterative and emits the body in postfix, a quantifier
-    body into the block of its loop, and codes what needs no variable
-    (see the module docstring).  When the head has no variable it is
-    walked last, as a literal whose code is then popped, and a literal
-    under a quantifier stays an instruction, since an empty domain
-    drops it; a block left with no instruction is returned with head
-    2 * the head's id and environment None.
-    """
-    head = clause.head
-    once = Var not in map(type, head.args)  # the walk is in the one instance
-    block = out = []
-    if once:
-        head_vars, env, scope = (), [], {}
-        body = clause.body
-        if type(body) is TruthConst:  # a fact: only the head is walked
-            block.append(CONSTS.index(body.value))
-            todo = [head]
+def _form(atom, scope: dict, env: list, offsets: dict, index: dict, n: int):
+    """The id of atom as a linear form over the environment: (its id
+    with every variable at index 0, ((position, weight), ...)), read in
+    base n by Horner's rule, its constants folded into the first."""
+    start = 0
+    weights: dict = {}
+    for t in atom.args:
+        start *= n
+        for q in weights:
+            weights[q] *= n
+        if type(t) is Var:
+            q = _position(t, scope, env, index)
+            weights[q] = weights.get(q, 0) + 1
         else:
-            todo = [head, body]
-    else:
-        head_vars = list(dict.fromkeys([t.name for t in head.args if type(t) is Var]))
-        env = [None] * len(head_vars)
-        scope = {name: k for k, name in enumerate(head_vars)}
-        todo = [clause.body]
+            start += index[t.name]
+    return offsets[atom.pred] + start, tuple(weights.items())
+
+
+def _template(clause: Clause, offsets: dict, index: dict, n: int):
+    """Compile a clause once, by an iterative walk: (head, number of head
+    variables k, body block in postfix, environment).  head is the
+    linear form of the head's id, and the environment holds the head
+    variables at positions 0..k-1, then the indices of the constants the
+    equalities compare and one position per quantifier.  A clause with
+    no variable and no quantifier is (its head's id, 0, its one
+    instance's code, None).  A variable bound neither in the head nor
+    by a quantifier raises ValueError."""
+    head, body = clause.head, clause.body
+    if type(body) is TruthConst and Var not in map(type, head.args):  # a fact, say
+        return _form(head, {}, [], offsets, index, n)[0], 0, [CONSTS.index(body.value)], None
+    head_vars = list(dict.fromkeys([t.name for t in head.args if type(t) is Var]))
+    env: list = [None] * len(head_vars)
+    scope = {name: k for k, name in enumerate(head_vars)}
+    block = out = []
+    todo = [body]
     while todo:
         f = todo.pop()
         kind = type(f)
         if kind is Atom or kind is NegAtom:
-            args = f.args
-            if not once or args and Var in map(type, args):
-                # a template literal; in the one instance, a variable is
-                # unbound and _position says so
-                at = [_position(t, scope, env) for t in args]
-                table = tables.setdefault((f.pred, len(at)), {})
-                out.append((_LIT, LIT + (kind is NegAtom), table, f.pred, _key(at)))
-                continue
-            if not args:
-                key = ()
-            else:
-                key = args[0].name if len(args) == 1 else tuple([t.name for t in args])
-            table = tables.get((f.pred, len(args)))
-            if table is None:
-                table = tables[f.pred, len(args)] = {}
-            t = table.get(key)
-            if t is None:
-                t = table[key] = 2 * len(atoms)
-                atoms.append((f.pred, key))
-            out.append(t + LIT + (kind is NegAtom))
+            start, terms = _form(f, scope, env, offsets, index, n)
+            code = LIT + 2 * start + (kind is NegAtom)
+            out.append((_LIT, code, tuple([(q, 2 * w) for q, w in terms])) if terms else code)
         elif kind is Binary:
             todo += (4 + OPS.index(f.op), f.right, f.left)
         elif kind is int:  # a connective, once both operands are out
@@ -610,30 +629,29 @@ def _template(clause: Clause, tables: dict, atoms: list):
         elif kind is TruthConst:
             out.append(CONSTS.index(f.value))
         elif kind is tuple:  # the end of a quantifier body
-            scope, out, once = f
+            loop = out
+            scope, out, at, folds = f
+            nested = any(type(ins) is tuple and ins[0] >= _LOOP for ins in loop)
+            out.append((_LOOP if nested else _COLUMNS, at, loop) + folds)
         elif kind is Equal or kind is NotEqual:
             left, right = f.left, f.right
+            yes, no = (_T, _F) if kind is Equal else (_F, _T)
             if type(left) is type(right) is Const:
-                out.append(_T if (left.name == right.name) is (kind is Equal) else _F)
+                out.append(yes if left.name == right.name else no)
                 continue
-            i, j = _position(left, scope, env), _position(right, scope, env)
-            out.append((_TEST, i, j, _T, _F) if kind is Equal else (_TEST, i, j, _F, _T))
+            i, j = _position(left, scope, env, index), _position(right, scope, env, index)
+            out.append(yes if i == j else (_TEST, i, j, yes, no))
         elif kind is Quantified:
-            loop: list = []
             folds = (_OR, _F) if f.kind == Quant.EXISTS else (_AND, _T)
-            out.append((_LOOP, len(env), loop) + folds)
-            todo += ((scope, out, once), f.body)
-            scope, out, once = {**scope, f.var: len(env)}, loop, False
+            todo += ((scope, out, len(env), folds), f.body)
+            scope, out = {**scope, f.var: len(env)}, []
             env.append(None)
         else:
             raise TypeError(f"cannot ground {type(f).__name__} node")
-    if not head_vars:
-        t = block.pop() - LIT
-        if not env:  # only a quantifier gives the environment a position
-            return t, 0, block, None
-    head_table = tables.setdefault((head.pred, len(head.args)), {})
-    head_key = _key([_position(t, scope, env) for t in head.args])
-    return (head_table, head_key), len(head_vars), block, env
+    start, terms = _form(head, scope, env, offsets, index, n)
+    if not env:  # no variable and no quantifier
+        return start, 0, block, None
+    return (start, terms), len(head_vars), block, env
 
 
 # A variable, a quantifier or an equality in the text " " + " ".join(tokens):
@@ -761,31 +779,50 @@ def ground_tokens(tokens: list) -> Optional[GroundProgram]:
     return _program(atoms, bodies)
 
 
-def _emit(block: list, env: list, out: list, atoms: list, constants: tuple) -> None:
-    """Append the code of one instance of block to out.  Recursion
-    follows only nested quantifiers, which the parser's nesting limit
-    bounds."""
+def _emit(block: list, env: list, out: list, n: int) -> None:
+    """Append the code of one instance of block over n constants to out.
+    Recursion follows only nested quantifiers, which the parser's
+    nesting limit bounds."""
     for ins in block:
         if type(ins) is int:
             out.append(ins)
             continue
         kind = ins[0]
         if kind == _LIT:
-            _, offset, table, pred, key_of = ins
-            key = key_of(env)
-            t = table.get(key)
-            if t is None:
-                t = table[key] = 2 * len(atoms)
-                atoms.append((pred, key))
-            out.append(t + offset)
-        elif kind == _LOOP:
-            _, at, loop, fold, empty = ins
-            if not constants:
-                out.append(empty)
-            for n, c in enumerate(constants):
-                env[at] = c
-                _emit(loop, env, out, atoms, constants)
-                if n:
-                    out.append(fold)
-        else:
+            c = ins[1]
+            for q, w in ins[2]:
+                c += env[q] * w
+            out.append(c)
+        elif kind == _TEST:
             out.append(ins[3] if env[ins[1]] == env[ins[2]] else ins[4])
+        elif not n:
+            out.append(ins[4])
+        elif kind == _LOOP:
+            _, at, loop, fold, _ = ins
+            for v in range(n):
+                env[at] = v
+                _emit(loop, env, out, n)
+                if v:
+                    out.append(fold)
+        else:  # one column per item of the loop's block, over the constants
+            _, at, loop, fold, _ = ins
+            columns = []
+            for item in loop:
+                if type(item) is int:
+                    columns.append(repeat(item))
+                elif item[0] == _LIT:
+                    c, step = item[1], 0
+                    for q, w in item[2]:
+                        if q == at:
+                            step = w
+                        else:
+                            c += env[q] * w
+                    columns.append(iter(range(c, c + n * step, step)) if step else repeat(c))
+                elif at == item[1] or at == item[2]:
+                    column = [item[4]] * n
+                    column[env[item[1] + item[2] - at]] = item[3]
+                    columns.append(iter(column))
+                else:
+                    columns.append(repeat(item[3] if env[item[1]] == env[item[2]] else item[4]))
+            out += map(next, columns)  # the first instance, then each with the fold
+            out += chain.from_iterable(zip(*columns, repeat(fold, n - 1)))

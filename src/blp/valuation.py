@@ -36,9 +36,9 @@ walk again with nothing grouped.  The walk reads each body's IR once,
 from the last code to the first, which visits its tree in pre-order,
 so a node is complete while its parent is still open; most leaves are
 a connective over two literals, taken in one step.  A node list is one
-value, (nodes, init, outs); its outs, made by _outs, hold the values of
-the outputs no node writes into, so an evaluation collects only the
-others.  pseudo_eval
+value, (nodes, init, outs); its outs, made with the list, hold the
+values of the outputs no node writes into, so an evaluation collects
+only the others.  pseudo_eval
 reads a formula tree (a rule body of GroundProgram.rules) against
 set-pair encodings using (in-true-set, in-false-set) bit logic, with
 an explicit stack; bottomup uses it.  The two share no tables and must
@@ -424,24 +424,26 @@ class CompiledBodies:
         # would cost a second walk of the bodies at once.  Without this
         # gate, 53 of the 400 corpus programs of workload seed 43 would
         # group leaves.
-        seq, init, records, leaves, lits = self._walk(rest if bound >= _FOLD_MIN_NODES else 0)
+        seq, init, outs, records, leaves, lits = self._walk(
+            rest if bound >= _FOLD_MIN_NODES else 0)
         self.size = len(seq) - records + leaves
         self._seq = seq
         self._starts = init
-        self._list = None if records else (seq, init, self._outs(seq, init))
+        self._list = None if records else (seq, init, outs)
         self.positive = lits & (1 << n) - 1
         self.negated = lits >> n
         self.closures = {}
-        self._forms = {}
+        self._forms = [None] * 4  # at_alpha's result, by alpha's knowledge code
 
     def _walk(self, grouped: int):
-        """One walk of the bodies' IR: (sequence, start values, records,
-        grouped leaves, literals read), the sequence in post-order with
-        the start values of its slots, how many records it holds and how
-        many guarded leaves they stand for, and the mask of the literals
-        the bodies read.  The guarded leaves that read an atom of grouped
-        without "~" go into records; with grouped 0 there are none, and
-        the sequence is the compiled list."""
+        """One walk of the bodies' IR: (sequence, start values, outs,
+        records, grouped leaves, literals read), the sequence in
+        post-order with the start values of its slots, the compiled
+        list's outs (see _outs; no root is grouped), how many records it
+        holds and how many guarded leaves they stand for, and the mask
+        of the literals the bodies read.  The guarded leaves that read an
+        atom of grouped without "~" go into records; with grouped 0 there
+        are none, and the sequence is the compiled list."""
         n = self.width
         at = [0] * LIT  # 1 << at[c] is the literal bit of IR code c
         for i in range(n):
@@ -450,12 +452,15 @@ class CompiledBodies:
         init = [0] * len(self.outputs)  # the start value of every slot
         seq = []  # in post-order, each node's records just before it
         leaves = records = 0
-        lits = 0
-        for out, (_, code) in enumerate(self._ir):
+        lits = belief = doubt = 0
+        written = []  # the (slot, bit) of every output a root writes into
+        for out, (bit, (_, code)) in enumerate(zip(self.outputs, self._ir)):
             i = len(code) - 1
             c = code[i]
             if c < 4:  # a constant body is its output's start value
                 init[out] = c
+                belief |= bit * (c & 1)
+                doubt |= bit * (c >> 1)
                 continue
             # The code read from the last to the first visits the tree in
             # pre-order, right operand first.  An open node is [kind,
@@ -520,6 +525,8 @@ class CompiledBodies:
                         acc ^= pflip
                         if top is None:
                             init[out] = acc
+                            belief |= bit * (acc & 1)
+                            doubt |= bit * (acc >> 1)
                         else:
                             top[2] = top[2] & acc if pmeet else top[2] | acc
                     else:
@@ -544,6 +551,8 @@ class CompiledBodies:
                                                 _MEET[kind], _FLIP[ckind] ^ _FLIP[kind]))
                                 records += len(groups)
                             seq.append((kind, mask, mask, slot, pslot, pmeet, pflip))
+                            if top is None:
+                                written.append((out, bit))
                     if top is None:
                         break
                     top[4] -= 1
@@ -553,7 +562,7 @@ class CompiledBodies:
                     top = stack.pop() if stack else None
                 if top is None:
                     break
-        return tuple(seq), init, records, leaves, lits
+        return tuple(seq), init, (belief, doubt, tuple(written)), records, leaves, lits
 
     @property
     def nodes(self) -> tuple:
@@ -564,18 +573,17 @@ class CompiledBodies:
     def _compiled_list(self):
         """The compiled list of bodies compiled with records: the walk
         again, with nothing grouped."""
-        nodes, init, _, _, _ = self._walk(0)
-        self._list = nodes, init, self._outs(nodes, init)
+        self._list = self._walk(0)[:3]
         return self._list
 
     def _outs(self, nodes: tuple, init: list):
-        """The outs of the node list of nodes with start values init,
-        made here for every list as it is made: (belief, doubt,
-        written), the result masks of the start values of the output
-        slots, and the (slot, bit) of every output some node writes
-        into.  An output slot folds with bitwise or, so every result
-        holds the bits of its start value, and evaluate needs to read
-        only the outputs some node writes into."""
+        """The outs of the node list of nodes with start values init:
+        (belief, doubt, written), the result masks of the start values
+        of the output slots, and the (slot, bit) of every output some
+        node writes into.  An output slot folds with bitwise or, so
+        every result holds the bits of its start value, and evaluate
+        needs to read only the outputs some node writes into.  _walk
+        makes the compiled list's as it goes."""
         parents = {node[4] for node in nodes}
         belief = doubt = 0
         written = []
@@ -598,7 +606,8 @@ class CompiledBodies:
         from _seq, when some body reads an atom of rest without "~" and
         size is at least _FOLD_MIN_NODES, and is the compiled one
         otherwise."""
-        form = self._forms.get(alpha)
+        code = CONSTS.index(alpha)
+        form = self._forms[code]
         if form is None:
             start = const_valuation(self.base, alpha)
             rest = self.rest
@@ -607,7 +616,7 @@ class CompiledBodies:
                 node_list = nodes, init, self._outs(nodes, init)
             else:
                 node_list = self._list or self._compiled_list()
-            form = self._forms[alpha] = (
+            form = self._forms[code] = (
                 start, start.belief & rest, start.doubt & rest, node_list,
             )
         return form
@@ -620,7 +629,7 @@ class CompiledBodies:
         node list: the list of at_alpha when v holds alpha on every atom
         of rest, as every iterate of a stability closure does, and the
         compiled list otherwise, so the result is exact for any v."""
-        form = self._forms.get(alpha) or self.at_alpha(alpha)
+        form = self._forms[CONSTS.index(alpha)] or self.at_alpha(alpha)
         _, rest_belief, rest_doubt, node_list = form
         if (v.belief ^ rest_belief | v.doubt ^ rest_doubt) & self.rest:
             node_list = None

@@ -292,6 +292,21 @@ def test_alpha_lists_agree_with_the_compiled_list_on_games_and_closures():
         assert_folds_agree(gp, rng, 20)
 
 
+@pytest.mark.parametrize(
+    "corpus", ["mixed_corpus", "conventional_corpus", "positive_corpus", "tiny_corpus"]
+)
+def test_the_walk_makes_the_outs_of_the_compiled_list(corpus, request):
+    # the outs compile's walk makes as it goes are what _outs finds from
+    # the nodes, whether the walk groups leaves into records or not
+    for gp in request.getfixturevalue(corpus) + FOLDED + WIDE:
+        compiled = CompiledBodies(gp.base, gp.ir)
+        for grouped in (0, compiled.rest):
+            nodes, init, outs = compiled._walk(grouped)[:3]
+            assert outs == compiled._outs(nodes, init), gp.render()
+        assert compiled.nodes is compiled._list[0]
+        assert compiled._list[2] == compiled._outs(*compiled._list[:2])
+
+
 def test_alpha_lists_of_games_and_closures_read_no_non_head_positively():
     for gp in FOLDED:
         compiled = engine._compiled(gp)

@@ -27,13 +27,13 @@ def _dump_module():
 
 
 def _outcome(load):
-    """What load() gives: the base's names and pairs and the IR, or the
+    """What load() gives: the base's names and atoms and the IR, or the
     type and message of the error it raises."""
     try:
         gp = load()
     except (ParseError, ValueError) as exc:
         return type(exc), str(exc)
-    return gp.base.names, gp.base._pairs, gp.ir
+    return gp.base.names, gp.base.atoms, gp.ir
 
 
 def _check_loader(monkeypatch, text):

@@ -355,10 +355,11 @@ def test_instantiate_matches_structural_recursion():
         assert set(gp.base) == heads | {GroundAtom(*key) for key in occurring}
 
 
-def _ground_reference(program, constants=()):
+def _ground_reference(program, constants=(), full=False):
     """(ir, base names) of program by the structural-recursion reference:
     each clause instance in clause order, then in the order of its head
-    variables' substitutions, folded into its head's body with |."""
+    variables' substitutions, folded into its head's body with |; over
+    the Herbrand base when full."""
     from itertools import product
 
     from blp.grounder import formula_code
@@ -374,7 +375,8 @@ def _ground_reference(program, constants=()):
                               tuple(subst.get(t.name, t.name) for t in clause.head.args))
             body = _instantiated_reference(clause.body, subst, constants, occurring)
             bodies[head] = Binary(BinOp.OR, bodies[head], body) if head in bodies else body
-    base = Base(set(bodies) | {GroundAtom(*key) for key in occurring})
+    atoms = set(bodies) | {GroundAtom(*key) for key in occurring}
+    base = Base(atoms | herbrand_base(program, constants) if full else atoms)
     ir = tuple(sorted((base.index(head), formula_code(base, body))
                       for head, body in bodies.items()))
     return ir, base.names
@@ -569,3 +571,108 @@ def test_size_estimate_is_exactly_what_grounding_makes(monkeypatch):
             with pytest.raises(ValueError, match=f"would make {size} codes"):
                 ground(program, ("a",), mode)
             monkeypatch.undo()
+
+
+# -- the arithmetic numbering of ground atoms
+
+_ADVERSARIAL_CONSTANTS = "a ab a_ aZ a0 a9b b bA zz z_1".split()
+_ADVERSARIAL_PREDICATES = "p pa p_ p0 pZ q qq".split()
+_BETWEEN = ("a1", "aa", "b_")  # extra constants that sort between those above
+
+
+def _adversarial_program(rng) -> str:
+    """Clauses over names that are prefixes of each other or hold
+    digits, "_" or uppercase letters, of arity 0-3, with quantifiers,
+    equalities and negated guards."""
+    constants = rng.sample(_ADVERSARIAL_CONSTANTS, rng.randint(1, 5))
+    arities = {pred: rng.randint(0, 3)
+               for pred in rng.sample(_ADVERSARIAL_PREDICATES, rng.randint(2, 5))}
+    preds = list(arities)
+
+    def atom(names):
+        pred = rng.choice(preds)
+        args = [rng.choice(names) for _ in range(arities[pred])]
+        return f"{pred}({','.join(args)})" if args else pred
+
+    def formula(names, depth):
+        roll = rng.random()
+        if depth == 0 or roll < 0.3:
+            return rng.choice(["", "~"]) + atom(names)
+        if roll < 0.4:
+            guard = f"{rng.choice(names)} = {rng.choice(names)}"
+            return f"~({guard})" if rng.random() < 0.3 else guard
+        if roll < 0.6:
+            var = f"V{depth}"
+            kind = rng.choice(["exists", "forall"])
+            return f"({kind} {var}: {formula(names + [var], depth - 1)})"
+        return f"({formula(names, depth - 1)} {rng.choice('&|*+')} {formula(names, depth - 1)})"
+
+    clauses = []
+    for _ in range(rng.randint(1, 5)):
+        pred = rng.choice(preds)
+        args = [rng.choice([f"X{j}"] + constants) for j in range(arities[pred])]
+        head = f"{pred}({','.join(args)})" if args else pred
+        names = [a for a in args if a[0].isupper()] + constants
+        clauses.append(f"{head}.\n" if rng.random() < 0.2 else
+                       f"{head} <- {formula(names, 3)}.\n")
+    return "".join(clauses)
+
+
+def test_numbering_is_base_order_on_adversarial_names():
+    # ids count the constants' indices in base n per predicate block, so
+    # the base they give must be the text-sorted base of the reference,
+    # its names sorted and its atoms those names, with and without extra
+    # constants and over the occurring and the full base
+    rng = random.Random(29)
+    for _ in range(300):
+        text = _adversarial_program(rng)
+        program = parse_program(text)
+        for mode in ("occurring", "full"):
+            for extra in ((), _BETWEEN):
+                gp = ground(program, extra, mode)
+                names = gp.base.names
+                assert list(names) == sorted(names), (text, mode, extra)
+                assert tuple(map(str, gp.base.atoms)) == names
+                assert (gp.ir, names) == _ground_reference(
+                    program, extra, mode == "full"), (text, mode, extra)
+
+
+def test_one_predicate_at_two_arities_is_refused():
+    # the parser refuses it too; a hand-built program reaches ground
+    from blp.syntax import Clause, Program
+
+    program = Program.from_clauses([
+        Clause(Atom("p"), TruthConst(T)),
+        Clause(Atom("q"), Binary(BinOp.AND, Atom("r"), Atom("p", (Const("a"),)))),
+    ])
+    for call in (ground, herbrand_base):
+        with pytest.raises(ValueError, match="^predicate p used with arity 1 and with arity 0$"):
+            call(program)
+
+
+def test_a_sparse_id_space_is_never_allocated():
+    # f's block holds 40^6 (about 4e9) ids, of which 40 occur; a time
+    # bound far above the grounding's guards against allocating the block
+    import time
+
+    names = [f"c{i}" for i in range(40)]
+    facts = "".join(f"f({','.join(names[(i + j) % 40] for j in range(6))}).\n"
+                    for i in range(40))
+    program = parse_program(facts + "g(X) <- f(X,X,X,X,X,c0) | ~f(c1,c2,c3,c4,c5,X).\n")
+    began = time.perf_counter()
+    gp = ground(program)
+    assert time.perf_counter() - began < 5
+    assert len(gp.base) == 40 + 40 + 80 - 1  # facts, g, and f(c1,...,c6) twice
+    assert (gp.ir, gp.base.names) == _ground_reference(program)
+    assert tuple(map(str, gp.base.atoms)) == gp.base.names
+
+
+def test_closures_and_games_at_scale_equal_the_reference(monkeypatch):
+    monkeypatch.setattr(grounder, "GROUND_CAP", 10 ** 6)
+    ring = "".join(f"e(n{i},n{(i + 1) % 16}).\n" for i in range(16))
+    moves = "".join(f"move(p{i},p{(i + d) % 60}).\n" for i in range(60) for d in (1, 7))
+    for text in (ring + "path(X,Y) <- e(X,Y) | (exists Z: e(X,Z) & path(Z,Y)).\n",
+                 moves + "win(X) <- exists Y: move(X,Y) & ~win(Y).\n"):
+        program = parse_program(text)
+        gp = ground(program)
+        assert (gp.ir, gp.base.names) == _ground_reference(program)
