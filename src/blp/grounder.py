@@ -1,23 +1,11 @@
 """Grounding: instantiate clauses over the constant domain, expand
-quantifiers, resolve equality guards, and merge rules head by head.
+quantifiers, resolve equalities, and merge rules head by head.
 
-The result has exactly one body per head atom: multiple rules for the
-same head are folded with disjunction, matching how the consequence
+The rules of one head fold with disjunction, as the consequence
 operator aggregates alternative derivations.  An existential quantifier
-becomes the disjunction of its instances over all constants, a
-universal the conjunction; over an empty domain they collapse to the
-fold identities #f and #t.  Equalities compare constant names and are
-replaced by truth constants, so no equality survives grounding.
-
-Each clause is compiled once, by one compiler, into a template (see
-_template): a postfix block of codes and instructions over an
-environment of constant indices, those of the head variables, the
-quantifier variables and the constants its equalities compare.  A chain
-of one connective is flat in the block, a quantifier is a loop over the
-domain and an equality a test on the environment.  What needs no
-variable is coded while compiling, literals included, so a clause with
-no variable or quantifier, such as a fact, is its one instance's code.
-Bodies merge in clause order.
+becomes the disjunction of its instances over the constants, a
+universal the conjunction, and over an empty domain #f and #t.
+Equalities compare constant names and become truth constants.
 
 Ground atoms are numbered in base order by arithmetic.  With the n
 constants sorted, predicate p of arity k owns a block of n**k ids from
@@ -26,49 +14,51 @@ of p(c1..ck) is off_p + sum(index(cj) * n**(k - j)).  That is the order
 of the texts str(GroundAtom): identifier characters [A-Za-z0-9_] all
 sort above "(", "," and ")", and each predicate has one arity, so two
 texts compare as their predicate names and then as their arguments,
-name by name.  One arity per predicate is a precondition: the parser
-enforces it and ground refuses a program that breaks it.  So a literal
-is a linear form over the environment, its constants folded into its
-offset.  A loop whose body has no loop emits one column per item of its
-body: a literal is range(start, stop, 2w) in the loop's variable, w the
-summed weight of its positions, and any other item one code repeated or
-a test's column; the columns are zipped, with the fold after every
-instance but the first.  The base is the heads and the atoms the codes
-read, or with base_mode="full" every id.  When they fill the id space
-the codes are final; otherwise the ids are sorted as ints and recoded
-once.  Each text, kept on the base as Base.names, is made once: a block
-all in the base by formatting over the product of the constants, any
-other atom from its id's digits.  The base makes its GroundAtoms on
-first use.
+name by name.  Identifier names and one arity per predicate are
+preconditions: the parser enforces them and ground refuses a program
+that breaks one.
 
-A program with no variable, quantifier or equality, such as the paper's
-propositional examples, is its own one instance, and ground_tokens
-grounds it straight from the token list of its text, with no AST.  One
-scan of the tokens first looks for a variable, a reserved word or "=",
-and on finding one returns None before any clause is coded.  Otherwise
-one pass over the tokens interns each atom and emits each body's
-postfix codes, applying the operators by the binding powers the parser
-climbs; the bodies then merge, and the ids are renumbered by a sort of
-the atoms' texts.  The path accepts a strict subset of the language and
-raises no error of its own: on a negated guard "~(", an arity clash,
-nesting at the parser's limit, malformed structure, or more codes than
-GROUND_CAP, it returns None, and the caller parses and grounds the same
-tokens, so the parser and ground write every error message.
+Each clause is compiled once, by an iterative walk, into a template
+(see _template): a postfix block of codes and instructions over an
+environment of constant indices.  A literal is a linear form over the
+environment, its constants folded into its offset, a quantifier a loop
+over the constants and an equality a test.  What needs no variable is
+coded at once, so a fact is its one instance's code.  A loop whose body
+has no loop emits one column per item of its body: a literal is
+range(start, stop, 2w) in the loop's variable, w the summed weight of
+its positions, any other item one code repeated or a test's column; the
+columns are zipped, with the fold after every instance but the first.
+Bodies merge in clause order.  The base is the heads and the atoms the
+codes read, or every id with base_mode="full".  When they fill the id
+space the codes are final; otherwise the ids are sorted as ints and
+recoded once.  Each text, kept as Base.names, is made once: a block all
+in the base by formatting over the product of the constants, any other
+atom from its id's digits.  The base makes its GroundAtoms on first use.
+
+ground_tokens grounds a program with no variable, quantifier or
+equality, such as the paper's propositional examples, straight from the
+token list of its text, with no AST.  One scan of the tokens looks for
+a variable, a reserved word or "=" and on finding one returns None.
+Otherwise one pass interns each atom and emits each body's postfix
+codes by the binding powers the parser climbs, and the ids are
+renumbered by a sort of the atoms' texts.  The path raises no error of
+its own: on a negated guard "~(", an arity clash, nesting at the
+parser's limit, malformed structure, or more codes than GROUND_CAP, it
+returns None, and the caller parses and grounds the same tokens, so the
+parser and ground write every error message.
 
 The result is the ground IR, GroundProgram.ir: one (head index, code)
 pair per head, in base order.  code is the merged body in postfix, a
 tuple of ints with the exact tree shape of the body: 0-3 push the truth
 constants U, T, F, I (CONSTS, in the knowledge code belief | doubt << 1),
 4-7 apply &, |, *, + (OPS) to the two values below, LIT + 2i pushes
-atom i and LIT + 2i + 1 its negation.  It is the one input of the
-engine's CompiledBodies, the oracles' interpreter and
-GroundProgram.render.  GroundProgram.rules is an AST view of it, built
-on demand for bottomup and other readers of formulas.
+atom i and LIT + 2i + 1 its negation.  The engine's CompiledBodies, the
+oracles' interpreter and GroundProgram.render read it, and
+GroundProgram.rules is an AST view of it, built on demand.
 `GroundProgram(base, ir)` is the one constructor, and `formula_code`
-gives a hand-built formula's IR, finding each literal's atom through
-Base.locate.
+gives a hand-built formula's IR through Base.locate.
 
-Before anything is expanded, ground counts what it would make: for each
+Before anything is expanded, ground counts what it would make: per
 clause, its instances (|constants| to the number of head variables)
 times the codes of one instance, each quantifier multiplying its body
 by |constants|, plus the atoms of the full base.  A program whose count
@@ -121,6 +111,9 @@ _AND, _OR = 4 + OPS.index(BinOp.AND), 4 + OPS.index(BinOp.OR)
 # so a program at the cap whose every atom heads a rule takes about
 # 105 MB to evaluate; the tests' and benchmarks' largest makes 6001.
 GROUND_CAP = 20_000
+
+# Names ground accepts: identifiers, which sort above "(", "," and ")".
+_NAME = re.compile(r"\w*", re.ASCII)
 
 
 class GroundAtom(NamedTuple):
@@ -408,11 +401,8 @@ def _arities(program: Program) -> dict:
 def herbrand_base(program: Program, extra_constants: Iterable[str] = ()) -> frozenset:
     """All ground atoms over the program's predicates and constants."""
     constants = sorted(set(program.constants) | set(extra_constants))
-    out = set()
-    for pred, arity in _arities(program).items():
-        for combo in product(constants, repeat=arity):
-            out.add(GroundAtom(pred, combo))
-    return frozenset(out)
+    return frozenset([GroundAtom(pred, combo) for pred, arity in _arities(program).items()
+                      for combo in product(constants, repeat=arity)])
 
 
 def ground(
@@ -426,6 +416,9 @@ def ground(
     constants = tuple(sorted(set(program.constants) | set(extra_constants)))
     n = len(constants)
     arities = _arities(program)
+    if not _NAME.fullmatch("".join([*arities, *constants])):
+        bad = next(name for name in (*arities, *constants) if not _NAME.fullmatch(name))
+        raise ValueError(f"name {bad!r} has a character outside [A-Za-z0-9_]")
     offsets = {}  # predicate -> its first id, in predicate order
     space = 0  # ids in all: the atoms of the full base
     for pred in sorted(arities):
@@ -526,7 +519,7 @@ def _numbered(bodies: dict, arities: dict, offsets: dict, constants: tuple,
         else:  # each id's digits in base n
             block = [tuple([constants[(t - start) // n ** e % n] for e in range(k - 1, -1, -1)])
                      for t in ids]
-        text = pred.replace("%", "%%") + ("(%s" + ",%s" * (k - 1) + ")" if k else "")
+        text = pred + ("(%s" + ",%s" * (k - 1) + ")" if k else "")
         names += map(text.__mod__, block)
         preds += [pred] * len(block)
         args += block

@@ -361,7 +361,10 @@ class CompiledBodies:
     size is the number of nodes in nodes.  closures is the engine's memo of
     stability closures for these bodies; it starts empty.  A node list
     is one value (nodes, init, outs): the nodes, the start value of
-    every slot, and the _outs of the two, made with the list;
+    every slot, and the outs, (belief, doubt, written), the result
+    masks of the output slots' start values and the (slot, bit) of every
+    output some node writes into, made with the list.  An output slot
+    folds with bitwise or, so evaluate reads only the written outputs;
     consequence chooses between the compiled list and at_alpha's.
 
     The bodies are compiled in one walk, _walk, which reads each body's
@@ -439,7 +442,7 @@ class CompiledBodies:
         """One walk of the bodies' IR: (sequence, start values, outs,
         records, grouped leaves, literals read), the sequence in
         post-order with the start values of its slots, the compiled
-        list's outs (see _outs; no root is grouped), how many records it
+        list's outs (no root is grouped), how many records it
         holds and how many guarded leaves they stand for, and the mask
         of the literals the bodies read.  The guarded leaves that read an
         atom of grouped without "~" go into records; with grouped 0 there
@@ -576,27 +579,6 @@ class CompiledBodies:
         self._list = self._walk(0)[:3]
         return self._list
 
-    def _outs(self, nodes: tuple, init: list):
-        """The outs of the node list of nodes with start values init:
-        (belief, doubt, written), the result masks of the start values
-        of the output slots, and the (slot, bit) of every output some
-        node writes into.  An output slot folds with bitwise or, so
-        every result holds the bits of its start value, and evaluate
-        needs to read only the outputs some node writes into.  _walk
-        makes the compiled list's as it goes."""
-        parents = {node[4] for node in nodes}
-        belief = doubt = 0
-        written = []
-        for s, bit in enumerate(self.outputs):
-            code = init[s]
-            if code & 1:
-                belief |= bit
-            if code & 2:
-                doubt |= bit
-            if s in parents:
-                written.append((s, bit))
-        return belief, doubt, tuple(written)
-
     def at_alpha(self, alpha: TruthValue):
         """(start, rest belief, rest doubt, node list) for the default
         alpha: the valuation that gives alpha to every atom, the masks
@@ -612,13 +594,10 @@ class CompiledBodies:
             start = const_valuation(self.base, alpha)
             rest = self.rest
             if self.positive & rest and self.size >= _FOLD_MIN_NODES:
-                nodes, init = self._fold(alpha)
-                node_list = nodes, init, self._outs(nodes, init)
+                node_list = self._fold(alpha)
             else:
                 node_list = self._list or self._compiled_list()
-            form = self._forms[code] = (
-                start, start.belief & rest, start.doubt & rest, node_list,
-            )
+            form = self._forms[code] = start, start.belief & rest, start.doubt & rest, node_list
         return form
 
     def consequence(self, alpha: TruthValue, v: Valuation, w: Valuation):
@@ -637,7 +616,7 @@ class CompiledBodies:
         return belief | rest_belief, doubt | rest_doubt
 
     def _fold(self, alpha: TruthValue):
-        """The compiled list and its start values with every positive
+        """The node list of the compiled list with every positive
         literal of an atom of rest read as alpha, made in one walk of
         _seq.
 
@@ -731,16 +710,22 @@ class CompiledBodies:
         starts = init[:first]
         slots = {}  # old node slot: new slot
         nodes = []
+        written = set()  # the output slots some kept node writes into
         for kind, mb, md, s, p, pmeet, flip in reversed(kept):  # parents first
             if p >= first:
                 p = slots.get(p)
                 if p is None:  # its parent was settled and not kept
                     continue
+            else:
+                written.add(p)
             slots[s] = len(starts)
             starts.append(init[s])
             nodes.append((kind, mb, md, slots[s], p, pmeet, flip))
         nodes.reverse()
-        return tuple(nodes), starts
+        outputs = self.outputs
+        return tuple(nodes), starts, (sum([bit for bit, c in zip(outputs, starts) if c & 1]),
+                                      sum([bit for bit, c in zip(outputs, starts) if c & 2]),
+                                      tuple([(s, outputs[s]) for s in sorted(written)]))
 
     def evaluate(self, v: Valuation, w: Valuation, node_list=None):
         """The (belief, doubt) masks of every body's value, reading

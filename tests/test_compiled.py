@@ -256,10 +256,24 @@ def pass_through_nodes(nodes, init):
             and writers[node[3]] == 1]
 
 
+def reference_outs(compiled, nodes, init):
+    """The outs of a node list, from its nodes: the result masks of the
+    output slots' start values and the (slot, bit) of every output some
+    node writes into."""
+    parents = {node[4] for node in nodes}
+    belief = doubt = 0
+    for s, bit in enumerate(compiled.outputs):
+        belief |= bit * (init[s] & 1)
+        doubt |= bit * (init[s] >> 1 & 1)
+    return belief, doubt, tuple((s, bit) for s, bit in enumerate(compiled.outputs)
+                                if s in parents)
+
+
 def folded_list(compiled, alpha):
-    """The node list _fold makes for alpha, with its outs."""
-    nodes, init = compiled._fold(alpha)
-    return nodes, init, compiled._outs(nodes, init)
+    """The node list _fold makes for alpha, its outs checked."""
+    node_list = compiled._fold(alpha)
+    assert node_list[2] == reference_outs(compiled, *node_list[:2])
+    return node_list
 
 
 def assert_folds_agree(gp, rng, pairs):
@@ -296,15 +310,15 @@ def test_alpha_lists_agree_with_the_compiled_list_on_games_and_closures():
     "corpus", ["mixed_corpus", "conventional_corpus", "positive_corpus", "tiny_corpus"]
 )
 def test_the_walk_makes_the_outs_of_the_compiled_list(corpus, request):
-    # the outs compile's walk makes as it goes are what _outs finds from
-    # the nodes, whether the walk groups leaves into records or not
+    # the outs compile's walk makes as it goes are what reference_outs
+    # finds from the nodes, whether the walk groups leaves into records or not
     for gp in request.getfixturevalue(corpus) + FOLDED + WIDE:
         compiled = CompiledBodies(gp.base, gp.ir)
         for grouped in (0, compiled.rest):
             nodes, init, outs = compiled._walk(grouped)[:3]
-            assert outs == compiled._outs(nodes, init), gp.render()
+            assert outs == reference_outs(compiled, nodes, init), gp.render()
         assert compiled.nodes is compiled._list[0]
-        assert compiled._list[2] == compiled._outs(*compiled._list[:2])
+        assert compiled._list[2] == reference_outs(compiled, *compiled._list[:2])
 
 
 def test_alpha_lists_of_games_and_closures_read_no_non_head_positively():

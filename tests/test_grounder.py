@@ -650,6 +650,24 @@ def test_one_predicate_at_two_arities_is_refused():
             call(program)
 
 
+def test_a_name_outside_the_identifier_characters_is_refused():
+    # "a b" would sort after "a" as a constant but before "a,b" in a text,
+    # so ids would not be in base order; a hand-built program reaches ground
+    from blp.syntax import Clause, Program
+
+    def fact(pred, *names):
+        return Clause(Atom(pred, tuple(map(Const, names))), TruthConst(T))
+
+    for clauses, extra, bad in (
+        ([fact("p", "a", "a b"), fact("p", "a b", "a")], (), "a b"),
+        ([fact("p(", "a")], (), "p("), ([fact("p", "a")], ("b,c",), "b,c"),
+    ):
+        program = Program.from_clauses(clauses)
+        with pytest.raises(ValueError) as info:
+            ground(program, extra)
+        assert str(info.value) == f"name {bad!r} has a character outside [A-Za-z0-9_]"
+
+
 def test_a_sparse_id_space_is_never_allocated():
     # f's block holds 40^6 (about 4e9) ids, of which 40 occur; a time
     # bound far above the grounding's guards against allocating the block
