@@ -21,7 +21,7 @@ imported only then.
 
 A command loads its program in this order: the file is read and
 tokenized once.  Unless --base full or --strict-conventional is given,
-grounder.ground_tokens grounds a variable-free program straight from
+grounder.ground_tokens grounds a propositional program straight from
 the tokens, and --const is then only validated, since such a program
 has no variable or quantifier to range over the domain.  Any other
 program, and any the direct path declines, is parsed from the same
@@ -118,7 +118,7 @@ def _load_ground_program(args) -> GroundProgram:
     if args.base == "occurring" and not args.strict_conventional:
         gp = ground_tokens(tokens)
         if gp is not None:
-            _extra_constants(args.const)  # validated; a variable-free program ignores them
+            _extra_constants(args.const)  # validated; a propositional program ignores them
             return gp
     program = parse_program(text, tokens)
     if args.strict_conventional and not is_conventional(program, strict=True):

@@ -24,28 +24,29 @@ environment of constant indices.  A literal is a linear form over the
 environment, its constants folded into its offset, a quantifier a loop
 over the constants and an equality a test.  What needs no variable is
 coded at once, so a fact is its one instance's code.  A loop whose body
-has no loop emits one column per item of its body: a literal is
-range(start, stop, 2w) in the loop's variable, w the summed weight of
-its positions, any other item one code repeated or a test's column; the
-columns are zipped, with the fold after every instance but the first.
-Bodies merge in clause order.  The base is the heads and the atoms the
-codes read, or every id with base_mode="full".  When they fill the id
-space the codes are final; otherwise the ids are sorted as ints and
-recoded once.  Each text, kept as Base.names, is made once: a block all
-in the base by formatting over the product of the constants, any other
-atom from its id's digits.  The base makes its GroundAtoms on first use.
+holds only codes and literals emits one column per item of its body: a
+literal is range(start, stop, 2w) in the loop's variable, w the summed
+weight of its positions, a code that code repeated; the columns are
+zipped, with the fold after every instance but the first.  Bodies merge
+in clause order.  The base is the heads and the atoms the codes read,
+or every id with base_mode="full".  When they fill the id space the
+codes are final; otherwise the ids are sorted as ints and recoded once.
+Each text, kept as Base.names, is made once: a block all in the base by
+formatting over the product of the constants, any other atom from its
+id's digits.  The base reads its GroundAtoms back from the names on
+first use.
 
-ground_tokens grounds a program with no variable, quantifier or
-equality, such as the paper's propositional examples, straight from the
-token list of its text, with no AST.  One scan of the tokens looks for
-a variable, a reserved word or "=" and on finding one returns None.
-Otherwise one pass interns each atom and emits each body's postfix
-codes by the binding powers the parser climbs, and the ids are
-renumbered by a sort of the atoms' texts.  The path raises no error of
-its own: on a negated guard "~(", an arity clash, nesting at the
-parser's limit, malformed structure, or more codes than GROUND_CAP, it
-returns None, and the caller parses and grounds the same tokens, so the
-parser and ground write every error message.
+ground_tokens grounds a propositional program, one with no variable,
+quantifier, equality or atom with arguments, such as the paper's
+examples, straight from the token list of its text, with no AST.  One
+scan of the tokens looks for a variable, a reserved word or "=" and on
+finding one returns None.  Otherwise the atoms are numbered as ground
+numbers them at arity 0, by their sorted names, and one pass emits each
+body's postfix codes by the binding powers the parser climbs.  The path
+raises no error of its own: on an atom with arguments, a negated guard
+"~(", nesting at the parser's limit, malformed structure, or more codes
+than GROUND_CAP, it returns None, and the caller parses and grounds the
+same tokens, so the parser and ground write every error message.
 
 The result is the ground IR, GroundProgram.ir: one (head index, code)
 pair per head, in base order.  code is the merged body in postfix, a
@@ -145,27 +146,28 @@ class Base:
     which are (predicate, constant names) pairs, so locate finds the
     atom of a ground literal node by the pair it builds from the node.
 
-    A base made by grounding keeps its names and a maker of its atoms,
-    which it calls on the first use of atoms, index, locate, in,
+    A base made by grounding keeps only its names, and reads its atoms
+    back from them on the first use of atoms, index, locate, in,
     iteration, == or hash; the index is made on the first use of index,
     locate or in, and len reads names.  The engine and the oracles read
     positions and output reads names, so a CLI request makes neither.
     """
 
-    __slots__ = ("names", "_make", "_atoms", "_index")
+    __slots__ = ("names", "_atoms", "_index")
 
     def __init__(self, atoms: Iterable[GroundAtom]) -> None:
         atoms = tuple(sorted(set(atoms), key=str))
         self.names = tuple(map(str, atoms))
-        self._make = self._index = None
         self._atoms = atoms
+        self._index = None
 
     @classmethod
-    def _lazy(cls, names: tuple, make) -> "Base":
-        """The base whose atoms make() returns, distinct and in order,
-        with names their texts."""
+    def _lazy(cls, names: tuple) -> "Base":
+        """The base whose atoms have the texts names, distinct and in
+        order.  Each name is an identifier, or one applied to
+        identifiers, as ground's names are, so "(" and "," split it."""
         base = object.__new__(cls)
-        base.names, base._make = names, make
+        base.names = names
         base._atoms = base._index = None
         return base
 
@@ -173,8 +175,10 @@ class Base:
     def atoms(self) -> tuple:
         atoms = self._atoms
         if atoms is None:
-            atoms = self._atoms = self._make()
-            self._make = None
+            atoms = self._atoms = tuple([
+                GroundAtom(pred, tuple(args[:-1].split(",")) if args else ())
+                for pred, _, args in [name.partition("(") for name in self.names]
+            ])
         return atoms
 
     @property
@@ -506,7 +510,7 @@ def _numbered(bodies: dict, arities: dict, offsets: dict, constants: tuple,
                   for c in codes}.__getitem__
         ir = tuple([(position[t], tuple(map(recode, bodies[t]))) for t in sorted(bodies)])
     n = len(constants)
-    names, preds, args = [], [], []  # per atom of the base, in order
+    names = []  # per atom of the base, in order
     i = 0  # the first id of order not yet read
     for pred, start in offsets.items():
         k = arities[pred]
@@ -515,39 +519,13 @@ def _numbered(bodies: dict, arities: dict, offsets: dict, constants: tuple,
             j = bisect_left(order, start + n ** k, i)
             ids, i = order[i:j], j
         if ids is None or len(ids) == n ** k:
-            block = list(product(constants, repeat=k))
+            block = product(constants, repeat=k)
         else:  # each id's digits in base n
             block = [tuple([constants[(t - start) // n ** e % n] for e in range(k - 1, -1, -1)])
                      for t in ids]
         text = pred + ("(%s" + ",%s" * (k - 1) + ")" if k else "")
         names += map(text.__mod__, block)
-        preds += [pred] * len(block)
-        args += block
-    return GroundProgram(Base._lazy(tuple(names), lambda: tuple(map(GroundAtom, preds, args))), ir)
-
-
-def _program(atoms: list, bodies: dict) -> GroundProgram:
-    """The ground program of interned atoms and bodies, renumbered to
-    base order."""
-    texts = [
-        f"{pred}({key})" if type(key) is str else f"{pred}({','.join(key)})" if key else pred
-        for pred, key in atoms
-    ]  # str of each atom's GroundAtom, its sort key in Base
-    order = sorted(range(len(atoms)), key=texts.__getitem__)
-    position = [0] * len(order)
-    for k, i in enumerate(order):
-        position[i] = k
-    recode = list(range(LIT))  # recode[c] is code c over base positions
-    for k in position:
-        recode += (LIT + 2 * k, LIT + 2 * k + 1)
-    recode = recode.__getitem__
-    ir = tuple(sorted(
-        (position[t >> 1], tuple(map(recode, body))) for t, body in bodies.items()
-    ))
-    return GroundProgram(Base._lazy(tuple([texts[i] for i in order]), lambda: tuple([
-        GroundAtom(pred, (key,) if type(key) is str else key)
-        for pred, key in map(atoms.__getitem__, order)
-    ])), ir)
+    return GroundProgram(Base._lazy(tuple(names)), ir)
 
 
 # A block is a list of codes, ints it emits as they are, and of
@@ -556,7 +534,7 @@ def _program(atoms: list, bodies: dict) -> GroundProgram:
 # environment; (_TEST, i, j, code if env[i] == env[j], code otherwise);
 # (_LOOP, position, block, connective, code for an empty domain) folds
 # block's instances over the constants; _COLUMNS is a _LOOP whose block
-# has no loop, emitted as one column of codes per item.
+# holds only codes and _LIT items, emitted as one column per item.
 _LIT, _TEST, _LOOP, _COLUMNS = range(4)
 
 
@@ -624,7 +602,7 @@ def _template(clause: Clause, offsets: dict, index: dict, n: int):
         elif kind is tuple:  # the end of a quantifier body
             loop = out
             scope, out, at, folds = f
-            nested = any(type(ins) is tuple and ins[0] >= _LOOP for ins in loop)
+            nested = any(type(ins) is tuple and ins[0] != _LIT for ins in loop)
             out.append((_LOOP if nested else _COLUMNS, at, loop) + folds)
         elif kind is Equal or kind is NotEqual:
             left, right = f.left, f.right
@@ -663,15 +641,24 @@ _OPEN = (0, None)
 
 def ground_tokens(tokens: list) -> Optional[GroundProgram]:
     """ground(parse_program(text)) for the text whose syntax._tokenize
-    list is tokens, when the text is a variable-free program that the
+    list is tokens, when the text is a propositional program that the
     direct path takes (see the module docstring); None for any other
-    text, the texts the parser rejects included."""
+    text, the texts the parser rejects included.
+
+    The atoms are numbered before the pass, as ground numbers them at
+    arity 0: an atom's id is its position among the sorted names.  That
+    is the occurring base: the scan has declined every uppercase token
+    and reserved word, the pass reads every token, and it reads a
+    lowercase token only as an atom, so in a text it takes, the
+    lowercase tokens are exactly the atoms, and the codes are final as
+    they are emitted.  An atom followed by "(" has arguments, and the
+    pass returns None on that "(", as on any token out of place.
+    """
     if _NOT_DIRECT.search(" " + " ".join(tokens)):
         return None
-    lits: dict = {}  # atom key -> LIT + 2 * id; a nullary atom's key is its predicate
-    arities: dict = {}
-    atoms: list = []  # per id, the (predicate, key) pair that ground interns
-    bodies: dict = {}  # 2 * head id -> merged body code
+    names = sorted({t for t in tokens if "a" <= t < "{"})
+    lits = dict(zip(names, range(LIT, LIT + 2 * len(names), 2)))  # name -> LIT + 2 * id
+    bodies: dict = {}  # head id -> merged body code
     size = 0  # codes, as _check_size counts them
     i = 0
     while tokens[i]:  # a clause: its head, then "." or "<-" and its body
@@ -696,32 +683,9 @@ def ground_tokens(tokens: list) -> Optional[GroundProgram]:
                     tok = tokens[i]
                     i += 1
             if "a" <= tok < "{":  # an atom; a reserved word was found above
-                if tokens[i] == "(":
-                    args = []
-                    while True:
-                        arg = tokens[i + 1]
-                        if not "a" <= arg < "{":
-                            return None
-                        args.append(arg)
-                        i += 2
-                        if tokens[i] != ",":
-                            break
-                    if tokens[i] != ")":
-                        return None
-                    i += 1
-                    arity = len(args)
-                    key = (tok, args[0] if arity == 1 else tuple(args))
-                else:
-                    arity = 0
-                    key = tok
-                c = lits.get(key)
-                if c is None:
-                    if arities.setdefault(tok, arity) != arity:
-                        return None
-                    c = lits[key] = LIT + 2 * len(atoms)
-                    atoms.append(key if arity else (tok, ()))
+                c = lits[tok]
                 if head is None:
-                    head = c - LIT
+                    head = (c - LIT) >> 1
                     tok = tokens[i]
                     i += 1
                     if tok == ".":
@@ -769,7 +733,8 @@ def ground_tokens(tokens: list) -> Optional[GroundProgram]:
         else:
             out += code
             out.append(_OR)
-    return _program(atoms, bodies)
+    ir = tuple([(t, tuple(bodies[t])) for t in sorted(bodies)])
+    return GroundProgram(Base._lazy(tuple(names)), ir)
 
 
 def _emit(block: list, env: list, out: list, n: int) -> None:
@@ -803,19 +768,13 @@ def _emit(block: list, env: list, out: list, n: int) -> None:
             for item in loop:
                 if type(item) is int:
                     columns.append(repeat(item))
-                elif item[0] == _LIT:
-                    c, step = item[1], 0
-                    for q, w in item[2]:
-                        if q == at:
-                            step = w
-                        else:
-                            c += env[q] * w
-                    columns.append(iter(range(c, c + n * step, step)) if step else repeat(c))
-                elif at == item[1] or at == item[2]:
-                    column = [item[4]] * n
-                    column[env[item[1] + item[2] - at]] = item[3]
-                    columns.append(iter(column))
-                else:
-                    columns.append(repeat(item[3] if env[item[1]] == env[item[2]] else item[4]))
+                    continue
+                c, step = item[1], 0
+                for q, w in item[2]:
+                    if q == at:
+                        step = w
+                    else:
+                        c += env[q] * w
+                columns.append(iter(range(c, c + n * step, step)) if step else repeat(c))
             out += map(next, columns)  # the first instance, then each with the fold
             out += chain.from_iterable(zip(*columns, repeat(fold, n - 1)))

@@ -1,4 +1,4 @@
-"""The command line's direct path for variable-free programs: it gives
+"""The command line's direct path for propositional programs: it gives
 what ground(parse_program(text)) gives, or the same error, and takes
 only the programs it can ground alone."""
 
@@ -59,28 +59,28 @@ def test_loader_matches_the_full_path_on_the_corpora_and_their_variants(monkeypa
     for name, text in progs:
         for i, variant in enumerate(dump.variants(name, text)):
             direct = _check_loader(monkeypatch, variant)
-            # every corpus program is variable-free, so takes the path
+            # every corpus program is propositional, so takes the path
             if i == 0 and not name.startswith(("colleague", "suspect")):
                 assert direct, name
 
 
-_ATOMS = ("p", "q", "r(a)", "r(b)", "s(a,b)", "s(b,a)", "t(a,b,c)", "aB_1")
+_NULLARY = ("p", "q", "r", "s", "t", "aB_1")
+_MIXED = ("p", "q", "r(a)", "r(b)", "s(a,b)", "s(b,a)", "t(a,b,c)", "aB_1")
 _TRUTHS = ("#t", "#f", "#u", "#i")
 _STRAY = ("(", ")", "~", "~(", "X", "=", "a = b", "exists", ":", ",", ".", "<-", "r",
           "p(a)", "%c\n", "&", "+", "#u")
 
 
-def _soup(rng):
-    """A seeded program of propositional and n-ary clauses over all four
-    connectives and parentheses, then up to two tokens inserted, replaced
-    or deleted."""
+def _soup(rng, atoms):
+    """A seeded program of clauses over atoms, all four connectives and
+    parentheses, then up to two tokens inserted, replaced or deleted."""
     def formula(depth):
         if depth <= 0 or rng.random() < 0.35:
-            return rng.choice(("", "", "~")) + rng.choice(_ATOMS + _TRUTHS)
+            return rng.choice(("", "", "~")) + rng.choice(atoms + _TRUTHS)
         f = f"{formula(depth - 1)} {rng.choice('&|*+')} {formula(depth - 1)}"
         return f"({f})" if rng.random() < 0.5 else f
 
-    clauses = [rng.choice(_ATOMS) + (f" <- {formula(rng.randint(0, 4))}"
+    clauses = [rng.choice(atoms) + (f" <- {formula(rng.randint(0, 4))}"
                                      if rng.random() < 0.8 else "") + "."
                for _ in range(rng.randint(0, 6))]
     tokens = " ".join(clauses).split(" ")
@@ -90,24 +90,37 @@ def _soup(rng):
         if kind == 0:
             tokens.insert(pos, rng.choice(_STRAY))
         elif pos < len(tokens):
-            tokens[pos:pos + 1] = [rng.choice(_STRAY + _ATOMS)] if kind == 1 else []
+            tokens[pos:pos + 1] = [rng.choice(_STRAY + atoms)] if kind == 1 else []
     return " ".join(tokens)
+
+
+def _holds_an_nary_atom(text):
+    tokens = syntax._tokenize(text)
+    return any("a" <= t < "{" and u == "(" for t, u in zip(tokens, tokens[1:]))
 
 
 def test_loader_matches_the_full_path_on_seeded_token_soups(monkeypatch):
     rng = random.Random(0)
-    taken = sum(_check_loader(monkeypatch, _soup(rng)) for _ in range(3000))
+    taken = sum(_check_loader(monkeypatch, _soup(rng, _NULLARY)) for _ in range(3000))
     assert 1000 < taken < 2500
+    # the path takes no atom with arguments: the parser grounds those
+    for _ in range(3000):
+        text = _soup(rng, _MIXED)
+        if _check_loader(monkeypatch, text):
+            assert not _holds_an_nary_atom(text), text
 
 
-def test_variable_free_programs_skip_the_parser(capsys, monkeypatch):
+def test_variable_free_programs_skip_the_parser(capsys, monkeypatch, tmp_path):
     def refuse(*args):
         raise RuntimeError("the parser ran")
 
     monkeypatch.setattr(syntax, "_Parser", refuse)
     assert cli.main(["compare", str(DATA / "mixed_ops.blp")]) == 0
     assert capsys.readouterr().err == ""
+    with_arguments = tmp_path / "p.blp"
+    with_arguments.write_text("likes(a,b). p <- ~likes(a,b) | q.\n")
     for argv in (["compare", str(DATA / "suspect.blp")],
+                 ["compare", str(with_arguments)],
                  ["compare", "--base", "full", str(DATA / "mixed_ops.blp")],
                  ["compare", "--strict-conventional", str(DATA / "mixed_ops.blp")]):
         with pytest.raises(RuntimeError, match="the parser ran"):
@@ -123,6 +136,7 @@ def run(capsys, tmp_path, text, *argv):
 
 
 VARIABLE_FREE = "likes(a,b). p <- ~likes(a,b) | q.\nq <- p * #u.\n"
+PROPOSITIONAL = "likes. p <- ~likes | q.\nq <- p * #u.\n"
 
 
 @pytest.mark.parametrize("text, message", [
@@ -152,12 +166,12 @@ def test_variable_free_edge_programs_ground_as_before(capsys, tmp_path, text, du
 
 def test_const_is_validated_on_variable_free_programs(capsys, tmp_path):
     message = "error: invalid constant name 'Bad'\n"
-    assert run(capsys, tmp_path, VARIABLE_FREE, "ground", "--const", "Bad") == (1, "", message)
+    assert run(capsys, tmp_path, PROPOSITIONAL, "ground", "--const", "Bad") == (1, "", message)
     # checked before the cap, as on the full path
     assert run(capsys, tmp_path, "p.\n" * (GROUND_CAP + 1), "ground",
                "--const", "c,Bad") == (1, "", message)
-    assert run(capsys, tmp_path, VARIABLE_FREE, "ground", "--const", "c") == (
-        0, "likes(a,b).\np <- ~likes(a,b) | q.\nq <- p * #u.\n", "")
+    assert run(capsys, tmp_path, PROPOSITIONAL, "ground", "--const", "c") == (
+        0, "likes.\np <- ~likes | q.\nq <- p * #u.\n", "")
 
 
 def test_full_base_and_strict_conventional_on_variable_free_programs(capsys, tmp_path):
