@@ -31,10 +31,11 @@ zipped, with the fold after every instance but the first.  Bodies merge
 in clause order.  The base is the heads and the atoms the codes read,
 or every id with base_mode="full".  When they fill the id space the
 codes are final; otherwise the ids are sorted as ints and recoded once.
-Each text, kept as Base.names, is made once: a block all in the base by
-formatting over the product of the constants, any other atom from its
-id's digits.  The base reads its GroundAtoms back from the names on
-first use.
+Each text, kept as Base.names, is made once and joined, not formatted,
+from pieces made once per constant, "c," for an argument before the
+last and "c)" for the last: a block all in the base over the product of
+the pieces, any other atom from its id's digits.  The base reads its
+GroundAtoms back from the names on first use.
 
 ground_tokens grounds a propositional program, one with no variable,
 quantifier, equality or atom with arguments, such as the paper's
@@ -72,6 +73,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from itertools import chain, product, repeat
+from operator import add, rshift, sub
 from typing import Iterable, NamedTuple, Optional
 
 from .bilattice import F, I, T, U, negation
@@ -498,10 +500,12 @@ def _numbered(bodies: dict, arities: dict, offsets: dict, constants: tuple,
     order = None  # the base's ids, when they are not all ids
     if space is not None:
         codes = set().union(*bodies.values())
-        occurring = {(c - LIT) >> 1 for c in codes if c >= LIT}
-        occurring.update(bodies)
+        # c >> 1 is a literal's id + 4 and below 4 for any other code
+        occurring = set(map(rshift, codes, repeat(1)))
+        occurring.difference_update(range(4))
+        occurring.update(map(add, bodies, repeat(4)))
         if len(occurring) < space:
-            order = sorted(occurring)
+            order = list(map(sub, sorted(occurring), repeat(4)))
     if order is None:  # the ids are the base positions
         ir = tuple([(t, tuple(bodies[t])) for t in sorted(bodies)])
     else:
@@ -510,6 +514,8 @@ def _numbered(bodies: dict, arities: dict, offsets: dict, constants: tuple,
                   for c in codes}.__getitem__
         ir = tuple([(position[t], tuple(map(recode, bodies[t]))) for t in sorted(bodies)])
     n = len(constants)
+    mids = [c + "," for c in constants]  # the text of each argument but the last
+    ends = [c + ")" for c in constants]  # and of the last
     names = []  # per atom of the base, in order
     i = 0  # the first id of order not yet read
     for pred, start in offsets.items():
@@ -518,13 +524,12 @@ def _numbered(bodies: dict, arities: dict, offsets: dict, constants: tuple,
         if order is not None:
             j = bisect_left(order, start + n ** k, i)
             ids, i = order[i:j], j
-        if ids is None or len(ids) == n ** k:
-            block = product(constants, repeat=k)
+        if ids is None or len(ids) == n ** k:  # the whole block
+            block = product((pred + "(",), *[mids] * (k - 1), ends) if k else [(pred,)]
         else:  # each id's digits in base n
-            block = [tuple([constants[(t - start) // n ** e % n] for e in range(k - 1, -1, -1)])
-                     for t in ids]
-        text = pred + ("(%s" + ",%s" * (k - 1) + ")" if k else "")
-        names += map(text.__mod__, block)
+            block = [(pred + "(", *[mids[(t - start) // n ** e % n] for e in range(k - 1, 0, -1)],
+                      ends[(t - start) % n]) for t in ids]
+        names += map("".join, block)
     return GroundProgram(Base._lazy(tuple(names)), ir)
 
 
@@ -580,7 +585,10 @@ def _template(clause: Clause, offsets: dict, index: dict, n: int):
     by a quantifier raises ValueError."""
     head, body = clause.head, clause.body
     if type(body) is TruthConst and Var not in map(type, head.args):  # a fact, say
-        return _form(head, {}, [], offsets, index, n)[0], 0, [CONSTS.index(body.value)], None
+        t = 0
+        for c in head.args:  # the head's id in base n, by Horner's rule
+            t = t * n + index[c.name]
+        return offsets[head.pred] + t, 0, [CONSTS.index(body.value)], None
     head_vars = list(dict.fromkeys([t.name for t in head.args if type(t) is Var]))
     env: list = [None] * len(head_vars)
     scope = {name: k for k, name in enumerate(head_vars)}

@@ -38,7 +38,9 @@ A token's offset, and from it the line and column, is found by scanning
 the text again only when a ParseError is raised.  The binary operators
 are parsed by precedence climbing (Pratt, POPL 1973): a chain of one
 operator is a loop, which recurses only where a tighter operator
-follows.
+follows.  The parser makes one Const node per constant name, which
+every later argument of that name reuses, and every fact shares one
+TruthConst(T) body.
 """
 
 from __future__ import annotations
@@ -193,6 +195,7 @@ class Quantified(_Node):
 
 
 Formula = Union[Atom, NegAtom, TruthConst, Equal, NotEqual, Binary, Quantified]
+_TRUE = TruthConst(T)
 
 
 class Clause(_Node):
@@ -314,7 +317,7 @@ class _Parser:
         self.i = 0
         self.depth = 0  # formulas open around the current token
         self.arities: dict = {}  # predicate -> (arity, index of first use)
-        self.constants: set = set()
+        self.constants: dict = {}  # name -> its one Const node
 
     def error(self, message: str, at: int) -> ParseError:
         return ParseError(message, *self.position(at))
@@ -350,7 +353,7 @@ class _Parser:
             self.i += 1
             body = self.formula(frozenset(head_vars))
         else:
-            body = TruthConst(T)
+            body = _TRUE  # one body, shared by every fact
         self.expect(".", "'.'")
         return Clause(head, body)
 
@@ -365,11 +368,17 @@ class _Parser:
         self.i += 1
         args = ()
         if self.tokens[self.i] == "(":
-            self.i += 1
-            args = [self.term(scope)]
-            while self.tokens[self.i] == ",":
+            tokens, constants, args = self.tokens, self.constants, []
+            while True:
                 self.i += 1
-                args.append(self.term(scope))
+                arg = constants.get(tokens[self.i])  # a name seen before skips term
+                if arg is None:
+                    arg = self.term(scope)
+                else:
+                    self.i += 1
+                args.append(arg)
+                if tokens[self.i] != ",":
+                    break
             self.expect(")", "')'")
             args = tuple(args)
         seen = self.arities.get(pred)
@@ -390,8 +399,7 @@ class _Parser:
             if text in _KEYWORDS:
                 raise self.error(f"{text!r} is a reserved word", self.i)
             self.i += 1
-            self.constants.add(text)
-            return Const(text)
+            return self.constants.setdefault(text, Const(text))
         if "A" <= text < "[":
             if scope is not None and text not in scope:
                 raise self.error(

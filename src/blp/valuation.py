@@ -15,12 +15,12 @@ codes through them.  items(), values and item lookup build TruthValues;
 they are library API, not output paths.
 
 Formula evaluation comes in two independently coded flavors.
-CompiledBodies compiles the ground IR of rule bodies (see grounder)
-into a flat list of n-ary nodes and evaluates them against a pair of
+CompiledBodies compiles the ground IR of rule bodies (see grounder) into
+a flat list of n-ary nodes and evaluates them against a pair of
 valuations (positive atoms from the first, negated atoms from the
 second); the engine and contrajoin_eval use it, the latter through
-grounder.formula_code.  Each node has two literal masks, one read by
-its belief and one by its doubt, each value being all or any of its
+grounder.formula_code.  Each node has two literal masks, one read by its
+belief and one by its doubt, each value being all or any of its
 operands' as the connective says.  For each default value alpha the
 compiled bodies also derive, once, a second node list in which every
 atom that heads no rule reads as alpha where it is read without "~"
@@ -28,21 +28,20 @@ atom that heads no rule reads as alpha where it is read without "~"
 CompiledBodies.consequence, runs it whenever its first argument holds
 alpha on those atoms, and the compiled list otherwise.  Most nodes are
 leaves that read such an atom and at most one other literal, and at
-every alpha they merge into their parents; compile keeps the leaves
-of one kind under one parent as one record, holding only the OR of
-their other literals, which the derivation applies in one step.  The
-compiled list itself is made only when something runs it, by compile's
-walk again with nothing grouped.  The walk reads each body's IR once,
-from the last code to the first, which visits its tree in pre-order,
-so a node is complete while its parent is still open; most leaves are
-a connective over two literals, taken in one step.  A node list is one
-value, (nodes, init, outs); its outs, made with the list, hold the
-values of the outputs no node writes into, so an evaluation collects
-only the others.  pseudo_eval
-reads a formula tree (a rule body of GroundProgram.rules) against
-set-pair encodings using (in-true-set, in-false-set) bit logic, with
-an explicit stack; bottomup uses it.  The two share no tables and must
-agree everywhere; the test suite holds them against each other.
+every alpha they merge into their parents; compile keeps the leaves of
+one kind under one parent as one record, holding only the OR of their
+other literals, which the derivation applies in one step.  The compiled
+list itself is made only when something runs it, by compile's walk again
+with nothing grouped.  The walk reads each body's IR once, from the last
+code to the first, in pre-order, and takes most leaves, a connective
+over two literals, in runs, one loop a run, with a table of the IR codes
+telling which are guarded.  A node list is one value, (nodes, init,
+outs); its outs, made with the list, hold the values of the outputs no
+node writes into, so an evaluation collects only the others.
+pseudo_eval reads a formula tree (a rule body of GroundProgram.rules)
+against set-pair encodings using (in-true-set, in-false-set) bit logic,
+with an explicit stack; bottomup uses it.  The two share no tables and
+must agree everywhere; the test suite holds them against each other.
 """
 
 from __future__ import annotations
@@ -326,18 +325,6 @@ _START = (1 ^ 2, 2 ^ 2, 3, 0)  # each kind's identity T, F, I, U in its own code
 _FOLD_MIN_NODES = 16
 
 
-def _join(parent: list, kind: int, mask: int, keep: int) -> None:
-    """Put a guarded leaf into its record under open node parent: the
-    records of a node map kind << 1 | (reads another literal) to the OR
-    of their leaves' other literals."""
-    other = mask & keep
-    key = kind << 1 | (other != 0)
-    groups = parent[5]
-    if groups is None:
-        groups = parent[5] = {}
-    groups[key] = groups.get(key, 0) | other
-
-
 class CompiledBodies:
     """Ground IR bodies compiled against one base, evaluated without recursion.
 
@@ -372,15 +359,17 @@ class CompiledBodies:
     backwards is the tree in pre-order, a connective before its right
     and then its left operand, so a connective opens a node that stays
     open until its operands are read, and a node completes while its
-    parent is still open.  A literal sets its bit in the open
-    node's mask and a constant folds into its start value.  A connective
-    of the open node's own kind adds its operands to that node, so a
-    chain of one connective becomes one node.  A connective over two
-    literals (the two codes before it) is a complete leaf, taken in one
-    step.  A node takes its slot when it is emitted or when a child
-    first needs its parent's slot, so a node of constants only, which
-    folds into its parent's start value, and a leaf that joins a record
-    take none.
+    parent is still open.  A literal sets its bit in the open node's
+    mask and a constant folds into its start value.  A connective of the
+    open node's own kind adds its operands to that node, so a chain of
+    one connective becomes one node.  A connective over two literals is
+    a complete leaf, and leaves come in runs: unless a leaf was the last
+    operand of the open node, a connective of the node's kind and then a
+    leaf of the same kind add one operand and take it, in one loop; a
+    table of the IR codes, filled once per walk, says which are guarded.
+    A node takes its slot when emitted or when a child first needs it,
+    so a node of constants only, which folds into its parent's start
+    value, and a leaf that joins a record take none.
 
     Most nodes are guarded leaves: a node with no child node, its
     kind's identity as start value and a node as parent, that reads an
@@ -442,20 +431,22 @@ class CompiledBodies:
         """One walk of the bodies' IR: (sequence, start values, outs,
         records, grouped leaves, literals read), the sequence in
         post-order with the start values of its slots, the compiled
-        list's outs (no root is grouped), how many records it
-        holds and how many guarded leaves they stand for, and the mask
-        of the literals the bodies read.  The guarded leaves that read an
-        atom of grouped without "~" go into records; with grouped 0 there
-        are none, and the sequence is the compiled list."""
+        list's outs (no root is grouped), how many records it holds and
+        how many guarded leaves they stand for, and the mask of the
+        literals the bodies read.  A guarded leaf that reads an atom of
+        grouped without "~", a code guard marks, goes into a record; with
+        grouped 0 none does, and the sequence is the compiled list."""
         n = self.width
-        at = [0] * LIT  # 1 << at[c] is the literal bit of IR code c
-        for i in range(n):
-            at += (i, n + i)
+        at = [0] * (LIT + 2 * n)  # 1 << at[c] is the literal bit of IR code c
+        at[LIT::2] = range(n)
+        at[LIT + 1::2] = range(n, 2 * n)
+        guard = bytearray(len(at))
+        if grouped:
+            guard[LIT::2] = format(grouped | 1 << n, "b")[:0:-1].encode().replace(b"0", b"\0")
         keep = ~self.rest
         init = [0] * len(self.outputs)  # the start value of every slot
         seq = []  # in post-order, each node's records just before it
-        leaves = records = 0
-        lits = belief = doubt = 0
+        leaves = records = lits = belief = doubt = 0
         written = []  # the (slot, bit) of every output a root writes into
         for out, (bit, (_, code)) in enumerate(zip(self.outputs, self._ir)):
             i = len(code) - 1
@@ -468,8 +459,8 @@ class CompiledBodies:
             # The code read from the last to the first visits the tree in
             # pre-order, right operand first.  An open node is [kind,
             # literal mask, start value, slot or None, operands still to
-            # read, records or None]; top is the innermost, its parent
-            # is the last of stack, and the root's parent is the output.
+            # read, records or None]; top is the innermost, its parent is
+            # the last of stack, and the root's parent is the output.
             if c < LIT:
                 top = [c - 4, 0, _START[c - 4], None, 2, None]
                 i -= 1
@@ -489,22 +480,31 @@ class CompiledBodies:
                     top[4] += 1
                     i -= 1
                     continue
-                elif code[i - 1] >= LIT and code[i - 2] >= LIT:  # a leaf, complete
-                    kind = c - 4
-                    mask = 1 << at[code[i - 1]] | 1 << at[code[i - 2]]
-                    i -= 3
-                    lits |= mask
-                    pslot = top[3]
-                    if pslot is None:
-                        pslot = top[3] = len(init)
+                elif code[i - 1] >= LIT and code[i - 2] >= LIT:  # a run of leaves
+                    if top[3] is None:
+                        top[3] = len(init)
                         init.append(0)
-                    if mask & grouped:  # a non-head, at most one other: guarded
-                        _join(top, kind, mask, keep)
-                        leaves += 1
-                    else:
-                        seq.append((kind, mask, mask, len(init), pslot, _MEET[top[0]],
-                                    _FLIP[kind] ^ _FLIP[top[0]]))
-                        init.append(_START[kind])
+                    kind, pair, groups, pslot = c - 4, top[0] + 4, top[5], top[3]
+                    pmeet, pflip, start = _MEET[top[0]], _FLIP[kind] ^ _FLIP[top[0]], _START[kind]
+                    while True:  # a leaf, complete
+                        a, b = code[i - 1], code[i - 2]
+                        i -= 3
+                        mask = 1 << at[a] | 1 << at[b]
+                        lits |= mask
+                        if guard[a] or guard[b]:  # a non-head, at most one other: guarded
+                            other = mask & keep
+                            key = kind << 1 | (other != 0)
+                            if groups is None:
+                                groups = top[5] = {}
+                            groups[key] = groups.get(key, 0) | other
+                            leaves += 1
+                        else:
+                            seq.append((kind, mask, mask, len(init), pslot, pmeet, pflip))
+                            init.append(start)
+                        if (top[4] == 1 or code[i] != pair or code[i - 1] != c
+                                or code[i - 2] < LIT or code[i - 3] < LIT):
+                            break
+                        i -= 1
                 else:
                     stack.append(top)
                     top = [c - 4, 0, _START[c - 4], None, 2, None]
@@ -522,8 +522,7 @@ class CompiledBodies:
                         pkind, pslot = _GULL, out
                     else:
                         pkind, pslot = top[0], top[3]
-                    pmeet, pflip = _MEET[pkind], _FLIP[kind] ^ _FLIP[pkind]
-                    lits |= mask
+                    pmeet, pflip, lits = _MEET[pkind], _FLIP[kind] ^ _FLIP[pkind], lits | mask
                     if slot is None and not mask:  # constants only
                         acc ^= pflip
                         if top is None:
@@ -539,7 +538,8 @@ class CompiledBodies:
                         if (slot is None and mask & grouped and top is not None
                                 and acc == _START[kind]
                                 and not mask & keep & (mask & keep) - 1):  # a guarded leaf
-                            _join(top, kind, mask, keep)
+                            key, pgroups = kind << 1 | (mask & keep != 0), top[5] or {}
+                            pgroups[key], top[5] = pgroups.get(key, 0) | mask & keep, pgroups
                             leaves += 1
                         else:
                             if slot is None:

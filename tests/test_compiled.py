@@ -640,3 +640,33 @@ def test_records_hold_less_than_the_compiled_list_they_stand_for():
     finally:
         tracemalloc.stop()
     assert len(nodes) == compiled.size and 2 * held < listed, (held, listed)
+
+
+def test_a_run_of_leaves_ends_with_the_last_operand_of_its_node():
+    # read from the last code, ~d | a is the last operand of its & node;
+    # the & and a | ~c read next belong to the parent |, and must not be
+    # taken as one more leaf of the run under the & node
+    rng = random.Random(89)
+    body = "p <- (a + b) & (a | ~c) | (~d | a) & ~b.\n"
+    for text in (body, body + "a <- ~d.\n"):
+        gp = ground(parse_program(text))
+        assert_compiled_list_agrees_with_pseudo_eval(gp, rng, 200)
+        assert_alpha_lists_agree_with_pseudo_eval(gp, rng, 200)
+
+
+def test_a_run_of_leaves_mixes_guarded_leaves_of_both_records():
+    # r and t head no rule: in h's chain of leaves, r & ~q and t & ~h read
+    # another literal, r & t and t & t do not, and q & ~q and h & q are
+    # not guarded; they alternate along one run
+    leaves = ["r & ~q", "r & t", "q & ~q", "t & ~h", "t & t", "h & q"] * 3
+    gp = ground(parse_program(
+        "q <- ~q.\nh <- " + " | ".join(f"({leaf})" for leaf in leaves) + ".\n"))
+    compiled = engine._compiled(gp)
+    assert compiled.size >= _FOLD_MIN_NODES
+    groups = assert_sequence_groups_the_guarded_leaves(compiled)
+    assert sorted((reads, count) for (_, _, reads, _, _), (count, _) in groups.items()) == [
+        (False, 6), (True, 6)]
+    rng = random.Random(97)
+    assert_compiled_list_agrees_with_pseudo_eval(gp, rng, 40)
+    assert_alpha_lists_agree_with_pseudo_eval(gp, rng, 40)
+    assert_folds_agree(gp, rng, 40)

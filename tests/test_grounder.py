@@ -180,12 +180,12 @@ def test_base_names_are_the_atom_texts(colleague_single_gp):
         assert base.names == tuple(map(str, base.atoms))
 
 
-_SIGNATURES = {"p": 0, "q": 1, "r": 2, "s": 1}
+_SIGNATURES = {"p": 0, "q": 1, "r": 2, "s": 1, "t": 3}
 
 
 def _random_program_text(rng) -> str:
-    """Clauses over p/0, q/1, r/2 and s/1 whose bodies read the head
-    variables, a quantified Z and the constants a, b and c1."""
+    """Clauses over p/0, q/1, r/2, s/1 and t/3 whose bodies read the
+    head variables, a quantified Z and the constants a, b and c1."""
 
     def atom(names):
         pred = rng.choice(list(_SIGNATURES))
@@ -195,7 +195,7 @@ def _random_program_text(rng) -> str:
     clauses = []
     for _ in range(rng.randint(1, 4)):
         pred = rng.choice(list(_SIGNATURES))
-        head_vars = ["X", "Y"][:_SIGNATURES[pred]]
+        head_vars = ["X", "Y", "W"][:_SIGNATURES[pred]]
         names = head_vars + ["a", "b", "c1"]
         head = f"{pred}({','.join(head_vars)})" if head_vars else pred
         literals = [("~" if rng.random() < 0.3 else "") + atom(names)
@@ -421,7 +421,7 @@ def test_variable_free_programs_match_structural_recursion():
 
 
 _FREE_LEAVES = [  # over _SIGNATURES, with no variable
-    "p", "~p", "q(a)", "~q(b)", "r(a,c1)", "~r(b,b)", "s(c1)", "#t", "#u", "#i",
+    "p", "~p", "q(a)", "~q(b)", "r(a,c1)", "~r(b,b)", "s(c1)", "t(b,a,c1)", "#t", "#u", "#i",
     "a = b", "~(b = b)", "exists Z: q(Z) & ~s(a)", "(forall Z: r(Z,b)) | q(c1)",
 ]
 
@@ -447,6 +447,9 @@ def test_variable_free_clauses_mixed_with_templates_match_structural_recursion()
         extra = ("d", "e")[:rng.randint(0, 2)]
         gp = ground(program, extra)
         assert (gp.ir, gp.base.names) == _ground_reference(program, extra), clauses
+        # the full base: every block whole, t's joined over two middles
+        names = ground(program, extra, "full").base.names
+        assert names == tuple(sorted(map(str, herbrand_base(program, extra)))), clauses
 
 
 def test_variable_free_rules_merge_with_instances_in_clause_order():
